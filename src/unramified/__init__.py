@@ -11,7 +11,7 @@ and a normalized bar-resolution cohomology oracle.
 """
 
 from .catalog import BUILTINS, builtin
-from .divisors import ElementaryDivisors, howell_orders
+from .divisors import ElementaryDivisors
 from .errors import (
     DegeneratePairingError,
     DimensionMismatchError,
@@ -59,7 +59,6 @@ __all__ = [
     "duality_pairing",
     "enumerate_elements",
     "flag_subspace",
-    "howell_orders",
     "inverse",
     "kernel",
     "load_spec",

@@ -53,7 +53,7 @@ import numpy as np
 from .errors import DimensionMismatchError, GuardExceededError
 from .exterior import mult_map_kernel, square_kernel_generators
 from .groups import GroupSpec, GroupTables, antisym_matrix, build_tables
-from .linalg import Subspace, half_mod, inv_mod
+from .linalg import Subspace, half_mod, inv_mod, projective_lines
 from .results import VerificationResult
 
 Array = np.ndarray
@@ -340,16 +340,6 @@ def _coboundary_image(spec: GroupSpec) -> Subspace:
     return Subspace.from_generators(cols, p, N ** 3)
 
 
-def _u_lines(p: int, n: int):
-    import itertools
-    for lead in range(n):
-        for rest in itertools.product(range(p), repeat=n - lead - 1):
-            v = np.zeros(n, dtype=np.int64)
-            v[lead] = 1
-            v[lead + 1:] = rest
-            yield v
-
-
 def verify_tau_agree(spec: GroupSpec) -> VerificationResult:
     """tau13 - tau23 on the generators u x u x u x v must be a coboundary.
 
@@ -362,7 +352,7 @@ def verify_tau_agree(spec: GroupSpec) -> VerificationResult:
     image = _coboundary_image(us)
     checked = 0
     basis = [np.eye(n, dtype=np.int64)[i] for i in range(n)]
-    for u in _u_lines(p, n):
+    for u in projective_lines(p, n):
         for v in basis:
             diff = (half * (tau13(us, u, u, u, v).values.astype(np.int64)
                             - tau23(us, u, u, u, v).values)) % p

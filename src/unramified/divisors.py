@@ -184,15 +184,3 @@ def elementary_divisors(rows: int, cols: int, entries, p: int, k: int,
 
     return ElementaryDivisors(p, k, rows, cols, tuple(sorted(exps)))
 
-
-def howell_orders(rows: int, cols: int, entries, p: int, k: int,
-                  deadline: float | None = None) -> ElementaryDivisors:
-    """Exact image/kernel orders of a ZpkMatrix; see module docstring."""
-    return elementary_divisors(rows, cols, entries, p, k, deadline=deadline)
-
-
-def rank_mod_p_sparse(rows: int, cols: int, entries, p: int,
-                      deadline: float | None = None) -> int:
-    """Rank over F_p of a sparse matrix (k = 1 elimination)."""
-    div = elementary_divisors(rows, cols, entries, p, 1, deadline=deadline)
-    return len(div.exponents)

@@ -140,27 +140,27 @@ def duality_pairing(f: ExtVector, x: ExtVector) -> int:
     return int((f.coeffs @ x.coeffs) % f.p)
 
 
-def pairing_matrix(n: int, k: int) -> Array:
-    """The duality pairing of the wedge bases is the identity by construction."""
-    return np.eye(comb(n, k), dtype=np.int64)
+@lru_cache(maxsize=None)
+def wedge_basis_tensor(n: int, k: int) -> Array:
+    """E[j] = matrix of (omega -> omega ^ e_{j+1}), shape (n, C(n,k), C(n,k+1)).
+
+    Entries are the signs 0, +1, -1 of merge_sign; read-only, since cached.
+    """
+    E = np.zeros((n, comb(n, k), comb(n, k + 1)), dtype=np.int64)
+    idx = subset_index(n, k + 1)
+    for i, S in enumerate(subsets(n, k)):
+        for j in range(n):
+            sign, merged = merge_sign(S, (j + 1,))
+            if sign:
+                E[j, i, idx[merged]] = sign
+    E.setflags(write=False)
+    return E
 
 
 def wedge_by_vector_matrix(p: int, n: int, k: int, v) -> Array:
     """Matrix of (omega -> omega ^ v): Lambda^k -> Lambda^{k+1}, rows = source basis."""
     v = np.asarray(v, dtype=np.int64) % p
-    src = subsets(n, k)
-    dim_t = comb(n, k + 1) if k + 1 <= n else 0
-    M = np.zeros((len(src), dim_t), dtype=np.int64)
-    if dim_t == 0:
-        return M
-    idx = subset_index(n, k + 1)
-    nz = np.nonzero(v)[0]
-    for i, S in enumerate(src):
-        for j in nz:
-            sign, merged = merge_sign(S, (int(j) + 1,))
-            if sign:
-                M[i, idx[merged]] = (M[i, idx[merged]] + sign * int(v[j])) % p
-    return M
+    return np.tensordot(v, wedge_basis_tensor(n, k), axes=1) % p
 
 
 def flag_subspace(p: int, n: int, k: int, v) -> Subspace:

@@ -66,71 +66,115 @@ def as_matrix(rows, cols: int | None = None) -> Array:
     return A
 
 
+# One pivot updates at most this many cells at a time, so that a wide
+# elimination never holds a dense copy of all the rows it touches.
+_UPDATE_CELLS = 1 << 14
+
+
+def projective_lines(p: int, n: int):
+    """Canonical line representatives: first nonzero coordinate equals 1."""
+    for lead in range(n):
+        for rest in itertools.product(range(p), repeat=n - lead - 1):
+            v = np.zeros(n, dtype=np.int64)
+            v[lead] = 1
+            v[lead + 1:] = rest
+            yield v
+
+
+def _inverse_mod(a: Array, p: int) -> Array:
+    """Elementwise a^(p-2) mod p, by square-and-multiply: inverses of units."""
+    out = np.ones_like(a)
+    for bit in bin(p - 2)[2:]:
+        out = out * out % p
+        if bit == "1":
+            out = out * a % p
+    return out
+
+
+def rref_stack(A: Array, p: int) -> tuple[Array, Array, Array]:
+    """Gauss-Jordan over F_p on each matrix of a stack of shape (L, m, n).
+
+    Returns (R, ranks, pivots): R[l] is the reduced row echelon form of
+    A[l], its ranks[l] nonzero rows first; pivots[l, i] is the pivot column
+    of row i, or -1 for i >= ranks[l].  A pivot updates only the rows that
+    are nonzero in its column, and in them only the columns where its row
+    is nonzero, so sparse matrices stay cheap.
+    """
+    A = np.array(A, dtype=np.int64, order="C")
+    A %= p
+    L, m, n = A.shape
+    flat = A.reshape(-1)
+    ranks = np.zeros(L, dtype=np.int64)
+    pivots = np.full((L, min(m, n)), -1, dtype=np.int64)
+    for c in range(n):
+        lo = int(ranks.min()) if L else m
+        if lo == m:
+            break
+        cand = A[:, lo:, c] != 0
+        if L > 1:
+            cand &= np.arange(lo, m) >= ranks[:, None]
+        P = np.flatnonzero(cand.any(axis=1))
+        if not P.size:
+            continue
+        r = ranks[P]
+        i = lo + cand[P].argmax(axis=1)
+        A[P, r], A[P, i] = A[P, i], A[P, r]
+        piv = A[P, r, c:]
+        piv = piv * _inverse_mod(piv[:, 0], p)[:, None] % p
+        A[P, r, c:] = piv
+        hit = A[P, :, c] != 0
+        hit[np.arange(P.size), r] = False
+        k, j = np.nonzero(hit)
+        cols = np.flatnonzero(piv.any(axis=0))
+        step = max(1, _UPDATE_CELLS // cols.size)
+        for s in range(0, k.size, step):
+            ks = k[s:s + step]
+            at = ((P[ks] * m + j[s:s + step]) * n + c)[:, None] + cols
+            block = flat[at]
+            block -= block[:, :1] * (piv[:, cols] if P.size == 1
+                                     else piv[ks[:, None], cols])
+            block %= p
+            flat[at] = block
+        pivots[P, r] = c
+        ranks[P] = r + 1
+    return A, ranks, pivots
+
+
 def rref_mod(A: Array, p: int) -> tuple[Array, list[int]]:
     """Reduced row echelon form over F_p.
 
     Returns (R, pivot_columns) where R keeps only the nonzero rows, pivots
     are 1 and their columns are cleared, and pivot columns increase.
     """
-    A = np.array(A, dtype=np.int64) % p
-    m, n = A.shape
-    r = 0
-    pivots: list[int] = []
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        A[r] = (A[r] * inv_mod(A[r, c], p)) % p
-        other = np.nonzero(A[:, c])[0]
-        for j in other:
-            if j != r:
-                A[j] = (A[j] - A[j, c] * A[r]) % p
-        pivots.append(c)
-        r += 1
-    return A[:r], pivots
+    (R,), (r,), (pivots,) = rref_stack(np.asarray(A)[None], p)
+    return R[:r], pivots[:r].tolist()
 
 
 def rank_mod(A: Array, p: int) -> int:
     return len(rref_mod(A, p)[1])
 
 
+def kernel_stack(A: Array, p: int) -> Array:
+    """Kernels over F_p of a stack (L, m, n), as an (L, n, n) stack.
+
+    Slice l is (I - R')^T mod p, where R'[c] is the row of rref(A[l]) with
+    pivot in column c (zero for free c); its nonzero rows, one per free
+    column in increasing order, are a basis of {x : A[l] x = 0}.
+    """
+    R, _, pivots = rref_stack(A, p)
+    L, _, n = R.shape
+    K = np.zeros((L, n, n), dtype=np.int64)
+    ls, rs = np.nonzero(pivots >= 0)
+    K[ls, pivots[ls, rs]] = -R[ls, rs]
+    K[:, np.arange(n), np.arange(n)] += 1
+    K %= p
+    return K.transpose(0, 2, 1)
+
+
 def kernel_basis(A: Array, p: int) -> Array:
     """Basis (as rows) of {x : A x = 0} over F_p."""
-    A = np.asarray(A, dtype=np.int64)
-    m, n = A.shape
-    R, pivots = rref_mod(A, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    if not free:
-        return np.zeros((0, n), dtype=np.int64)
-    B = np.zeros((len(free), n), dtype=np.int64)
-    for row, f in enumerate(free):
-        B[row, f] = 1
-        for i, c in enumerate(pivots):
-            B[row, c] = (-R[i, f]) % p
-    return B
-
-
-def solve_mod(A: Array, b: Array, p: int) -> Array | None:
-    """One solution of A x = b over F_p, or None if inconsistent."""
-    A = np.asarray(A, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64).reshape(-1) % p
-    m, n = A.shape
-    R, pivots = rref_mod(np.hstack([A, b[:, None]]), p)
-    for i in range(R.shape[0]):
-        if not R[i, :n].any() and R[i, n]:
-            return None
-    x = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        if c == n:
-            return None
-        x[c] = R[i, n]
-    return x
+    K = kernel_stack(np.asarray(A, dtype=np.int64)[None], p)[0]
+    return K[K.any(axis=1)]
 
 
 @dataclass(frozen=True)
@@ -194,12 +238,8 @@ class Subspace:
         if v.shape[0] != self.ambient:
             raise DimensionMismatchError(
                 f"vector of dim {v.shape[0]} in F^{self.ambient}")
-        for i in range(self.dim):
-            row = self.basis[i]
-            c = int(np.nonzero(row)[0][0])
-            if v[c]:
-                v = (v - v[c] * row) % self.p
-        return not v.any()
+        pivots = [int(np.flatnonzero(row)[0]) for row in self.basis]
+        return not ((v - v[pivots] @ self.basis) % self.p).any()
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -248,21 +288,6 @@ class Subspace:
             return
         for coeffs in itertools.product(range(self.p), repeat=self.dim):
             yield (np.array(coeffs, dtype=np.int64) @ self.basis) % self.p
-
-
-def subspace_op(S: Subspace, T: Subspace | None = None, mode: str = "sum",
-                vector=None):
-    """Dispatcher over {sum, intersect, contains_vector, equals}."""
-    if mode == "sum":
-        return S + T
-    if mode == "intersect":
-        return S.intersect(T)
-    if mode == "contains_vector":
-        return S.contains(vector)
-    if mode == "equals":
-        S._check_compatible(T)
-        return S == T
-    raise ValueError(f"unknown subspace operation {mode!r}")
 
 
 def rref(M, p: int) -> tuple[Subspace, int]:

@@ -19,6 +19,13 @@ decomposable accumulation iterates over projective lines [v] only: for a
 fixed v the elements of S with factor v form the linear space
 S  intersect  ker(^ v), and every partially decomposable element has some
 factor line, so the union of those intersections spans S_dec.
+
+dec_subgroup sweeps the lines in batches: it stacks the matrices of
+x -> x ^ v_l on the basis of S for a batch of lines v_l, takes all their
+left kernels in one stacked elimination (linalg.kernel_stack), and folds
+them into one span in S-basis coordinates.  It stops after the first
+batch at which that span is all of S, and otherwise visits every line.
+dec_subgroup_bruteforce keeps its own line-by-line route.
 """
 
 from __future__ import annotations
@@ -31,29 +38,22 @@ import numpy as np
 
 from .errors import GuardExceededError, SpecError
 from .exterior import (
-    ExtVector,
     render_multivector,
-    wedge,
+    wedge_basis_tensor,
     wedge_by_vector_matrix,
 )
 from .groups import GroupSpec, ValidationReport, spec_from_json_dict, \
     spec_to_json_dict, validate_spec
-from .linalg import Subspace, kernel_basis
+from .linalg import Subspace, kernel_stack, projective_lines, rref_mod
 
 Array = np.ndarray
 
 DEFAULT_BRUTE_WORK = 10 ** 7
-
-
-def projective_lines(p: int, n: int):
-    """Canonical line representatives: first nonzero coordinate equals 1."""
-    for lead in range(n):
-        tail = n - lead - 1
-        for rest in itertools.product(range(p), repeat=tail):
-            v = np.zeros(n, dtype=np.int64)
-            v[lead] = 1
-            v[lead + 1:] = rest
-            yield v
+# Batches of lines in dec_subgroup: the first is small, as early exits come
+# after a few dozen lines; later ones double until a batch's stacked
+# matrices would hold more than _BATCH_CELLS entries (a memory bound).
+_FIRST_BATCH = 32
+_BATCH_CELLS = 1 << 16
 
 
 def compute_k2(spec: GroupSpec) -> Subspace:
@@ -64,22 +64,18 @@ def compute_k2(spec: GroupSpec) -> Subspace:
 def compute_k3(spec: GroupSpec, k2: Subspace) -> Subspace:
     """K^2 ^ U* = span{kappa ^ e_j* : kappa in basis(K^2), 1 <= j <= n}."""
     p, n = spec.p, spec.n
-    ambient = comb(n, 3)
-    gens = []
-    for row in k2.basis:
-        kappa = ExtVector(p, n, 2, row)
-        for j in range(1, n + 1):
-            ej = ExtVector.basis_element(p, n, 1, (j,))
-            gens.append(wedge(kappa, ej).coeffs)
-    return Subspace.from_generators(gens, p, ambient)
+    gens = np.einsum("rs,jst->rjt", k2.basis, wedge_basis_tensor(n, 2))
+    return Subspace.from_generators(
+        gens.reshape(k2.dim * n, comb(n, 3)) % p, p, comb(n, 3))
 
 
 def dec_subgroup(S: Subspace, k: int, n: int) -> Subspace:
     """Span of the partially decomposable elements of S (degree-k side).
 
     Per line [v]: {x in S : x ^ v = 0} = S intersect {omega ^ v}, using the
-    contraction homotopy identity im(^v) = ker(^v).  Early exit once the
-    accumulated span reaches S itself.
+    contraction homotopy identity im(^v) = ker(^v).  Lines are swept in
+    batches; each batch is one stacked elimination, and the sweep stops
+    after the first batch at which the accumulated span reaches S itself.
     """
     if k not in (2, 3):
         raise ValueError("dec_subgroup is defined for degrees 2 and 3")
@@ -88,19 +84,21 @@ def dec_subgroup(S: Subspace, k: int, n: int) -> Subspace:
         raise SpecError(f"subspace ambient {S.ambient} != C({n},{k})")
     if S.dim == 0 or n == 0:
         return Subspace.zero(p, S.ambient)
-    acc = Subspace.zero(p, S.ambient)
-    for v in projective_lines(p, n):
-        W = wedge_by_vector_matrix(p, n, k, v)  # Lambda^k -> Lambda^{k+1}
-        constraint = (S.basis @ W) % p          # rows: images of S basis
-        coeffs = kernel_basis(constraint.T, p) if constraint.shape[1] else \
-            np.eye(S.dim, dtype=np.int64)
-        if coeffs.shape[0] == 0:
-            continue
-        hits = (coeffs @ S.basis) % p
-        acc = acc + Subspace.from_generators(hits, p, S.ambient)
-        if acc.dim == S.dim:
+    # SE[j]: images of the S basis under (^ e_{j+1}), rows = S basis
+    SE = np.einsum("is,jst->jit", S.basis, wedge_basis_tensor(n, k)) % p
+    cap = max(1, _BATCH_CELLS // max(1, SE[0].size))
+    lines = projective_lines(p, n)
+    acc = np.zeros((0, S.dim), dtype=np.int64)   # in S-basis coordinates
+    size = min(_FIRST_BATCH, cap)
+    while batch := list(itertools.islice(lines, size)):
+        # C[l] = (S.basis @ W(v_l))^T; its kernel is {x in S : x ^ v_l = 0}
+        C = np.einsum("lj,jit->lti", np.array(batch), SE)
+        K = kernel_stack(C, p).reshape(-1, S.dim)
+        acc, _ = rref_mod(np.vstack([acc, K[K.any(axis=1)]]), p)
+        if acc.shape[0] == S.dim:
             return S
-    return acc
+        size = min(2 * size, cap)
+    return Subspace.from_generators(acc @ S.basis % p, p, S.ambient)
 
 
 def dec_subgroup_bruteforce(S: Subspace, k: int, n: int,

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from unramified.divisors import elementary_divisors, howell_orders
+from unramified.divisors import elementary_divisors
 
 
 def dense_entries(M):
@@ -30,14 +30,14 @@ def orders_by_enumeration(M, p, k):
 
 
 def test_diagonal_case():
-    d = howell_orders(2, 2, dense_entries([[1, 0], [0, 3]]), 3, 2)
+    d = elementary_divisors(2, 2, dense_entries([[1, 0], [0, 3]]), 3, 2)
     assert d.exponents == (0, 1)
     assert d.order_kernel() == 3
     assert d.order_image() == 27
 
 
 def test_zero_matrix():
-    d = howell_orders(3, 2, [], 3, 2)
+    d = elementary_divisors(3, 2, [], 3, 2)
     assert d.order_image() == 1
     assert d.order_kernel() == 9 ** 2
     assert d.zero_cols == 2

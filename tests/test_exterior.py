@@ -235,11 +235,3 @@ def test_unsorted_wedge_canonicalizes_with_even_permutation_sign():
     w = wedge(wedge(e[4], e[5]), e[0])
     assert w == basis(p, n, 3, (1, 5, 6))
     assert render_multivector(w.coeffs, n, 3, p) == "u[1,5,6]"
-
-
-def test_pairing_matrix_is_identity():
-    # so orthogonal complements implement the duality perp with no extra data
-    from unramified.exterior import pairing_matrix
-    for n, k in ((4, 2), (6, 3)):
-        assert np.array_equal(pairing_matrix(n, k),
-                              np.eye(comb(n, k), dtype=np.int64))

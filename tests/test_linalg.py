@@ -21,8 +21,10 @@ from unramified.linalg import (
     half_mod,
     kernel,
     kernel_basis,
+    kernel_stack,
     rref,
     rref_mod,
+    rref_stack,
 )
 
 
@@ -34,6 +36,93 @@ def span_size_by_enumeration(rows, p):
         v = (np.array(coeffs) @ rows) % p
         seen.add(tuple(int(x) for x in v))
     return len(seen)
+
+
+def rref_reference(A, p):
+    """Textbook Gauss-Jordan on Python ints: (nonzero rows, pivot columns)."""
+    rows = [[int(x) % p for x in r] for r in A]
+    n = np.shape(A)[1]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for j in range(len(rows)):
+            if j != r and rows[j][c]:
+                f = rows[j][c]
+                rows[j] = [(a - f * b) % p for a, b in zip(rows[j], rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def kernel_reference(A, p):
+    """One kernel vector per free column f: e_f minus the rref entries of f."""
+    rows, pivots = rref_reference(A, p)
+    n = np.shape(A)[1]
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        x = [0] * n
+        x[f] = 1
+        for row, c in zip(rows, pivots):
+            x[c] = -row[f] % p
+        basis.append(x)
+    return basis
+
+
+def random_matrices(rng, p, count, max_dim=8):
+    """Seeded matrices of varied shape and density, some with zero rows/cols."""
+    out = []
+    for _ in range(count):
+        m, n = (int(x) for x in rng.integers(0, max_dim + 1, size=2))
+        A = rng.integers(0, p, size=(m, n))
+        A *= rng.random((m, n)) < rng.choice([0.2, 0.6, 1.0])
+        if m and rng.random() < 0.5:
+            A[rng.integers(0, m)] = 0
+        if n and rng.random() < 0.5:
+            A[:, rng.integers(0, n)] = 0
+        out.append(A)
+    return out
+
+
+@pytest.mark.parametrize("seed,p", [(s, p) for p in (3, 5, 7, 11) for s in (0, 1)])
+def test_rref_and_kernel_match_reference_seed(seed, p):
+    for A in random_matrices(np.random.default_rng(seed), p, 40):
+        rows, pivots = rref_reference(A, p)
+        R, got_pivots = rref_mod(A, p)
+        assert got_pivots == pivots
+        assert R.shape == (len(pivots), A.shape[1])
+        assert R.tolist() == rows
+        B = kernel_basis(A, p)
+        assert B.shape == (A.shape[1] - len(pivots), A.shape[1])
+        assert B.tolist() == kernel_reference(A, p)
+
+
+@pytest.mark.parametrize("seed,p", [(s, p) for p in (3, 5, 7, 11) for s in (0, 1)])
+def test_stack_slices_equal_their_own_2d_result_seed(seed, p):
+    rng = np.random.default_rng(seed)
+    L, m, n = 9, 6, 7
+    # slices of every rank from 0 to 6, plus zero rows and columns
+    A = np.stack([rng.integers(0, p, size=(m, r)) @ rng.integers(0, p, size=(r, n))
+                  for r in range(L - 2)]
+                 + [np.zeros((m, n), dtype=np.int64),
+                    rng.integers(0, p, size=(m, n))]) % p
+    A[3, 2] = 0
+    A[5, :, 4] = 0
+    before = A.copy()
+    R, ranks, pivots = rref_stack(A, p)
+    K = kernel_stack(A, p)
+    assert np.array_equal(A, before)
+    for l in range(L):
+        R2, pivots2 = rref_mod(A[l], p)
+        r = len(pivots2)
+        assert ranks[l] == r
+        assert np.array_equal(R[l, :r], R2) and not R[l, r:].any()
+        assert pivots[l, :r].tolist() == pivots2 and (pivots[l, r:] == -1).all()
+        assert np.array_equal(K[l][K[l].any(axis=1)], kernel_basis(A[l], p))
 
 
 def test_scalar_validation():
@@ -206,18 +295,3 @@ def test_kernel_basis_of_wide_matrix():
     assert B.shape[0] == 2
     for row in B:
         assert not ((M @ row) % 3).any()
-
-
-def test_subspace_op_dispatcher():
-    from unramified.linalg import subspace_op
-    p = 3
-    S = Subspace.from_generators([[1, 0, 0]], p, 3)
-    T = Subspace.from_generators([[0, 1, 0]], p, 3)
-    assert subspace_op(S, T, "sum") == S + T
-    assert subspace_op(S, T, "intersect").dim == 0
-    assert subspace_op(S, mode="contains_vector", vector=[2, 0, 0])
-    assert not subspace_op(S, T, "equals")
-    with pytest.raises(ValueError):
-        subspace_op(S, T, "project")
-    with pytest.raises(DimensionMismatchError):
-        subspace_op(S, Subspace.zero(p, 4), "equals")

@@ -10,6 +10,7 @@ from unramified.catalog import builtin
 from unramified.exterior import ExtVector, duality_pairing, subset_index
 from unramified.groups import GroupSpec, permute_basis, random_strict_spec
 from unramified.linalg import Subspace
+from unramified import obstruction
 from unramified.obstruction import (
     analyze,
     compute_k2,
@@ -145,18 +146,40 @@ def test_dec_peyre6_degree3_is_u135():
         [trivector(3, 6, (1, 3, 5))], 3, comb(6, 3))
 
 
-@pytest.mark.parametrize("seed,p,n,k", [
-    (0, 3, 4, 2), (1, 3, 4, 2), (2, 3, 4, 3), (3, 3, 4, 3),
-    (4, 5, 3, 2), (5, 5, 4, 3), (6, 3, 5, 3),
-])
-def test_dec_fast_equals_bruteforce_seed(seed, p, n, k):
+DEC_CASES = [
+    (0, 3, 4, 2, False), (1, 3, 4, 2, False), (2, 3, 4, 3, False),
+    (3, 3, 4, 3, False), (4, 5, 3, 2, False), (5, 5, 4, 3, False),
+    (6, 3, 5, 3, False), (7, 3, 5, 2, True), (8, 3, 6, 2, True),
+    (9, 5, 5, 2, True),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,p,n,k,walker", DEC_CASES,
+    ids=["-".join(map(str, c[:4])) + ("-walker" if c[4] else "")
+         for c in DEC_CASES])
+def test_dec_fast_equals_bruteforce_seed(seed, p, n, k, walker):
+    """A walker S also holds the last basis bivector e_{n-1}^e_n: it is
+    decomposable, and its factor lines are the last lines swept.  S_dec != S
+    for these seeds, so the sweep visits every line, in several batches,
+    and must still find it.  Walkers are degree 2 only: at n = 5 every
+    3-vector has a vector factor, so S_dec = S in degree 3, and n = 6 makes
+    the brute force too slow here (the peyre6 acceptance test covers a
+    degree-3 sweep over every line)."""
     rng = np.random.default_rng(seed)
     amb = comb(n, k)
-    S = Subspace.from_generators(rng.integers(0, p, size=(3, amb)), p, amb)
+    gens = rng.integers(0, p, size=(3, amb))
+    last = np.eye(amb, dtype=np.int64)[-1]
+    if walker:
+        gens = np.vstack([gens, last])
+    S = Subspace.from_generators(gens, p, amb)
     fast = dec_subgroup(S, k, n)
     brute = dec_subgroup_bruteforce(S, k, n)
     assert fast == brute
     assert S.contains_subspace(fast)
+    if walker:
+        assert fast != S and fast.contains(last)
+        assert (p ** n - 1) // (p - 1) > obstruction._FIRST_BATCH
 
 
 def test_projective_line_count():
