@@ -13,7 +13,6 @@ and a normalized bar-resolution cohomology oracle.
 from .catalog import BUILTINS, builtin
 from .divisors import ElementaryDivisors
 from .errors import (
-    DegeneratePairingError,
     DimensionMismatchError,
     EvenPrimeError,
     GuardExceededError,

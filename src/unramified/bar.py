@@ -219,6 +219,7 @@ def qz_orders(spec: GroupSpec, degmax: int = 3,
     """Derived |H^i(G, Q/Z)| for i <= degmax via the integral recursion."""
     if not 1 <= degmax <= 3:
         raise ValueError("degmax must be between 1 and 3")
+    _tier_check(spec, degmax, allow_heavy)   # rows grow with the degree
     p = spec.p
     k = spec.n + spec.m            # p^k = |G|
     cache: dict[int, ElementaryDivisors] = {}
@@ -257,6 +258,7 @@ def verify_p_annihilation(spec: GroupSpec, degmax: int = 3,
         return VerificationResult("p_annihilation", True, 0,
                                   note="skipped: requires m = 0 (abelian)",
                                   skipped=True)
+    _tier_check(spec, degmax, allow_heavy)   # rows grow with the degree
     k = spec.n
     checked = 0
     for i in range(1, degmax + 1):

@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 invalid spec, 2 verification failure
-(a counterexample was found), 3 resource guard exceeded.
+Exit codes: 0 success, 1 invalid input or a broken internal invariant,
+2 verification failure (a counterexample was found), 3 resource guard
+exceeded; codes 1 and 3 come with one line on stderr.
 
 The --guard flag (or the UNRAMIFIED_GUARD environment variable) takes
 "BYTES" or "BYTES/SECONDS": the byte budget bounds any dense table the run
@@ -37,8 +38,12 @@ def parse_guard(text: str | None) -> tuple[int, float]:
     if not text:
         return default_bytes, default_seconds
     parts = text.split("/")
-    gbytes = int(float(parts[0])) if parts[0] else default_bytes
-    gsecs = float(parts[1]) if len(parts) > 1 and parts[1] else default_seconds
+    try:
+        gbytes = int(float(parts[0])) if parts[0] else default_bytes
+        gsecs = float(parts[1]) if len(parts) > 1 and parts[1] else default_seconds
+    except (ValueError, OverflowError) as exc:
+        raise UnramifiedError(
+            f"--guard must be BYTES[/SECONDS], got {text!r}") from exc
     return gbytes, gsecs
 
 

@@ -166,14 +166,10 @@ def f_rho_lambda(spec: GroupSpec, rho, lam) -> Cochain:
     return Cochain(spec, 3, vals)
 
 
-def _u_char(t: GroupTables, c) -> Array:
-    return t.u_eval(c)
-
-
 def tau23(spec: GroupSpec, u, v, w, x) -> Cochain:
     t = tables_for(spec)
     p = spec.p
-    U, V, W, X = (_u_char(t, c) for c in (u, v, w, x))
+    U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
     vals = np.einsum('a,b,c->abc', U, (V * W) % p, X) % p
     return Cochain(spec, 3, vals)
 
@@ -181,7 +177,7 @@ def tau23(spec: GroupSpec, u, v, w, x) -> Cochain:
 def tau13(spec: GroupSpec, u, v, w, x) -> Cochain:
     t = tables_for(spec)
     p = spec.p
-    U, V, W, X = (_u_char(t, c) for c in (u, v, w, x))
+    U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
     vals = (np.einsum('a,b,c->abc', U, (V * W) % p, X)
             + np.einsum('a,b,c->abc', (U * W) % p, V, X)
             + np.einsum('a,b,c->abc', W, (V * U) % p, X)) % p
@@ -193,22 +189,9 @@ def mu(spec: GroupSpec, u, v, w, x,
     t = tables_for(spec)
     N = spec.order
     _check_guard(N ** 4, guard_bytes, "degree-4 table")
-    U, V, W, X = (_u_char(t, c) for c in (u, v, w, x))
+    U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
     vals = np.einsum('a,b,c,d->abcd', U, V, W, X) % spec.p
     return Cochain(spec, 4, vals)
-
-
-def build_named(spec: GroupSpec, kind: str, **params) -> Cochain:
-    """Dispatcher over {h_rho, f_rho_lambda, tau23, tau13, mu}."""
-    if kind == "h_rho":
-        return h_rho(spec, params["rho"])
-    if kind == "f_rho_lambda":
-        return f_rho_lambda(spec, params["rho"], params["lam"])
-    if kind in ("tau23", "tau13", "mu"):
-        args = (params["u"], params["v"], params["w"], params["x"])
-        fn = {"tau23": tau23, "tau13": tau13, "mu": mu}[kind]
-        return fn(u_projection(spec), *args)
-    raise ValueError(f"unknown cochain kind {kind!r}")
 
 
 # -- verification -------------------------------------------------------------

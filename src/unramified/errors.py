@@ -31,10 +31,6 @@ class DimensionMismatchError(UnramifiedError):
     pass
 
 
-class DegeneratePairingError(UnramifiedError):
-    pass
-
-
 class GuardExceededError(UnramifiedError):
     """A resource guard was hit (CLI exit code 3).
 

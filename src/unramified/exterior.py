@@ -235,11 +235,6 @@ def square_kernel_generators(n: int, p: int) -> list[Array]:
     return gens
 
 
-def mult_map_s2l2_to_l4(n: int, p: int) -> tuple[Array, list[Array]]:
-    """The multiplication-map matrix together with its kernel generators."""
-    return mult_map_matrix(n, p), square_kernel_generators(n, p)
-
-
 def mult_map_kernel(n: int, p: int) -> Subspace:
     """ker(S^2(Lambda^2 U*) -> Lambda^4 U*) computed from the matrix."""
     M = mult_map_matrix(n, p)

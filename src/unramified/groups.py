@@ -9,7 +9,9 @@ Elements are pairs (u, v); the group law uses the alternating 2-cocycle
 whose defining property is the commutator identity
 [ (u1, *), (u2, *) ] = (0, gamma(u1 ^ u2)); it forces exponent p and fixes
 the extension up to isomorphism.  The section s(u) = (u, 0) satisfies
-g * s(pi(g))^-1 = (0, v-part of g).
+g * s(pi(g))^-1 = (0, v-part of g).  ``law`` evaluates this product on
+coordinate arrays; element products, the multiplication table and the
+sampled structure checks all go through it.
 
 Element enumeration is lexicographic on the concatenated (u, v) digit
 string, so the identity has index 0 and all derived tables are
@@ -77,17 +79,9 @@ class GroupSpec:
     def half(self) -> int:
         return half_mod(self.p)
 
-    def gamma_forms(self) -> Array:
-        """Antisymmetric matrices A_k with gamma(u ^ w)_k = u . A_k . w."""
-        A = np.zeros((self.m, self.n, self.n), dtype=np.int64)
-        for s, (i, j) in enumerate(subsets(self.n, 2)):
-            A[:, i - 1, j - 1] = self.gamma[:, s]
-            A[:, j - 1, i - 1] = (-self.gamma[:, s]) % self.p
-        return A
-
     def gamma_of(self, u, w) -> Array:
-        """gamma(u ^ w) in V; u, w may be batched with leading axes."""
-        A = self.gamma_forms()
+        """gamma(u ^ w) in V; u, w may be batched with broadcast leading axes."""
+        A = antisym_matrix(self.p, self.n, self.gamma)
         u = np.asarray(u, dtype=np.int64) % self.p
         w = np.asarray(w, dtype=np.int64) % self.p
         return np.einsum('...i,kij,...j->...k', u, A, w) % self.p
@@ -122,14 +116,31 @@ def _check_element(spec: GroupSpec, g: GroupElement) -> None:
             f"element shape ({len(g.u)}, {len(g.v)}) for spec ({spec.n}, {spec.m})")
 
 
+def antisym_matrix(p: int, n: int, coeffs) -> Array:
+    """Antisymmetric n x n matrices of Lambda^2-functionals (lex pair coords).
+
+    coeffs of shape (..., C(n, 2)) give matrices A of shape (..., n, n) with
+    u . A . w = coeffs . (u ^ w).
+    """
+    c = np.asarray(coeffs, dtype=np.int64) % p
+    A = np.zeros(c.shape[:-1] + (n, n), dtype=np.int64)
+    i, j = np.triu_indices(n, 1)
+    A[..., i, j] = c
+    A[..., j, i] = -c % p
+    return A
+
+
+def law(spec: GroupSpec, u1, v1, u2, v2) -> tuple[Array, Array]:
+    """(u1, v1) * (u2, v2) on coordinate arrays, with broadcast leading axes."""
+    u = (u1 + u2) % spec.p
+    v = (v1 + v2 + spec.half * spec.gamma_of(u1, u2)) % spec.p
+    return u, v
+
+
 def mul(spec: GroupSpec, g1: GroupElement, g2: GroupElement) -> GroupElement:
     _check_element(spec, g1)
     _check_element(spec, g2)
-    u1, v1 = g1.arrays()
-    u2, v2 = g2.arrays()
-    u = (u1 + u2) % spec.p
-    v = (v1 + v2 + spec.half * spec.gamma_of(u1, u2)) % spec.p
-    return GroupElement.make(u, v)
+    return GroupElement.make(*law(spec, *g1.arrays(), *g2.arrays()))
 
 
 def inverse(spec: GroupSpec, g: GroupElement) -> GroupElement:
@@ -152,31 +163,12 @@ def commutator(spec: GroupSpec, g1: GroupElement, g2: GroupElement) -> GroupElem
     return mul(spec, a, inverse(spec, b))
 
 
-def group_op(spec: GroupSpec, mode: str, *args, k: int | None = None):
-    """Dispatcher over {mul, inv, pow, commutator} for CLI-style callers."""
-    if mode == "mul":
-        return mul(spec, *args)
-    if mode == "inv":
-        return inverse(spec, *args)
-    if mode == "pow":
-        return power(spec, args[0], spec.p if k is None else k)
-    if mode == "commutator":
-        return commutator(spec, *args)
-    raise ValueError(f"unknown group operation {mode!r}")
-
-
 # -- structure ---------------------------------------------------------------
 
 def radical_subspace(spec: GroupSpec) -> Subspace:
     """{u in U : gamma(u ^ w) = 0 for all w}; trivial iff Z(G) = [G, G]."""
-    if spec.n == 0:
-        return Subspace.zero(spec.p, 0)
-    A = spec.gamma_forms()  # (m, n, n)
-    M = A.reshape(spec.m * spec.n, spec.n) if spec.m else \
-        np.zeros((0, spec.n), dtype=np.int64)
-    if spec.m == 0:
-        return Subspace.full(spec.p, spec.n)
-    return kernel(M, spec.p)
+    A = antisym_matrix(spec.p, spec.n, spec.gamma)  # (m, n, n)
+    return kernel(A.reshape(spec.m * spec.n, spec.n), spec.p)
 
 
 def center_and_derived(spec: GroupSpec) -> tuple[int, int]:
@@ -269,16 +261,6 @@ class GroupTables:
         return (self.udigits @ form2 @ self.udigits.T) % self.spec.p
 
 
-def antisym_matrix(p: int, n: int, coeffs) -> Array:
-    """Antisymmetric n x n matrix of a Lambda^2-functional (lex pair coords)."""
-    A = np.zeros((n, n), dtype=np.int64)
-    for s, (i, j) in enumerate(subsets(n, 2)):
-        c = int(coeffs[s]) % p
-        A[i - 1, j - 1] = c
-        A[j - 1, i - 1] = (-c) % p
-    return A
-
-
 def build_tables(spec: GroupSpec, bound: int = DEFAULT_ENUM_BOUND) -> GroupTables:
     N = spec.order
     if N > bound or N * N > 1 << 26:
@@ -291,15 +273,8 @@ def build_tables(spec: GroupSpec, bound: int = DEFAULT_ENUM_BOUND) -> GroupTable
         digits[:, pos] = (idx // p ** (n + m - 1 - pos)) % p
     ud, vd = digits[:, :n], digits[:, n:]
     weights = p ** np.arange(n + m - 1, -1, -1, dtype=np.int64)
-    # product digits for all pairs
-    usum = (ud[:, None, :] + ud[None, :, :]) % p
-    vsum = (vd[:, None, :] + vd[None, :, :]) % p
-    if m and n:
-        A = spec.gamma_forms()
-        gv = np.einsum('ai,kij,bj->abk', ud, A, ud) % p
-        vsum = (vsum + spec.half * gv) % p
-    prod = np.concatenate([usum, vsum], axis=2)
-    multab = np.einsum('abj,j->ab', prod, weights)
+    prod = law(spec, ud[:, None], vd[:, None], ud[None], vd[None])
+    multab = np.concatenate(prod, axis=2) @ weights
     inv_digits = (-digits) % p
     invtab = inv_digits @ weights
     return GroupTables(spec, N, multab.astype(np.int64),
@@ -325,6 +300,8 @@ def spec_from_json_dict(data: dict, name: str | None = None) -> GroupSpec:
         terms = data.get("gamma", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"malformed spec: {exc}") from exc
+    if n < 0 or m < 0:
+        raise SpecError("dimU and dimV must be nonnegative")
     gamma = np.zeros((m, comb(n, 2)), dtype=np.int64)
     idx = subset_index(n, 2)
     for t, term in enumerate(terms, start=1):
@@ -346,11 +323,13 @@ def spec_from_json_dict(data: dict, name: str | None = None) -> GroupSpec:
 
 
 def load_spec(path: str) -> GroupSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"spec file is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise SpecError(f"cannot read spec file {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SpecError(f"spec file is not valid JSON: {exc}") from exc
     return spec_from_json_dict(data, name=path)
 
 

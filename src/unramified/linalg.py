@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegeneratePairingError,
-    DimensionMismatchError,
-    EvenPrimeError,
-    NotPrimeError,
-)
+from .errors import DimensionMismatchError, EvenPrimeError, NotPrimeError
 
 Array = np.ndarray
 
@@ -262,22 +257,12 @@ class Subspace:
         rows = [R[i, N:] for i in range(R.shape[0]) if not R[i, :N].any()]
         return Subspace.from_generators(rows, self.p, N)
 
-    def orthogonal(self, pairing: Array | None = None) -> "Subspace":
-        """{x : <s, x> = 0 for all s in self} for <s, x> = s @ pairing @ x."""
+    def orthogonal(self) -> "Subspace":
+        """{x : s . x = 0 for all s in self}, for the identity pairing."""
         N = self.ambient
-        if pairing is None:
-            M = self.basis
-        else:
-            P = np.asarray(pairing, dtype=np.int64) % self.p
-            if P.shape != (N, N):
-                raise DimensionMismatchError(
-                    f"pairing shape {P.shape}, expected ({N}, {N})")
-            if rank_mod(P, self.p) != N:
-                raise DegeneratePairingError("pairing matrix is degenerate")
-            M = (self.basis @ P) % self.p
         if self.dim == 0:
             return Subspace.full(self.p, N)
-        return Subspace.from_generators(kernel_basis(M, self.p), self.p, N)
+        return Subspace.from_generators(kernel_basis(self.basis, self.p), self.p, N)
 
     # -- enumeration (for brute-force oracles) ------------------------------
 

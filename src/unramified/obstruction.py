@@ -36,7 +36,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import GuardExceededError, SpecError
+from .errors import GuardExceededError, InternalInconsistencyError, SpecError
 from .exterior import (
     render_multivector,
     wedge_basis_tensor,
@@ -224,9 +224,11 @@ def analyze(spec: GroupSpec, strict: bool = True) -> ObstructionReport:
 
     for deg in (deg2, deg3):
         if not deg.ki_max.contains_subspace(deg.ki):
-            raise AssertionError(f"K^{deg.i} not inside K^{deg.i}_max")
+            raise InternalInconsistencyError(
+                f"K^{deg.i} not inside K^{deg.i}_max")
         if not deg.si.contains_subspace(deg.si_dec):
-            raise AssertionError(f"S^{deg.i}_dec not inside S^{deg.i}")
+            raise InternalInconsistencyError(
+                f"S^{deg.i}_dec not inside S^{deg.i}")
     return ObstructionReport(spec, validation, deg2, deg3)
 
 

@@ -9,19 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import GroupSpec, build_tables, radical_subspace
+from .groups import GroupSpec, build_tables, law, radical_subspace
 from .linalg import Subspace
 from .results import VerificationResult
 
-Array = np.ndarray
-
 EXHAUSTIVE_BOUND = 3 ** 5
-
-
-def _mul_batch(spec: GroupSpec, u1, v1, u2, v2):
-    u = (u1 + u2) % spec.p
-    v = (v1 + v2 + spec.half * spec.gamma_of(u1, u2)) % spec.p
-    return u, v
 
 
 def _verify_exhaustive(spec: GroupSpec) -> list[VerificationResult]:
@@ -70,8 +62,7 @@ def _verify_exhaustive(spec: GroupSpec) -> list[VerificationResult]:
         x = mul[a]
         y = mul[:, a]
         comm = mul[x, inv[y]]
-        gv = spec.gamma_of(np.broadcast_to(t.udigits[a], t.udigits.shape),
-                           t.udigits)
+        gv = spec.gamma_of(t.udigits[a], t.udigits)
         expected = gv @ wv if spec.m else np.zeros(N, dtype=np.int64)
         if not np.array_equal(comm, expected):
             b = int(np.argwhere(comm != expected)[0])
@@ -86,7 +77,7 @@ def _verify_exhaustive(spec: GroupSpec) -> list[VerificationResult]:
     if spec.m:
         span = Subspace.from_generators(
             np.array(sorted(seen_v), dtype=np.int64), spec.p, spec.m)
-        image = Subspace.from_generators(_gamma_image_rows(spec), spec.p, spec.m)
+        image = Subspace.from_generators(spec.gamma.T, spec.p, spec.m)
         ok = span == image
         out.append(VerificationResult(
             "derived_equals_im_gamma", ok, len(seen_v),
@@ -108,11 +99,6 @@ def _verify_exhaustive(spec: GroupSpec) -> list[VerificationResult]:
     return out
 
 
-def _gamma_image_rows(spec: GroupSpec) -> Array:
-    """Generators of im(gamma) inside V: the columns of gamma."""
-    return spec.gamma.T
-
-
 def _verify_sampled(spec: GroupSpec, seed: int,
                     samples: int) -> list[VerificationResult]:
     rng = np.random.default_rng(seed)
@@ -123,33 +109,33 @@ def _verify_sampled(spec: GroupSpec, seed: int,
     out = []
     note = f"sampled, seed={seed}, samples={samples}"
 
-    ab = _mul_batch(spec, U[0], V[0], U[1], V[1])
-    ab_c = _mul_batch(spec, *ab, U[2], V[2])
-    bc = _mul_batch(spec, U[1], V[1], U[2], V[2])
-    a_bc = _mul_batch(spec, U[0], V[0], *bc)
+    ab = law(spec, U[0], V[0], U[1], V[1])
+    ab_c = law(spec, *ab, U[2], V[2])
+    bc = law(spec, U[1], V[1], U[2], V[2])
+    a_bc = law(spec, U[0], V[0], *bc)
     ok = all(np.array_equal(x, y) for x, y in zip(ab_c, a_bc))
     out.append(VerificationResult("associativity", ok, B, note=note))
 
     zero_u = np.zeros((B, n), dtype=np.int64)
     zero_v = np.zeros((B, m), dtype=np.int64)
-    eu, ev = _mul_batch(spec, U[0], V[0], zero_u, zero_v)
+    eu, ev = law(spec, U[0], V[0], zero_u, zero_v)
     ok = np.array_equal(eu, U[0] % p) and np.array_equal(ev, V[0] % p)
     out.append(VerificationResult("identity", ok, B, note=note))
 
-    iu, iv = _mul_batch(spec, U[0], V[0], (-U[0]) % p, (-V[0]) % p)
+    iu, iv = law(spec, U[0], V[0], (-U[0]) % p, (-V[0]) % p)
     ok = not iu.any() and not iv.any()
     out.append(VerificationResult("inverses", ok, B, note=note))
 
     au, av = zero_u, zero_v
     for _ in range(p):
-        au, av = _mul_batch(spec, au, av, U[0], V[0])
+        au, av = law(spec, au, av, U[0], V[0])
     ok = not au.any() and not av.any()
     out.append(VerificationResult("exponent_p", ok, B, note=note))
 
     # commutator against gamma
-    xy = _mul_batch(spec, U[0], V[0], U[1], V[1])
-    yx = _mul_batch(spec, U[1], V[1], U[0], V[0])
-    cu, cv = _mul_batch(spec, *xy, (-yx[0]) % p, (-yx[1]) % p)
+    xy = law(spec, U[0], V[0], U[1], V[1])
+    yx = law(spec, U[1], V[1], U[0], V[0])
+    cu, cv = law(spec, *xy, (-yx[0]) % p, (-yx[1]) % p)
     expected = spec.gamma_of(U[0], U[1])
     ok = not cu.any() and np.array_equal(cv, expected)
     out.append(VerificationResult("commutator_is_gamma", ok, B, note=note))
@@ -157,24 +143,18 @@ def _verify_sampled(spec: GroupSpec, seed: int,
     # central elements (0, v) commute with everything sampled; elements with
     # u outside the radical fail to commute with some basis section
     rad = radical_subspace(spec)
-    basis_u = np.eye(n, dtype=np.int64)
-    ok = True
-    counter = None
-    for b in range(min(B, 1000)):
-        u = U[0][b]
-        noncentral = not rad.contains(u)
-        if noncentral:
-            g = spec.gamma_of(np.broadcast_to(u, basis_u.shape), basis_u)
-            if not g.any():
-                ok, counter = False, f"u={u.tolist()} commutes with all sections"
-                break
+    k = min(B, 1000)
+    g = spec.gamma_of(U[0][:k, None], np.eye(n, dtype=np.int64))  # (k, n, m)
+    bad = [U[0][b] for b in np.flatnonzero(~g.any(axis=(1, 2)))
+           if not rad.contains(U[0][b])]
     out.append(VerificationResult(
-        "center_is_radical_plus_V", ok, min(B, 1000), note=note,
-        counterexample=counter))
+        "center_is_radical_plus_V", not bad, k, note=note,
+        counterexample=f"u={bad[0].tolist()} commutes with all sections"
+        if bad else None))
 
     if m:
         span = Subspace.from_generators(cv, p, m)
-        image = Subspace.from_generators(_gamma_image_rows(spec), p, m)
+        image = Subspace.from_generators(spec.gamma.T, p, m)
         ok = span == image
         out.append(VerificationResult(
             "derived_equals_im_gamma", ok, B, note=note,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from unramified import bar
 from unramified.bar import (
     abelianization_exp,
     bar_matrix,
@@ -129,6 +130,18 @@ def test_heavy_tier_guard():
     with pytest.raises(GuardExceededError):
         # even allow_heavy refuses above the hard cap (|G| = 125, degree 3)
         qz_orders(builtin("heisenberg5"), 3, allow_heavy=True)
+
+
+@pytest.mark.parametrize("check,name", [(qz_orders, "heisenberg3"),
+                                        (verify_p_annihilation, "elem27")])
+def test_guard_refuses_before_any_matrix(monkeypatch, check, name):
+    # degrees 1 and 2 are within the guaranteed tier, degree 3 is not
+    def no_matrix(*args):
+        raise AssertionError("a bar matrix was built before the guard refused")
+
+    monkeypatch.setattr(bar, "bar_matrix", no_matrix)
+    with pytest.raises(GuardExceededError):
+        check(builtin(name), 3)
 
 
 def test_divisor_time_guard():

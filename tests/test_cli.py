@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from unramified.catalog import builtin
 from unramified.cli import main
 
 
@@ -55,6 +56,37 @@ def test_analyze_bad_spec_file(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", "--spec", str(path))
     assert code == 1
     assert "gamma term 4: i<j required" in err
+
+
+@pytest.mark.parametrize("argv,spec", [
+    (["verify-lemmas", "--builtin", "elem3", "--guard", "abc"], None),
+    (["analyze", "--spec", "{tmp}/missing.json"], None),
+    (["analyze", "--spec", "{tmp}"], None),
+    (["analyze", "--spec", "{tmp}/spec.json"], {"p": 3, "dimU": -2, "dimV": 1}),
+    (["analyze", "--spec", "{tmp}/spec.json"], {"p": 3, "dimU": 2, "dimV": -1}),
+], ids=["guard-abc", "spec-missing", "spec-is-directory", "negative-dimU",
+        "negative-dimV"])
+def test_bad_input_exits_1_with_one_stderr_line(tmp_path, capsys, argv, spec):
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1, err
+
+
+def test_broken_invariant_is_typed_and_reported(monkeypatch, capsys):
+    from unramified import obstruction
+    from unramified.errors import InternalInconsistencyError
+    from unramified.linalg import Subspace
+
+    # S^2 of heisenberg3 is 0, so all of Lambda^2 lies outside it
+    monkeypatch.setattr(obstruction, "dec_subgroup",
+                        lambda S, k, n: Subspace.full(S.p, S.ambient))
+    with pytest.raises(InternalInconsistencyError):
+        obstruction.analyze(builtin("heisenberg3"))
+    code, out, err = run(capsys, "analyze", "--builtin", "heisenberg3")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: K^2 not inside K^2_max"]
 
 
 def test_exactly_one_input_source_required(capsys):

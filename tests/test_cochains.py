@@ -15,7 +15,6 @@ import pytest
 from unramified.catalog import builtin
 from unramified.cochains import (
     Cochain,
-    build_named,
     coboundary,
     f_rho_lambda,
     h_rho,
@@ -59,6 +58,7 @@ def test_coboundary_guard():
 def test_h_rho_values():
     spec = builtin("heisenberg3")
     h = h_rho(spec, [1])
+    assert h.degree == 1
     for v in range(3):
         g = GroupElement.make((0, 0), (v,))
         assert h(element_index(spec, g)) == v
@@ -71,6 +71,7 @@ def test_f_rho_lambda_spot_value():
     # f(s(e1)(0,v1), s(e1), s(e2)) = (1/2) * 1 * 1 = 1/2
     spec = builtin("heisenberg3")
     f = f_rho_lambda(spec, [1], [1])
+    assert f.degree == 3
     g1 = mul(spec, section(spec, (1, 0)), GroupElement.make((0, 0), (1,)))
     g2 = section(spec, (1, 0))
     g3 = section(spec, (0, 1))
@@ -83,6 +84,7 @@ def test_tau23_spot_values():
     # (u,v,w,x) = (e1*, e1*, e1*, e2*): value is u(g1) u(g2)^2 x(g3)
     spec = builtin("elem9")
     c = tau23(spec, [1, 0], [1, 0], [1, 0], [0, 1])
+    assert c.degree == 3
     t = tables_for(spec)
     for g1 in range(9):
         for g2 in range(9):
@@ -91,20 +93,6 @@ def test_tau23_spot_values():
                 b = int(t.udigits[g2][0])
                 x = int(t.udigits[g3][1])
                 assert c(g1, g2, g3) == (a * b * b * x) % 3
-
-
-def test_build_named_dispatch():
-    spec = builtin("heisenberg3")
-    assert build_named(spec, "h_rho", rho=[1]).degree == 1
-    assert build_named(spec, "f_rho_lambda", rho=[1], lam=[1]).degree == 3
-    args = dict(u=[1, 0], v=[0, 1], w=[1, 1], x=[0, 1])
-    assert build_named(spec, "tau23", **args).degree == 3
-    assert build_named(spec, "tau13", **args).degree == 3
-    assert build_named(spec, "mu", **args).degree == 4
-    # taus live on the abelian carrier U
-    assert build_named(spec, "mu", **args).spec.m == 0
-    with pytest.raises(ValueError):
-        build_named(spec, "nonsense")
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "heisenberg5"])
@@ -139,6 +127,7 @@ def test_tau13_printed_minus_variant_fails_its_square():
     p = 3
     u, v, w, x = [1, 0], [0, 1], [1, 0], [0, 1]
     plus = tau13(spec, u, v, w, x)
+    assert plus.degree == 3 and mu(spec, u, v, w, x).degree == 4
     t = tables_for(spec)
     U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
     # the middle term u(g1) w(g1) v(g2) x(g3) of the lifting
@@ -168,6 +157,7 @@ def test_tau_difference_has_the_predicted_form():
     # tau13(t) - tau23(t) on t = u x u x u x v, evaluated with the 1/2
     # normalization, equals (1/2)(a b^2 + a^2 b) v(g3)
     spec = u_projection(builtin("heisenberg3"))
+    assert spec.m == 0  # the taus live on the abelian carrier U
     p = 3
     half = half_mod(p)
     u, v = [1, 0], [0, 1]

@@ -18,11 +18,14 @@ from unramified.errors import (
 from unramified.groups import (
     GroupElement,
     GroupSpec,
+    build_tables,
     center_and_derived,
     commutator,
+    element_index,
     enumerate_elements,
     identity,
     inverse,
+    law,
     mul,
     permute_basis,
     power,
@@ -207,14 +210,48 @@ def test_random_strict_specs_are_strict_seed(seed, p):
     assert rep.hypotheses_ok
 
 
-def test_group_op_dispatcher():
-    from unramified.groups import group_op
-    spec = builtin("heisenberg3")
-    a, b = section(spec, (1, 0)), section(spec, (0, 1))
-    assert group_op(spec, "mul", a, b) == mul(spec, a, b)
-    assert group_op(spec, "inv", a) == inverse(spec, a)
-    assert group_op(spec, "pow", a) == identity(spec)      # default k = p
-    assert group_op(spec, "pow", a, k=2) == power(spec, a, 2)
-    assert group_op(spec, "commutator", a, b) == commutator(spec, a, b)
-    with pytest.raises(ValueError):
-        group_op(spec, "divide", a, b)
+def _law_reference(spec, u1, v1, u2, v2):
+    """The product read off the gamma columns, one pair term at a time."""
+    p, v = spec.p, list(v1)
+    for s, (i, j) in enumerate(itertools.combinations(range(spec.n), 2)):
+        w = u1[i] * u2[j] - u1[j] * u2[i]
+        for k in range(spec.m):
+            v[k] += spec.half * int(spec.gamma[k, s]) * w
+    return ([(a + b) % p for a, b in zip(u1, u2)],
+            [(a + b) % p for a, b in zip(v, v2)])
+
+
+def _strict_spec_243():
+    rng = np.random.default_rng(0)
+    while True:
+        spec = random_strict_spec(rng, 3, n_min=3, n_max=3)
+        if spec.m == 2:
+            return spec
+
+
+@pytest.mark.parametrize("which", ["heisenberg3", "random-3-2"])
+def test_table_products_equal_element_products(which):
+    spec = builtin(which) if which != "random-3-2" else _strict_spec_243()
+    assert spec.order <= 243
+    t = build_tables(spec)
+    elems = list(enumerate_elements(spec))
+    for i, a in enumerate(elems):
+        assert [element_index(spec, mul(spec, a, b)) for b in elems] \
+            == t.mul[i].tolist()
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "peyre6"])
+def test_law_broadcasts_like_its_elementwise_results(name):
+    spec = builtin(name)
+    rng = np.random.default_rng(4)
+    B, p, n, m = 6, spec.p, spec.n, spec.m
+    U1, U2 = rng.integers(0, p, size=(2, B, n))
+    V1, V2 = rng.integers(0, p, size=(2, B, m))
+    u, v = law(spec, U1[:, None], V1[:, None], U2[None], V2[None])
+    assert u.shape == (B, B, n) and v.shape == (B, B, m)
+    for i in range(B):
+        for j in range(B):
+            ui, vi = law(spec, U1[i], V1[i], U2[j], V2[j])
+            assert np.array_equal(u[i, j], ui) and np.array_equal(v[i, j], vi)
+            assert [ui.tolist(), vi.tolist()] == list(
+                _law_reference(spec, U1[i], V1[i], U2[j], V2[j]))

@@ -9,12 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from unramified.errors import (
-    DegeneratePairingError,
-    DimensionMismatchError,
-    EvenPrimeError,
-    NotPrimeError,
-)
+from unramified.errors import DimensionMismatchError, EvenPrimeError, NotPrimeError
 from unramified.linalg import (
     Subspace,
     check_odd_prime,
@@ -214,28 +209,6 @@ def test_double_orthogonal_is_identity_seed(seed, p):
     perp = S.orthogonal()
     assert S.dim + perp.dim == 7
     assert perp.orthogonal() == S
-
-
-def test_orthogonal_with_general_pairing():
-    p = 5
-    rng = np.random.default_rng(11)
-    # random invertible pairing
-    while True:
-        P = rng.integers(0, p, size=(4, 4))
-        if rref(P, p)[1] == 4:
-            break
-    S = Subspace.from_generators(rng.integers(0, p, size=(2, 4)), p, 4)
-    perp = S.orthogonal(P)
-    for s in S.basis:
-        for x in perp.basis:
-            assert (s @ P @ x) % p == 0
-    assert S.dim + perp.dim == 4
-
-
-def test_degenerate_pairing_rejected():
-    S = Subspace.from_generators([[1, 0]], 3, 2)
-    with pytest.raises(DegeneratePairingError):
-        S.orthogonal(np.zeros((2, 2), dtype=np.int64))
 
 
 def test_ambient_mismatch_rejected():
