@@ -180,37 +180,28 @@ def differential_divisors(spec: GroupSpec, n: int, k: int,
     return elementary_divisors(rows, cols, entries, spec.p, k, deadline=deadline)
 
 
-def cohomology_order_exp(spec: GroupSpec, n: int, k: int,
-                         allow_heavy: bool = False,
-                         time_limit: float = DEFAULT_TIME_LIMIT,
-                         _cache: dict | None = None) -> int:
-    """p-exponent of |H^n(G, Z/p^k)| = |ker delta^n| / |im delta^{n-1}|."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+def mod_exps(spec: GroupSpec, degmax: int, k: int,
+             allow_heavy: bool = False,
+             time_limit: float = DEFAULT_TIME_LIMIT,
+             ) -> tuple[tuple[int, ...], tuple[ElementaryDivisors, ...]]:
+    """p-exponents of |H^i(G, Z/p^k)| for i = 1..degmax, with the divisors
+    of delta^1..delta^degmax; each differential is eliminated once.
 
-    def divs(deg: int) -> ElementaryDivisors:
-        if _cache is not None and deg in _cache:
-            return _cache[deg]
-        d = differential_divisors(spec, deg, k, allow_heavy, time_limit)
-        if _cache is not None:
-            _cache[deg] = d
-        return d
-
-    upper = divs(n)
-    lower_im = divs(n - 1).image_exp if n > 1 else 0  # delta^0 = 0
-    exp = upper.kernel_exp - lower_im
-    if exp < 0:
-        raise InternalInconsistencyError(
-            f"negative cohomology exponent at degree {n}")
-    return exp
-
-
-def cohomology_order_mod(spec: GroupSpec, n: int, modulus: int,
-                         allow_heavy: bool = False,
-                         time_limit: float = DEFAULT_TIME_LIMIT) -> int:
-    """|H^n(G, Z/modulus)| for modulus a power of p."""
-    k = _plog(modulus, spec.p)
-    return spec.p ** cohomology_order_exp(spec, n, k, allow_heavy, time_limit)
+    |H^i| = |ker delta^i| / |im delta^{i-1}|, and delta^0 = 0.
+    """
+    _tier_check(spec, degmax, allow_heavy)   # rows grow with the degree
+    divs = tuple(differential_divisors(spec, i, k, allow_heavy, time_limit)
+                 for i in range(1, degmax + 1))
+    exps = []
+    lower_im = 0
+    for i, d in enumerate(divs, 1):
+        exp = d.kernel_exp - lower_im
+        if exp < 0:
+            raise InternalInconsistencyError(
+                f"negative cohomology exponent at degree {i}")
+        exps.append(exp)
+        lower_im = d.image_exp
+    return tuple(exps), divs
 
 
 def qz_orders(spec: GroupSpec, degmax: int = 3,
@@ -219,25 +210,21 @@ def qz_orders(spec: GroupSpec, degmax: int = 3,
     """Derived |H^i(G, Q/Z)| for i <= degmax via the integral recursion."""
     if not 1 <= degmax <= 3:
         raise ValueError("degmax must be between 1 and 3")
-    _tier_check(spec, degmax, allow_heavy)   # rows grow with the degree
     p = spec.p
     k = spec.n + spec.m            # p^k = |G|
-    cache: dict[int, ElementaryDivisors] = {}
-    mod_exps = [cohomology_order_exp(spec, i, k, allow_heavy, time_limit,
-                                     _cache=cache)
-                for i in range(1, degmax + 1)]
+    hk, divs = mod_exps(spec, degmax, k, allow_heavy, time_limit)
     z_exp = 0                      # |H^1(G, Z)| = 1
     qz_exps = []
-    for i in range(1, degmax + 1):
-        e = mod_exps[i - 1] - z_exp
+    for i, h in enumerate(hk, 1):
+        e = h - z_exp
         if e < 0:
             raise InternalInconsistencyError(
                 f"recursion broke at degree {i}: |H^{i}(Z/p^k)| < |H^{i}(Z)|")
         qz_exps.append(e)          # |H^i(Q/Z)| = |H^{i+1}(Z)|
         z_exp = e
-    divisors = tuple(tuple(cache[d].exponents) for d in sorted(cache))
     return CohomologyOrders(spec.name or "custom", spec.order, p, k, degmax,
-                            tuple(mod_exps), tuple(qz_exps), divisors)
+                            hk, tuple(qz_exps),
+                            tuple(d.exponents for d in divs))
 
 
 def abelianization_exp(spec: GroupSpec) -> int:
@@ -258,22 +245,16 @@ def verify_p_annihilation(spec: GroupSpec, degmax: int = 3,
         return VerificationResult("p_annihilation", True, 0,
                                   note="skipped: requires m = 0 (abelian)",
                                   skipped=True)
-    _tier_check(spec, degmax, allow_heavy)   # rows grow with the degree
     k = spec.n
-    checked = 0
-    for i in range(1, degmax + 1):
-        cache1: dict = {}
-        cachek: dict = {}
-        e1 = cohomology_order_exp(spec, i, 1, allow_heavy, time_limit, cache1)
-        ek = cohomology_order_exp(spec, i, k, allow_heavy, time_limit, cachek) \
-            if k > 1 else e1
-        checked += 1
-        if e1 != ek:
+    e1, _ = mod_exps(spec, degmax, 1, allow_heavy, time_limit)
+    ek = mod_exps(spec, degmax, k, allow_heavy, time_limit)[0] if k > 1 else e1
+    for i, (a, b) in enumerate(zip(e1, ek), 1):
+        if a != b:
             return VerificationResult(
-                "p_annihilation", False, checked,
-                counterexample=f"degree {i}: |H(Z/p)| = p^{e1} != "
-                               f"|H(Z/p^{k})| = p^{ek}")
-    return VerificationResult("p_annihilation", True, checked)
+                "p_annihilation", False, i,
+                counterexample=f"degree {i}: |H(Z/p)| = p^{a} != "
+                               f"|H(Z/p^{k})| = p^{b}")
+    return VerificationResult("p_annihilation", True, degmax)
 
 
 def sparse_matmul_is_zero(a: tuple[int, int, list],

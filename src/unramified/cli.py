@@ -1,12 +1,14 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 invalid input or a broken internal invariant,
-2 verification failure (a counterexample was found), 3 resource guard
-exceeded; codes 1 and 3 come with one line on stderr.
+Exit codes: 0 success, 1 invalid input (a usage error included) or a
+broken internal invariant, 2 verification failure (a counterexample was
+found), 3 resource guard exceeded; codes 1 and 3 come with one line on
+stderr.
 
 The --guard flag (or the UNRAMIFIED_GUARD environment variable) takes
-"BYTES" or "BYTES/SECONDS": the byte budget bounds any dense table the run
-may materialize, the seconds budget bounds the opt-in heavy eliminations.
+"BYTES" or "BYTES/SECONDS".  Two commands take it: verify-lemmas reads the
+byte budget, which bounds its dense cochain tables, and oracle cohomology
+reads the seconds budget, which bounds its eliminations.
 """
 
 from __future__ import annotations
@@ -58,13 +60,18 @@ def _resolve_spec(args) -> GroupSpec:
     return load_spec(args.spec)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line and exit code 1, not argparse's 2."""
+
+    def error(self, message: str):
+        raise UnramifiedError(f"{self.prog}: {message}")
+
+
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--builtin", help="builtin spec name (see `builtins`)")
     p.add_argument("--spec", help="path to a spec JSON file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    p.add_argument("--guard", default=os.environ.get("UNRAMIFIED_GUARD"),
-                   help="resource guard BYTES[/SECONDS]")
 
 
 def cmd_builtins(args) -> int:
@@ -87,6 +94,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify_group(args) -> int:
+    if args.samples < 1:
+        raise UnramifiedError(f"--samples must be >= 1, got {args.samples}")
     spec = _resolve_spec(args)
     validate_spec(spec, strict=args.strict)
     results = structure.verify_group_structure(spec, seed=args.seed,
@@ -117,24 +126,21 @@ def cmd_verify_lemmas(args) -> int:
 def cmd_oracle_cohomology(args) -> int:
     spec = _resolve_spec(args)
     _, gsecs = parse_guard(args.guard)
-    time_limit = args.time_limit if args.time_limit is not None else gsecs
+    if args.modulus is not None:
+        try:
+            k = bar._plog(args.modulus, spec.p)
+        except ValueError:
+            k = 0
+        if k < 1:
+            raise SpecError(f"--modulus must be a positive power of p={spec.p}")
     orders = bar.qz_orders(spec, degmax=args.degree,
-                           allow_heavy=args.allow_heavy,
-                           time_limit=time_limit)
+                           allow_heavy=args.allow_heavy, time_limit=gsecs)
     payload = orders.to_json_dict()
     if args.modulus is not None:
-        k = 0
-        q = args.modulus
-        while q % spec.p == 0 and q > 1:
-            q //= spec.p
-            k += 1
-        if q != 1 or k < 1:
-            raise SpecError(f"--modulus must be a positive power of p={spec.p}")
+        exps, _ = bar.mod_exps(spec, args.degree, k, args.allow_heavy, gsecs)
         payload["requested_modulus"] = args.modulus
         payload["mod_orders_requested"] = {
-            str(i): spec.p ** bar.cohomology_order_exp(
-                spec, i, k, args.allow_heavy, time_limit)
-            for i in range(1, args.degree + 1)}
+            str(i): spec.p ** e for i, e in enumerate(exps, 1)}
     if args.json:
         _emit_json(payload)
     else:
@@ -173,7 +179,7 @@ def cmd_oracle_decomposables(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="unramified",
         description="Rationality obstructions for invariant fields of "
                     "p-group central extensions")
@@ -200,6 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemmas", help="cochain identity suite")
     _add_spec_args(p)
+    p.add_argument("--guard", default=os.environ.get("UNRAMIFIED_GUARD"),
+                   help="BYTES[/SECONDS]; BYTES bounds the dense tables")
     p.set_defaults(func=cmd_verify_lemmas)
 
     po = sub.add_parser("oracle", help="independent ground-truth computations")
@@ -212,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report |H^i(G, Z/modulus)| (power of p)")
     p.add_argument("--allow-heavy", action="store_true",
                    help="permit the large opt-in eliminations")
-    p.add_argument("--time-limit", type=float, default=None,
-                   help="seconds budget for heavy eliminations")
+    p.add_argument("--guard", default=os.environ.get("UNRAMIFIED_GUARD"),
+                   help="[BYTES]/SECONDS; SECONDS bounds each elimination")
     p.set_defaults(func=cmd_oracle_cohomology)
 
     p = osub.add_parser("decomposables",
@@ -230,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
     except GuardExceededError as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Elementary divisors of sparse matrices over Z/p^k.
 
 The ring Z/p^k is local, so Smith-style reduction needs no gcd machinery:
-any entry of minimal p-valuation can serve as a pivot.  The elimination
-below prefers valuation-0 (unit) pivots with a Markowitz fill heuristic,
-defers everything else, and when no unit entry is left divides the whole
+any unit entry can serve as a pivot.  The elimination below takes, from
+the column with the fewest entries that holds a unit, the unit whose row
+has the fewest entries; when no unit entry is left it divides the whole
 residual block by p and drops to modulus p^(k-1).  Each unit pivot found
 after s division rounds contributes the divisor p^s; columns that survive
 with no entries are zero columns (divisor p^k).
@@ -61,26 +61,22 @@ class ElementaryDivisors:
             [self.p ** self.k] * self.zero_cols
 
 
-def _pick_unit_pivot(rowdata, coldata, p, scan=24):
-    """A unit entry with small (nnz_row - 1) * (nnz_col - 1), or None."""
-    best = None
-    best_cost = None
-    cols_by_fill = sorted(coldata, key=lambda c: len(coldata[c]))
-    scanned = 0
-    for c in cols_by_fill:
-        col_fill = len(coldata[c]) - 1
-        for r in coldata[c]:
-            if rowdata[r][c] % p == 0:
-                continue
-            cost = (len(rowdata[r]) - 1) * col_fill
-            if best_cost is None or cost < best_cost:
-                best, best_cost = (r, c), cost
-                if cost == 0:
-                    return best
-        scanned += 1
-        if scanned >= scan and best is not None:
-            break
-    return best
+def _drop(coldata, c, r):
+    """Remove row r from column c's row set, and the column once it is empty."""
+    cset = coldata[c]
+    cset.discard(r)
+    if not cset:
+        del coldata[c]
+
+
+def _pick_unit_pivot(rowdata, coldata, p):
+    """The unit with the fewest row entries in the sparsest column holding
+    a unit, as (row, col), or None if every entry is divisible by p."""
+    for c in sorted(coldata, key=lambda c: len(coldata[c])):
+        units = [r for r in coldata[c] if rowdata[r][c] % p]
+        if units:
+            return min(units, key=lambda r: len(rowdata[r])), c
+    return None
 
 
 def elementary_divisors(rows: int, cols: int, entries, p: int, k: int,
@@ -94,26 +90,19 @@ def elementary_divisors(rows: int, cols: int, entries, p: int, k: int,
         raise ValueError("modulus exponent k must be >= 1")
     mod = p ** k
     rowdata: dict[int, dict[int, int]] = {}
-    coldata: dict[int, set[int]] = {}
     for r, c, v in entries:
-        v = int(v) % mod
-        if v == 0:
-            continue
         row = rowdata.setdefault(int(r), {})
         c = int(c)
-        w = (row.get(c, 0) + v) % mod
-        if w:
-            row[c] = w
-            coldata.setdefault(c, set()).add(int(r))
-        else:
-            row.pop(c, None)
-            cset = coldata.get(c)
-            if cset is not None:
-                cset.discard(int(r))
-                if not cset:
-                    del coldata[c]
-    for r in [r for r, d in rowdata.items() if not d]:
-        del rowdata[r]
+        row[c] = row.get(c, 0) + int(v)
+    coldata: dict[int, set[int]] = {}
+    for r, row in list(rowdata.items()):
+        row = {c: v % mod for c, v in row.items() if v % mod}
+        if not row:
+            del rowdata[r]
+            continue
+        rowdata[r] = row
+        for c in row:
+            coldata.setdefault(c, set()).add(r)
 
     shift = 0
     exps: list[int] = []
@@ -136,29 +125,25 @@ def elementary_divisors(rows: int, cols: int, entries, p: int, k: int,
                         row[c] = w
                     else:
                         del row[c]
-                        cset = coldata[c]
-                        cset.discard(r)
-                        if not cset:
-                            del coldata[c]
+                        _drop(coldata, c, r)
                 if not row:
                     del rowdata[r]
             continue
         pr, pc = pivot
         exps.append(shift)
         prow = rowdata.pop(pr)
-        inv = pow(prow[pc], -1, mod)
+        inv = pow(prow.pop(pc), -1, mod)
+        for c in prow:
+            _drop(coldata, c, pr)
         # clear the pivot column with row operations; the pivot row itself
         # is removed, which is equivalent to also clearing it with column
         # operations since its column is zero elsewhere afterwards
-        for r in list(coldata[pc]):
+        for r in coldata.pop(pc):
             if r == pr:
                 continue
             row = rowdata[r]
-            f = (row[pc] * inv) % mod
-            del row[pc]
+            f = (row.pop(pc) * inv) % mod
             for c, v in prow.items():
-                if c == pc:
-                    continue
                 w = (row.get(c, 0) - f * v) % mod
                 if w:
                     if c not in row:
@@ -166,21 +151,8 @@ def elementary_divisors(rows: int, cols: int, entries, p: int, k: int,
                     row[c] = w
                 elif c in row:
                     del row[c]
-                    cset = coldata[c]
-                    cset.discard(r)
-                    if not cset:
-                        del coldata[c]
+                    _drop(coldata, c, r)
             if not row:
                 del rowdata[r]
-        del coldata[pc]
-        for c in prow:
-            if c == pc:
-                continue
-            cset = coldata.get(c)
-            if cset is not None:
-                cset.discard(pr)
-                if not cset:
-                    del coldata[c]
 
     return ElementaryDivisors(p, k, rows, cols, tuple(sorted(exps)))
-

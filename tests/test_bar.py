@@ -7,15 +7,22 @@ from unramified import bar
 from unramified.bar import (
     abelianization_exp,
     bar_matrix,
-    cohomology_order_mod,
     differential_divisors,
+    mod_exps,
     qz_orders,
     sparse_matmul_is_zero,
     verify_p_annihilation,
 )
 from unramified.catalog import builtin
+from unramified.cli import main
 from unramified.errors import GuardExceededError
 from unramified.groups import random_strict_spec
+
+
+def order_mod(spec, n, modulus):
+    """|H^n(G, Z/modulus)| read off mod_exps."""
+    exps, _ = mod_exps(spec, n, bar._plog(modulus, spec.p))
+    return spec.p ** exps[n - 1]
 
 
 def test_bar_matrix_shapes_cyclic3():
@@ -54,19 +61,19 @@ def test_d_composed_with_d_is_zero_heisenberg27_degree2():
 
 
 def test_h2_of_cyclic3_mod9():
-    assert cohomology_order_mod(builtin("elem3"), 2, 9) == 3
+    assert order_mod(builtin("elem3"), 2, 9) == 3
 
 
 def test_h1_values():
-    assert cohomology_order_mod(builtin("elem3"), 1, 3) == 3
+    assert order_mod(builtin("elem3"), 1, 3) == 3
     # Hom(G, Z/27) = Hom((Z/3)^2, Z/27) has order 9 for the order-27
     # Heisenberg group (G^ab is 2-dimensional)
-    assert cohomology_order_mod(builtin("heisenberg3"), 1, 27) == 9
+    assert order_mod(builtin("heisenberg3"), 1, 27) == 9
 
 
 def test_h2_of_elem9_mod3():
     # dim H^2((Z/3)^2, F_3) = 3: regression value from the oracle itself
-    assert cohomology_order_mod(builtin("elem9"), 2, 3) == 27
+    assert order_mod(builtin("elem9"), 2, 3) == 27
 
 
 def test_qz_orders_cyclic():
@@ -150,6 +157,26 @@ def test_divisor_time_guard():
         differential_divisors(spec, 3, 2, time_limit=1e-9)
 
 
+@pytest.mark.parametrize("run,calls", [
+    (lambda: qz_orders(builtin("elem9"), 3), 3),
+    (lambda: verify_p_annihilation(builtin("elem9"), 3), 6),
+    (lambda: main(["oracle", "cohomology", "--builtin", "elem9", "--degree",
+                   "3", "--modulus", "9"]), 6),
+], ids=["qz_orders", "p_annihilation", "cli-modulus"])
+def test_each_differential_eliminated_once_per_modulus(monkeypatch, capsys,
+                                                       run, calls):
+    seen = []
+    real = bar.differential_divisors
+
+    def counting(spec, n, k, *args):
+        seen.append((n, k))
+        return real(spec, n, k, *args)
+
+    monkeypatch.setattr(bar, "differential_divisors", counting)
+    run()
+    assert len(seen) == calls
+
+
 def test_divisors_reported_per_degree():
     co = qz_orders(builtin("elem3"), 2)
     assert len(co.divisors) >= 2
@@ -184,7 +211,6 @@ def _dense_rank_mod_p(rows, cols, entries, p):
 
 @pytest.mark.parametrize("name,degmax", [("elem3", 3), ("elem9", 3)])
 def test_mod_p_orders_match_dense_rank_computation(name, degmax):
-    from unramified.bar import bar_matrix, cohomology_order_mod
     spec = builtin(name)
     p = spec.p
     ranks = {}
@@ -194,7 +220,7 @@ def test_mod_p_orders_match_dense_rank_computation(name, degmax):
     for i in range(1, degmax + 1):
         cols_i = (spec.order - 1) ** i
         dim = (cols_i - ranks[i]) - ranks[i - 1]
-        assert cohomology_order_mod(spec, i, p) == p ** dim
+        assert order_mod(spec, i, p) == p ** dim
 
 
 def test_degree2_abelian_orders_up_to_dim3():

@@ -64,14 +64,26 @@ def test_analyze_bad_spec_file(tmp_path, capsys):
     (["analyze", "--spec", "{tmp}"], None),
     (["analyze", "--spec", "{tmp}/spec.json"], {"p": 3, "dimU": -2, "dimV": 1}),
     (["analyze", "--spec", "{tmp}/spec.json"], {"p": 3, "dimU": 2, "dimV": -1}),
+    (["analyze", "--builtin", "peyre6", "--bogus"], None),
+    (["analyze", "--builtin", "peyre6", "--guard", "1"], None),
+    (["verify-group", "--builtin", "peyre6", "--samples", "-1"], None),
+    (["verify-group", "--builtin", "peyre6", "--samples", "0"], None),
 ], ids=["guard-abc", "spec-missing", "spec-is-directory", "negative-dimU",
-        "negative-dimV"])
+        "negative-dimV", "usage-error", "guard-not-taken", "samples-negative",
+        "samples-zero"])
 def test_bad_input_exits_1_with_one_stderr_line(tmp_path, capsys, argv, spec):
     if spec is not None:
         (tmp_path / "spec.json").write_text(json.dumps(spec))
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1, err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "--builtin" in capsys.readouterr().out
 
 
 def test_broken_invariant_is_typed_and_reported(monkeypatch, capsys):
@@ -203,10 +215,10 @@ def test_report_json_round_trips_through_cli(capsys):
 def test_guard_env_var_is_honored(monkeypatch, capsys):
     from unramified.cli import build_parser, parse_guard
     monkeypatch.setenv("UNRAMIFIED_GUARD", "12345/6.5")
-    args = build_parser().parse_args(["analyze", "--builtin", "elem9"])
+    args = build_parser().parse_args(["verify-lemmas", "--builtin", "elem9"])
     assert parse_guard(args.guard) == (12345, 6.5)
     monkeypatch.delenv("UNRAMIFIED_GUARD")
-    args = build_parser().parse_args(["analyze", "--builtin", "elem9"])
+    args = build_parser().parse_args(["verify-lemmas", "--builtin", "elem9"])
     gb, gs = parse_guard(args.guard)
     assert gb > 10 ** 8 and gs > 0
 
