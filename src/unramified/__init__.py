@@ -36,7 +36,7 @@ from .groups import (
     power,
     validate_spec,
 )
-from .linalg import Subspace, kernel, rref
+from .linalg import Subspace, kernel
 from .obstruction import ObstructionReport, analyze, dec_subgroup, dec_subgroup_bruteforce
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "mul",
     "power",
     "render_multivector",
-    "rref",
     "validate_spec",
     "wedge",
 ]

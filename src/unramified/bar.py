@@ -227,12 +227,6 @@ def qz_orders(spec: GroupSpec, degmax: int = 3,
                             tuple(d.exponents for d in divs))
 
 
-def abelianization_exp(spec: GroupSpec) -> int:
-    """|G^ab| = p ** (n + m - rank gamma), computed away from the bar complex."""
-    from .linalg import rank_mod
-    return spec.n + spec.m - rank_mod(spec.gamma, spec.p)
-
-
 def verify_p_annihilation(spec: GroupSpec, degmax: int = 3,
                           allow_heavy: bool = False,
                           time_limit: float = DEFAULT_TIME_LIMIT) -> VerificationResult:
@@ -256,20 +250,3 @@ def verify_p_annihilation(spec: GroupSpec, degmax: int = 3,
                                f"|H(Z/p^{k})| = p^{b}")
     return VerificationResult("p_annihilation", True, degmax)
 
-
-def sparse_matmul_is_zero(a: tuple[int, int, list],
-                          b: tuple[int, int, list], q: int) -> bool:
-    """Is A @ B = 0 over Z/q for COO (rows, cols, entries) matrices?"""
-    rows_a, cols_a, ea = a
-    rows_b, cols_b, eb = b
-    if cols_a != rows_b:
-        raise ValueError("shape mismatch")
-    brows: dict[int, list] = {}
-    for r, c, v in eb:
-        brows.setdefault(r, []).append((c, v))
-    acc: dict[tuple[int, int], int] = {}
-    for r, c, v in ea:
-        for c2, v2 in brows.get(c, ()):
-            key = (r, c2)
-            acc[key] = (acc.get(key, 0) + v * v2) % q
-    return all(v % q == 0 for v in acc.values())

@@ -7,8 +7,9 @@ stderr.
 
 The --guard flag (or the UNRAMIFIED_GUARD environment variable) takes
 "BYTES" or "BYTES/SECONDS".  Two commands take it: verify-lemmas reads the
-byte budget, which bounds its dense cochain tables, and oracle cohomology
-reads the seconds budget, which bounds its eliminations.
+byte budget, which bounds the dense cochain tables of every identity before
+any table is built, and oracle cohomology reads the seconds budget, which
+bounds its eliminations.
 """
 
 from __future__ import annotations
@@ -112,6 +113,8 @@ def cmd_verify_group(args) -> int:
 def cmd_verify_lemmas(args) -> int:
     spec = _resolve_spec(args)
     gbytes, _ = parse_guard(args.guard)
+    for which in cochains.IDENTITIES:       # every guard before any table
+        cochains.check_identity_guard(spec, which, gbytes)
     results = [cochains.verify_identity(spec, which, guard_bytes=gbytes)
                for which in cochains.IDENTITIES]
     if args.json:
@@ -137,7 +140,8 @@ def cmd_oracle_cohomology(args) -> int:
                            allow_heavy=args.allow_heavy, time_limit=gsecs)
     payload = orders.to_json_dict()
     if args.modulus is not None:
-        exps, _ = bar.mod_exps(spec, args.degree, k, args.allow_heavy, gsecs)
+        exps = orders.mod_exps if k == orders.k else \
+            bar.mod_exps(spec, args.degree, k, args.allow_heavy, gsecs)[0]
         payload["requested_modulus"] = args.modulus
         payload["mod_orders_requested"] = {
             str(i): spec.p ** e for i, e in enumerate(exps, 1)}

@@ -76,9 +76,8 @@ def u_projection(spec: GroupSpec) -> GroupSpec:
                      name=(spec.name or "spec") + "-U")
 
 
-def _check_guard(cells: int, guard_bytes: int, what: str,
-                 itemsize: int = 2) -> None:
-    need = cells * itemsize
+def _check_guard(cells: int, guard_bytes: int, what: str) -> None:
+    need = 2 * cells                    # tables hold int16 numerators
     if need > guard_bytes:
         raise GuardExceededError(
             f"{what} needs {need} bytes > guard {guard_bytes}", required=need)
@@ -231,8 +230,7 @@ def verify_dh(spec: GroupSpec) -> VerificationResult:
     return VerificationResult("dh", True, checked)
 
 
-def verify_df(spec: GroupSpec,
-              guard_bytes: int = DEFAULT_GUARD_BYTES) -> VerificationResult:
+def verify_df(spec: GroupSpec) -> VerificationResult:
     """delta f = -(1/4) (rho o gamma)(g1^g2) lam(g3^g4) over all 4-tuples.
 
     Evaluated slice-by-slice in g1 so only |G|^3 tables are resident.
@@ -243,7 +241,6 @@ def verify_df(spec: GroupSpec,
     t = tables_for(spec)
     p = spec.p
     N = spec.order
-    _check_guard(5 * N ** 3, guard_bytes, "df slice tables")
     inv4 = inv_mod(4, p)
     mul = t.mul
     checked = 0
@@ -313,7 +310,6 @@ def _coboundary_image(spec: GroupSpec) -> Subspace:
     """im(delta: C^2(U) -> C^3(U)) as a canonical subspace of F_p^(N^3)."""
     N = spec.order
     p = spec.p
-    _check_guard(N ** 2 * N ** 3, DEFAULT_GUARD_BYTES, "coboundary image")
     cols = []
     for a in range(N):
         for b in range(N):
@@ -366,16 +362,33 @@ def verify_ssquare_kernel(spec: GroupSpec) -> VerificationResult:
 IDENTITIES = ("dh", "df", "tau_squares", "tau_agree", "ssquare_kernel")
 
 
+def check_identity_guard(spec: GroupSpec, which: str, guard_bytes: int) -> None:
+    """Refuse, before any table is built, an identity whose largest dense
+    table would exceed guard_bytes.
+
+    The largest tables: dh's delta h on G^2, df's |G|^3 slices, and, on U,
+    tau_squares' degree-4 tables and tau_agree's |U|^2 x |U|^3 image.
+    """
+    N, NU = spec.order, spec.p ** spec.n
+    cells = {"dh": N ** 2 if spec.m else 0,
+             "df": 5 * N ** 3 if spec.m else 0,
+             "tau_squares": NU ** 4,
+             "tau_agree": NU ** 5,
+             "ssquare_kernel": 0}
+    if which not in cells:
+        raise ValueError(f"unknown identity {which!r}")
+    _check_guard(cells[which], guard_bytes, f"identity {which}")
+
+
 def verify_identity(spec: GroupSpec, which: str,
                     guard_bytes: int = DEFAULT_GUARD_BYTES) -> VerificationResult:
+    check_identity_guard(spec, which, guard_bytes)
     if which == "dh":
         return verify_dh(spec)
     if which == "df":
-        return verify_df(spec, guard_bytes)
+        return verify_df(spec)
     if which == "tau_squares":
         return verify_tau_squares(spec, guard_bytes)
     if which == "tau_agree":
         return verify_tau_agree(spec)
-    if which == "ssquare_kernel":
-        return verify_ssquare_kernel(spec)
-    raise ValueError(f"unknown identity {which!r}")
+    return verify_ssquare_kernel(spec)

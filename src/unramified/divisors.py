@@ -4,13 +4,15 @@ The ring Z/p^k is local, so Smith-style reduction needs no gcd machinery:
 any unit entry can serve as a pivot.  The elimination below takes, from
 the column with the fewest entries that holds a unit, the unit whose row
 has the fewest entries; when no unit entry is left it divides the whole
-residual block by p and drops to modulus p^(k-1).  Each unit pivot found
-after s division rounds contributes the divisor p^s; columns that survive
-with no entries are zero columns (divisor p^k).
+residual block by p and drops to modulus p^(k-1).  Only nonzero residues
+are stored, and a division round runs only when all of them are divisible
+by p, so no entry vanishes in it.  Each unit pivot found after s division
+rounds contributes the divisor p^s; columns left without a pivot are zero
+columns (divisor p^k) and are not listed.
 
-Pivot order does not affect the divisor multiset, which is all that is
-consumed downstream: |image| = prod p^(k-e_i) and |kernel| is determined
-by |image| * |kernel| = p^(k * cols).
+Pivot order does not affect the exponents, which is all that is consumed
+downstream: |image| = p^image_exp with image_exp = sum(k - e_i), and
+|kernel| = p^(k * cols - image_exp).
 """
 
 from __future__ import annotations
@@ -32,14 +34,6 @@ class ElementaryDivisors:
     exponents: tuple[int, ...]  # one entry per nonzero divisor p^e, e < k
 
     @property
-    def zero_cols(self) -> int:
-        return self.cols - len(self.exponents)
-
-    @property
-    def zero_rows(self) -> int:
-        return self.rows - len(self.exponents)
-
-    @property
     def image_exp(self) -> int:
         """|image| = p ** image_exp."""
         return sum(self.k - e for e in self.exponents)
@@ -48,17 +42,6 @@ class ElementaryDivisors:
     def kernel_exp(self) -> int:
         """|kernel| = p ** kernel_exp; image_exp + kernel_exp = k * cols."""
         return self.k * self.cols - self.image_exp
-
-    def order_image(self) -> int:
-        return self.p ** self.image_exp
-
-    def order_kernel(self) -> int:
-        return self.p ** self.kernel_exp
-
-    def divisor_multiset(self) -> list[int]:
-        """All cols divisors, zero columns reported as p^k."""
-        return sorted(self.p ** e for e in self.exponents) + \
-            [self.p ** self.k] * self.zero_cols
 
 
 def _drop(coldata, c, r):
@@ -118,16 +101,9 @@ def elementary_divisors(rows: int, cols: int, entries, p: int, k: int,
             mod //= p
             if mod == 1:
                 break
-            for r, row in list(rowdata.items()):
-                for c in list(row):
-                    w = (row[c] // p) % mod
-                    if w:
-                        row[c] = w
-                    else:
-                        del row[c]
-                        _drop(coldata, c, r)
-                if not row:
-                    del rowdata[r]
+            for row in rowdata.values():
+                for c in row:
+                    row[c] //= p
             continue
         pr, pc = pivot
         exps.append(shift)

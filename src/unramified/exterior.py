@@ -242,54 +242,6 @@ def mult_map_kernel(n: int, p: int) -> Subspace:
     return kernel(M.T, p)
 
 
-# -- tensor-space embedding (degree-4 tensors) -------------------------------
-
-def tensor4_of_sym2(vec: Array, n: int, p: int) -> Array:
-    """Embed S^2(Lambda^2 U*) into (U*)^(x4), flat index (a,b,c,d) base n.
-
-    e_S . e_T -> (1/2)(w_S x w_T + w_T x w_S) with w_(i,j) = (1/2)(e_i x e_j
-    - e_j x e_i); combined with the generator normalization this realizes the
-    1/16-scaled square symmetrizer.
-    """
-    half = half_mod(p)
-    T = np.zeros((n,) * 4, dtype=np.int64)
-    S2 = subsets(n, 2)
-
-    def w2(S):
-        out = np.zeros((n, n), dtype=np.int64)
-        a, b = S[0] - 1, S[1] - 1
-        out[a, b] = half
-        out[b, a] = (-half) % p
-        return out
-
-    for t, (i, j) in enumerate(sym2_pairs(comb(n, 2))):
-        c = int(vec[t])
-        if not c:
-            continue
-        A, B = w2(S2[i]), w2(S2[j])
-        sym = np.einsum('ab,cd->abcd', A, B) + np.einsum('ab,cd->abcd', B, A)
-        T = (T + c * half * sym) % p
-    return T % p
-
-
-def square_symmetrizer_tensor(n: int, p: int, u: int, v: int, w: int, x: int) -> Array:
-    """Sum over sigma in <(12),(34)> of eps(sigma) sigma (sum over <(14),(23)> of sigma' t).
-
-    t = e_u x e_v x e_w x e_x (1-based indices); returns a flat (n,n,n,n) array.
-    """
-    plus = [(0, 1, 2, 3), (3, 1, 2, 0), (0, 2, 1, 3), (3, 2, 1, 0)]
-    minus_group = [((0, 1, 2, 3), 1), ((1, 0, 2, 3), -1),
-                   ((0, 1, 3, 2), -1), ((1, 0, 3, 2), 1)]
-    base = (u - 1, v - 1, w - 1, x - 1)
-    T = np.zeros((n,) * 4, dtype=np.int64)
-    for perm_m, sign in minus_group:
-        for perm_p in plus:
-            # slot i of the result receives base[perm_p[perm_m[i]]]
-            word = tuple(base[perm_p[perm_m[i]]] for i in range(4))
-            T[word] = (T[word] + sign) % p
-    return T
-
-
 # -- text rendering ----------------------------------------------------------
 
 def _balanced(c: int, p: int) -> int:

@@ -275,13 +275,6 @@ class Subspace:
             yield (np.array(coeffs, dtype=np.int64) @ self.basis) % self.p
 
 
-def rref(M, p: int) -> tuple[Subspace, int]:
-    """Row space of M in canonical form, plus its rank."""
-    A = as_matrix(M)
-    S = Subspace.from_generators(A, p, A.shape[1] if A.ndim == 2 else 0)
-    return S, S.dim
-
-
 def kernel(M, p: int) -> Subspace:
     """{x : M x = 0} as a canonical subspace."""
     A = as_matrix(M)

@@ -25,7 +25,9 @@ x -> x ^ v_l on the basis of S for a batch of lines v_l, takes all their
 left kernels in one stacked elimination (linalg.kernel_stack), and folds
 them into one span in S-basis coordinates.  It stops after the first
 batch at which that span is all of S, and otherwise visits every line.
-dec_subgroup_bruteforce keeps its own line-by-line route.
+dec_subgroup_bruteforce is the independent oracle: line by line, it
+enumerates every element of the flag space {omega ^ v}
+(exterior.flag_subspace) and tests membership in S directly.
 """
 
 from __future__ import annotations
@@ -37,11 +39,7 @@ from math import comb
 import numpy as np
 
 from .errors import GuardExceededError, InternalInconsistencyError, SpecError
-from .exterior import (
-    render_multivector,
-    wedge_basis_tensor,
-    wedge_by_vector_matrix,
-)
+from .exterior import flag_subspace, render_multivector, wedge_basis_tensor
 from .groups import GroupSpec, ValidationReport, spec_from_json_dict, \
     spec_to_json_dict, validate_spec
 from .linalg import Subspace, kernel_stack, projective_lines, rref_mod
@@ -105,6 +103,9 @@ def dec_subgroup_bruteforce(S: Subspace, k: int, n: int,
                             max_work: int = DEFAULT_BRUTE_WORK) -> Subspace:
     """Independent oracle: enumerate each flag space and test membership.
 
+    Per line [v] it takes the flag space {omega ^ v} from
+    exterior.flag_subspace, enumerates all p^C(n-1, k-1) of its elements
+    and keeps those in S; it never uses the identity im(^v) = ker(^v).
     Work is lines * p^C(n-1, k-1) membership tests; guarded by max_work.
     """
     if k not in (2, 3):
@@ -123,24 +124,16 @@ def dec_subgroup_bruteforce(S: Subspace, k: int, n: int,
     # membership in S via its rref structure, vectorized over candidates
     pivots = [int(np.nonzero(row)[0][0]) for row in S.basis]
     coeff_grid = np.array(
-        list(itertools.product(range(p), repeat=flag_dim)), dtype=np.int64) \
-        if flag_dim else np.zeros((1, 0), dtype=np.int64)
+        list(itertools.product(range(p), repeat=flag_dim)), dtype=np.int64)
     acc = Subspace.zero(p, S.ambient)
     for v in projective_lines(p, n):
-        W = wedge_by_vector_matrix(p, n, k - 1, v)
-        basis = Subspace.from_generators(W, p, S.ambient).basis
-        if basis.shape[0] == 0:
-            continue
-        cands = (coeff_grid[:, :basis.shape[0]] @ basis) % p \
-            if basis.shape[0] <= flag_dim else None
-        if cands is None:
-            raise AssertionError("flag space larger than C(n-1, k-1)")
-        if S.dim:
-            recon = (cands[:, pivots] @ S.basis) % p
-            mask = np.all(recon == cands, axis=1)
-        else:
-            mask = ~cands.any(axis=1)
-        hits = cands[mask]
+        basis = flag_subspace(p, n, k - 1, v).basis
+        if basis.shape[0] != flag_dim:
+            raise InternalInconsistencyError(
+                f"flag space of dim {basis.shape[0]} != C({n - 1},{k - 1})")
+        cands = (coeff_grid @ basis) % p
+        recon = (cands[:, pivots] @ S.basis) % p
+        hits = cands[np.all(recon == cands, axis=1)]
         if hits.size:
             acc = acc + Subspace.from_generators(hits, p, S.ambient)
     return acc

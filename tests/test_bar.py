@@ -5,24 +5,38 @@ import pytest
 
 from unramified import bar
 from unramified.bar import (
-    abelianization_exp,
     bar_matrix,
     differential_divisors,
     mod_exps,
     qz_orders,
-    sparse_matmul_is_zero,
     verify_p_annihilation,
 )
 from unramified.catalog import builtin
 from unramified.cli import main
 from unramified.errors import GuardExceededError
 from unramified.groups import random_strict_spec
+from unramified.linalg import rank_mod
 
 
 def order_mod(spec, n, modulus):
     """|H^n(G, Z/modulus)| read off mod_exps."""
     exps, _ = mod_exps(spec, n, bar._plog(modulus, spec.p))
     return spec.p ** exps[n - 1]
+
+
+def sparse_matmul_is_zero(a, b, q):
+    """Is A @ B = 0 over Z/q for COO (rows, cols, entries) matrices?"""
+    rows_a, cols_a, ea = a
+    rows_b, cols_b, eb = b
+    assert cols_a == rows_b, "shape mismatch"
+    brows = {}
+    for r, c, v in eb:
+        brows.setdefault(r, []).append((c, v))
+    acc = {}
+    for r, c, v in ea:
+        for c2, v2 in brows.get(c, ()):
+            acc[r, c2] = (acc.get((r, c2), 0) + v * v2) % q
+    return not any(acc.values())
 
 
 def test_bar_matrix_shapes_cyclic3():
@@ -104,14 +118,18 @@ def test_qz_orders_heisenberg27_degree2_regression():
 def test_degree1_sanity_equals_abelianization(name):
     spec = builtin(name)
     co = qz_orders(spec, 1)
-    assert co.qz_order(1) == spec.p ** abelianization_exp(spec)
+    # |G^ab| = p^(n + m - rank gamma), computed away from the bar complex
+    assert co.qz_order(1) == spec.p ** (spec.n + spec.m
+                                        - rank_mod(spec.gamma, spec.p))
 
 
 def test_degree1_sanity_random_spec():
     rng = np.random.default_rng(4)
     spec = random_strict_spec(rng, 3, n_max=2)  # heisenberg-like, |G| = 27
     co = qz_orders(spec, 1)
-    assert co.qz_order(1) == spec.p ** abelianization_exp(spec)
+    # |G^ab| = p^(n + m - rank gamma), computed away from the bar complex
+    assert co.qz_order(1) == spec.p ** (spec.n + spec.m
+                                        - rank_mod(spec.gamma, spec.p))
 
 
 @pytest.mark.parametrize("name,degmax", [("elem3", 3), ("elem9", 3)])
@@ -161,7 +179,7 @@ def test_divisor_time_guard():
     (lambda: qz_orders(builtin("elem9"), 3), 3),
     (lambda: verify_p_annihilation(builtin("elem9"), 3), 6),
     (lambda: main(["oracle", "cohomology", "--builtin", "elem9", "--degree",
-                   "3", "--modulus", "9"]), 6),
+                   "3", "--modulus", "9"]), 3),
 ], ids=["qz_orders", "p_annihilation", "cli-modulus"])
 def test_each_differential_eliminated_once_per_modulus(monkeypatch, capsys,
                                                        run, calls):

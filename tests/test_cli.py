@@ -165,6 +165,24 @@ def test_oracle_cohomology_guard(capsys):
     assert "allow_heavy" in err or "heavy" in err
 
 
+@pytest.mark.parametrize("name,guard", [("elem9", "20000"),
+                                        ("heisenberg3", "1000")])
+def test_verify_lemmas_guard_refuses_before_any_table(monkeypatch, capsys,
+                                                      name, guard):
+    # each identity's guard is checked before the first identity runs
+    from unramified import cochains
+
+    def no_tables(*args):
+        raise AssertionError("a group table was built before the guard refused")
+
+    cochains.tables_for.cache_clear()
+    monkeypatch.setattr(cochains, "build_tables", no_tables)
+    code, out, err = run(capsys, "verify-lemmas", "--builtin", name,
+                         "--guard", guard)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("guard exceeded")
+
+
 def test_oracle_cohomology_explicit_modulus(capsys):
     code, out, _ = run(capsys, "oracle", "cohomology", "--builtin", "elem3",
                        "--degree", "2", "--modulus", "9", "--json")

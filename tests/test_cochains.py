@@ -12,6 +12,7 @@ as an expected failure of its stated criterion.
 import numpy as np
 import pytest
 
+from unramified import cochains
 from unramified.catalog import builtin
 from unramified.cochains import (
     Cochain,
@@ -53,6 +54,21 @@ def test_coboundary_guard():
     f = Cochain(spec, 3, np.zeros((125,) * 3, dtype=np.int64))
     with pytest.raises(GuardExceededError):
         coboundary(f, guard_bytes=10 ** 6)
+
+
+@pytest.mark.parametrize("name,which,guard", [
+    ("heisenberg3", "dh", 1000), ("heisenberg3", "df", 10 ** 5),
+    ("elem9", "tau_squares", 10 ** 4), ("elem9", "tau_agree", 20000),
+])
+def test_identity_guard_refuses_before_any_table(monkeypatch, name, which,
+                                                 guard):
+    def no_tables(*args):
+        raise AssertionError("a group table was built before the guard refused")
+
+    cochains.tables_for.cache_clear()
+    monkeypatch.setattr(cochains, "build_tables", no_tables)
+    with pytest.raises(GuardExceededError):
+        verify_identity(builtin(name), which, guard_bytes=guard)
 
 
 def test_h_rho_values():

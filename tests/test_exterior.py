@@ -15,14 +15,12 @@ from unramified.exterior import (
     mult_map_matrix,
     render_multivector,
     square_kernel_generators,
-    square_symmetrizer_tensor,
     subsets,
     sym2_pairs,
-    tensor4_of_sym2,
     wedge,
     wedge_by_vector_matrix,
 )
-from unramified.linalg import Subspace, inv_mod
+from unramified.linalg import Subspace, half_mod, inv_mod
 
 
 def basis(p, n, k, subset):
@@ -182,6 +180,52 @@ def test_mult_map_kernel_equals_generator_span(n, p):
         assert len(sym2_pairs(comb(4, 2))) == 21
         assert rank_mod(M.T, p) == 1
         assert K.dim == 20
+
+
+def tensor4_of_sym2(vec, n, p):
+    """Embed S^2(Lambda^2 U*) into (U*)^(x4), as an (n, n, n, n) array.
+
+    e_S . e_T -> (1/2)(w_S x w_T + w_T x w_S) with w_(i,j) = (1/2)(e_i x e_j
+    - e_j x e_i); combined with the generator normalization this realizes the
+    1/16-scaled square symmetrizer.
+    """
+    half = half_mod(p)
+    T = np.zeros((n,) * 4, dtype=np.int64)
+    S2 = subsets(n, 2)
+
+    def w2(S):
+        out = np.zeros((n, n), dtype=np.int64)
+        a, b = S[0] - 1, S[1] - 1
+        out[a, b] = half
+        out[b, a] = (-half) % p
+        return out
+
+    for t, (i, j) in enumerate(sym2_pairs(comb(n, 2))):
+        c = int(vec[t])
+        if not c:
+            continue
+        A, B = w2(S2[i]), w2(S2[j])
+        sym = np.einsum('ab,cd->abcd', A, B) + np.einsum('ab,cd->abcd', B, A)
+        T = (T + c * half * sym) % p
+    return T
+
+
+def square_symmetrizer_tensor(n, p, u, v, w, x):
+    """Sum over sigma in <(12),(34)> of eps(sigma) sigma (sum over <(14),(23)> of sigma' t).
+
+    t = e_u x e_v x e_w x e_x (1-based indices); returns an (n, n, n, n) array.
+    """
+    plus = [(0, 1, 2, 3), (3, 1, 2, 0), (0, 2, 1, 3), (3, 2, 1, 0)]
+    minus_group = [((0, 1, 2, 3), 1), ((1, 0, 2, 3), -1),
+                   ((0, 1, 3, 2), -1), ((1, 0, 3, 2), 1)]
+    base = (u - 1, v - 1, w - 1, x - 1)
+    T = np.zeros((n,) * 4, dtype=np.int64)
+    for perm_m, sign in minus_group:
+        for perm_p in plus:
+            # slot i of the result receives base[perm_p[perm_m[i]]]
+            word = tuple(base[perm_p[perm_m[i]]] for i in range(4))
+            T[word] = (T[word] + sign) % p
+    return T
 
 
 def test_square_symmetrizer_matches_sixteen_term_expansion():
