@@ -53,7 +53,7 @@ import numpy as np
 from .errors import DimensionMismatchError, GuardExceededError
 from .exterior import mult_map_kernel, square_kernel_generators
 from .groups import GroupSpec, GroupTables, antisym_matrix, build_tables
-from .linalg import Subspace, half_mod, inv_mod, projective_lines
+from .linalg import _UPDATE_CELLS, Subspace, half_mod, inv_mod, projective_lines
 from .results import VerificationResult
 
 Array = np.ndarray
@@ -76,8 +76,8 @@ def u_projection(spec: GroupSpec) -> GroupSpec:
                      name=(spec.name or "spec") + "-U")
 
 
-def _check_guard(cells: int, guard_bytes: int, what: str) -> None:
-    need = 2 * cells                    # tables hold int16 numerators
+def _check_guard(need: int, guard_bytes: int, what: str) -> None:
+    # tables hold int16 numerators: 2 bytes a cell
     if need > guard_bytes:
         raise GuardExceededError(
             f"{what} needs {need} bytes > guard {guard_bytes}", required=need)
@@ -131,7 +131,7 @@ def coboundary(f: Cochain, guard_bytes: int = DEFAULT_GUARD_BYTES) -> Cochain:
     spec = f.spec
     N = spec.order
     d = f.degree
-    _check_guard(N ** (d + 1), guard_bytes, f"degree-{d + 1} table")
+    _check_guard(2 * N ** (d + 1), guard_bytes, f"degree-{d + 1} table")
     if d == 0:
         return Cochain(spec, 1, np.zeros(N, dtype=np.int64))
     mul = tables_for(spec).mul
@@ -187,7 +187,7 @@ def mu(spec: GroupSpec, u, v, w, x,
        guard_bytes: int = DEFAULT_GUARD_BYTES) -> Cochain:
     t = tables_for(spec)
     N = spec.order
-    _check_guard(N ** 4, guard_bytes, "degree-4 table")
+    _check_guard(2 * N ** 4, guard_bytes, "degree-4 table")
     U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
     vals = np.einsum('a,b,c,d->abcd', U, V, W, X) % spec.p
     return Cochain(spec, 4, vals)
@@ -367,17 +367,19 @@ def check_identity_guard(spec: GroupSpec, which: str, guard_bytes: int) -> None:
     table would exceed guard_bytes.
 
     The largest tables: dh's delta h on G^2, df's |G|^3 slices, and, on U,
-    tau_squares' degree-4 tables and tau_agree's |U|^2 x |U|^3 image.
+    tau_squares' degree-4 tables and tau_agree's |U|^2 x |U|^3 image: int16
+    columns, an int64 copy and rref_stack's own copy (18 bytes a cell), plus
+    a pivot's update, at most five int64 blocks and five rows of |U|^3 cells.
     """
     N, NU = spec.order, spec.p ** spec.n
-    cells = {"dh": N ** 2 if spec.m else 0,
-             "df": 5 * N ** 3 if spec.m else 0,
-             "tau_squares": NU ** 4,
-             "tau_agree": NU ** 5,
-             "ssquare_kernel": 0}
-    if which not in cells:
+    need = {"dh": 2 * N ** 2 if spec.m else 0,
+            "df": 10 * N ** 3 if spec.m else 0,
+            "tau_squares": 2 * NU ** 4,
+            "tau_agree": 18 * NU ** 5 + 40 * (_UPDATE_CELLS + NU ** 3),
+            "ssquare_kernel": 0}
+    if which not in need:
         raise ValueError(f"unknown identity {which!r}")
-    _check_guard(cells[which], guard_bytes, f"identity {which}")
+    _check_guard(need[which], guard_bytes, f"identity {which}")
 
 
 def verify_identity(spec: GroupSpec, which: str,

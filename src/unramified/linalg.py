@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,14 +77,19 @@ def projective_lines(p: int, n: int):
             yield v
 
 
-def _inverse_mod(a: Array, p: int) -> Array:
-    """Elementwise a^(p-2) mod p, by square-and-multiply: inverses of units."""
-    out = np.ones_like(a)
-    for bit in bin(p - 2)[2:]:
-        out = out * out % p
-        if bit == "1":
-            out = out * a % p
-    return out
+@lru_cache(maxsize=None)
+def _inverse_table(p: int) -> Array:
+    """inv[a] = 1/a mod p (inv[0] = 0); read-only, since cached."""
+    inv = np.array([pow(a, p - 2, p) for a in range(p)], dtype=np.int64)
+    inv.setflags(write=False)
+    return inv
+
+
+def _pivot_inverses(a: Array, p: int) -> Array:
+    """1/a mod p for units a: from a table of p entries unless p > _UPDATE_CELLS."""
+    if p > _UPDATE_CELLS:
+        return np.array([pow(x, p - 2, p) for x in a.tolist()], dtype=np.int64)
+    return _inverse_table(p)[a]
 
 
 def rref_stack(A: Array, p: int) -> tuple[Array, Array, Array]:
@@ -113,9 +119,10 @@ def rref_stack(A: Array, p: int) -> tuple[Array, Array, Array]:
             continue
         r = ranks[P]
         i = lo + cand[P].argmax(axis=1)
-        A[P, r], A[P, i] = A[P, i], A[P, r]
+        if (i != r).any():
+            A[P, r], A[P, i] = A[P, i], A[P, r]
         piv = A[P, r, c:]
-        piv = piv * _inverse_mod(piv[:, 0], p)[:, None] % p
+        piv = piv * _pivot_inverses(piv[:, 0], p)[:, None] % p
         A[P, r, c:] = piv
         hit = A[P, :, c] != 0
         hit[np.arange(P.size), r] = False
@@ -263,16 +270,6 @@ class Subspace:
         if self.dim == 0:
             return Subspace.full(self.p, N)
         return Subspace.from_generators(kernel_basis(self.basis, self.p), self.p, N)
-
-    # -- enumeration (for brute-force oracles) ------------------------------
-
-    def vectors(self):
-        """All p^dim elements, deterministic order (lex in coefficients)."""
-        if self.dim == 0:
-            yield np.zeros(self.ambient, dtype=np.int64)
-            return
-        for coeffs in itertools.product(range(self.p), repeat=self.dim):
-            yield (np.array(coeffs, dtype=np.int64) @ self.basis) % self.p
 
 
 def kernel(M, p: int) -> Subspace:

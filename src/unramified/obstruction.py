@@ -25,9 +25,9 @@ x -> x ^ v_l on the basis of S for a batch of lines v_l, takes all their
 left kernels in one stacked elimination (linalg.kernel_stack), and folds
 them into one span in S-basis coordinates.  It stops after the first
 batch at which that span is all of S, and otherwise visits every line.
-dec_subgroup_bruteforce is the independent oracle: line by line, it
-enumerates every element of the flag space {omega ^ v}
-(exterior.flag_subspace) and tests membership in S directly.
+dec_subgroup_bruteforce is the independent oracle: it tests exhaustively,
+without ker(^ v), which points of P(S) lie in which flag space
+F_v = {omega ^ v}, from whichever side of that incidence is smaller.
 """
 
 from __future__ import annotations
@@ -39,10 +39,11 @@ from math import comb
 import numpy as np
 
 from .errors import GuardExceededError, InternalInconsistencyError, SpecError
-from .exterior import flag_subspace, render_multivector, wedge_basis_tensor
+from .exterior import render_multivector, wedge_basis_tensor
 from .groups import GroupSpec, ValidationReport, spec_from_json_dict, \
     spec_to_json_dict, validate_spec
-from .linalg import Subspace, kernel_stack, projective_lines, rref_mod
+from .linalg import Subspace, kernel_stack, projective_lines, rref_mod, \
+    rref_stack
 
 Array = np.ndarray
 
@@ -99,14 +100,57 @@ def dec_subgroup(S: Subspace, k: int, n: int) -> Subspace:
     return Subspace.from_generators(acc @ S.basis % p, p, S.ambient)
 
 
+def _flag_bases(p: int, n: int, k: int, count: int):
+    """RREF bases and pivots of the flag spaces F_v, one batch of lines at a
+    time; a batch's W(v) and count vectors per line hold <= _BATCH_CELLS."""
+    E = wedge_basis_tensor(n, k - 1)     # W(v) = sum_j v_j E[j] spans F_v
+    flag_dim = comb(n - 1, k - 1)
+    cap = max(1, _BATCH_CELLS // ((E.shape[1] + count) * E.shape[2]))
+    lines = projective_lines(p, n)
+    while batch := list(itertools.islice(lines, cap)):
+        R, ranks, pivots = rref_stack(
+            np.einsum("lj,jst->lst", np.array(batch), E), p)
+        if (ranks != flag_dim).any():
+            raise InternalInconsistencyError(
+                f"a flag space has dim != C({n - 1},{k - 1})")
+        yield R[:, :flag_dim], pivots[:, :flag_dim]
+
+
+def _flags_in_subspace(S: Subspace, k: int, n: int) -> Subspace:
+    """Flag side: every element of every F_v, tested for membership in S;
+    each batch's hits are folded into the span, so memory stays bounded."""
+    p = S.p
+    grid = np.array(list(itertools.product(
+        range(p), repeat=comb(n - 1, k - 1))), dtype=np.int64)
+    pivots = (S.basis != 0).argmax(axis=1)
+    acc = np.zeros((0, S.ambient), dtype=np.int64)
+    for R, _ in _flag_bases(p, n, k, len(grid)):
+        X = (grid @ R).reshape(-1, S.ambient) % p
+        hits = X[(X[:, pivots] @ S.basis % p == X).all(axis=1)]
+        acc, _ = rref_mod(np.vstack([acc, hits]), p)
+    return Subspace(p, S.ambient, acc)
+
+
+def _points_in_flags(S: Subspace, k: int, n: int) -> Subspace:
+    """Point side: every point of P(S), tested for membership in each F_v."""
+    p = S.p
+    X = np.array(list(projective_lines(p, S.dim))) @ S.basis % p
+    hit = np.zeros(len(X), dtype=bool)
+    for R, pivots in _flag_bases(p, n, k, len(X)):
+        recon = np.einsum("plf,lft->plt", X[:, pivots], R) % p
+        hit |= (recon == X[:, None]).all(axis=2).any(axis=1)
+    return Subspace.from_generators(X[hit], p, S.ambient)
+
+
 def dec_subgroup_bruteforce(S: Subspace, k: int, n: int,
                             max_work: int = DEFAULT_BRUTE_WORK) -> Subspace:
-    """Independent oracle: enumerate each flag space and test membership.
+    """Independent oracle: decide {(x, [v]) : x in P(S), x in F_v = {omega ^ v}}.
 
-    Per line [v] it takes the flag space {omega ^ v} from
-    exterior.flag_subspace, enumerates all p^C(n-1, k-1) of its elements
-    and keeps those in S; it never uses the identity im(^v) = ker(^v).
-    Work is lines * p^C(n-1, k-1) membership tests; guarded by max_work.
+    Per line it tests either all p^C(n-1, k-1) elements of F_v for
+    membership in S, or all (p^dim S - 1)/(p - 1) points of P(S) for
+    membership in F_v, whichever is fewer (the flag side on a tie).  Work
+    is lines times that count, guarded by max_work before any array is
+    built; neither side uses the identity im(^v) = ker(^v).
     """
     if k not in (2, 3):
         raise ValueError("dec_subgroup_bruteforce is defined for degrees 2 and 3")
@@ -115,28 +159,13 @@ def dec_subgroup_bruteforce(S: Subspace, k: int, n: int,
         raise SpecError(f"subspace ambient {S.ambient} != C({n},{k})")
     if S.dim == 0 or n == 0:
         return Subspace.zero(p, S.ambient)
-    n_lines = (p ** n - 1) // (p - 1)
-    flag_dim = comb(n - 1, k - 1)
-    work = n_lines * p ** flag_dim
+    flags, points = p ** comb(n - 1, k - 1), (p ** S.dim - 1) // (p - 1)
+    work = (p ** n - 1) // (p - 1) * min(flags, points)
     if work > max_work:
         raise GuardExceededError(
             f"brute-force work {work} exceeds bound {max_work}", required=work)
-    # membership in S via its rref structure, vectorized over candidates
-    pivots = [int(np.nonzero(row)[0][0]) for row in S.basis]
-    coeff_grid = np.array(
-        list(itertools.product(range(p), repeat=flag_dim)), dtype=np.int64)
-    acc = Subspace.zero(p, S.ambient)
-    for v in projective_lines(p, n):
-        basis = flag_subspace(p, n, k - 1, v).basis
-        if basis.shape[0] != flag_dim:
-            raise InternalInconsistencyError(
-                f"flag space of dim {basis.shape[0]} != C({n - 1},{k - 1})")
-        cands = (coeff_grid @ basis) % p
-        recon = (cands[:, pivots] @ S.basis) % p
-        hits = cands[np.all(recon == cands, axis=1)]
-        if hits.size:
-            acc = acc + Subspace.from_generators(hits, p, S.ambient)
-    return acc
+    side = _points_in_flags if points < flags else _flags_in_subspace
+    return side(S, k, n)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ tests below pin this asymmetry; the acceptance suite records the p = 3 case
 as an expected failure of its stated criterion.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,19 @@ def test_coboundary_squares_to_zero_at_order_81():
     for degree in (1, 2):
         f = Cochain(spec, degree, rng.integers(0, 3, size=(N,) * degree))
         assert coboundary(coboundary(f)).is_zero()
+
+
+def test_tau_agree_guard_covers_its_peak_allocation():
+    """The tau_agree guard figure bounds what the check really allocates,
+    the coboundary image and its elimination included."""
+    spec = builtin("elem9")
+    with pytest.raises(GuardExceededError) as info:
+        cochains.check_identity_guard(spec, "tau_agree", 0)
+    cochains._coboundary_image.cache_clear()
+    tracemalloc.start()
+    try:
+        verify_identity(spec, "tau_agree")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= info.value.required

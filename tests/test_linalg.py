@@ -95,6 +95,15 @@ def test_rref_and_kernel_match_reference_seed(seed, p):
         assert B.tolist() == kernel_reference(A, p)
 
 
+@pytest.mark.parametrize("p", [16411, 2147483647])
+def test_rref_matches_reference_beyond_the_inverse_table(p):
+    """Primes too large for a table of inverses invert pivots one by one."""
+    for A in random_matrices(np.random.default_rng(p), p, 20):
+        rows, pivots = rref_reference(A, p)
+        R, got_pivots = rref_mod(A, p)
+        assert got_pivots == pivots and R.tolist() == rows
+
+
 @pytest.mark.parametrize("seed,p", [(s, p) for p in (3, 5, 7, 11) for s in (0, 1)])
 def test_stack_slices_equal_their_own_2d_result_seed(seed, p):
     rng = np.random.default_rng(seed)
@@ -186,7 +195,8 @@ def test_intersection_matches_enumeration_seed(seed):
     S = Subspace.from_generators(rng.integers(0, p, size=(3, 6)), p, 6)
     T = Subspace.from_generators(rng.integers(0, p, size=(3, 6)), p, 6)
     got = S.intersect(T)
-    hits = [v for v in S.vectors() if T.contains(v)]
+    elements = np.array(list(itertools.product(range(p), repeat=S.dim))) @ S.basis
+    hits = [v for v in elements % p if T.contains(v)]
     expected = Subspace.from_generators(hits, p, 6)
     assert got == expected
     assert (S + T).dim + got.dim == S.dim + T.dim

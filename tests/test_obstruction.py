@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from unramified.catalog import builtin
+from unramified.errors import GuardExceededError, InternalInconsistencyError
 from unramified.exterior import ExtVector, duality_pairing, subset_index
 from unramified.groups import GroupSpec, permute_basis, random_strict_spec
 from unramified.linalg import Subspace
@@ -150,7 +151,8 @@ DEC_CASES = [
     (0, 3, 4, 2, False), (1, 3, 4, 2, False), (2, 3, 4, 3, False),
     (3, 3, 4, 3, False), (4, 5, 3, 2, False), (5, 5, 4, 3, False),
     (6, 3, 5, 3, False), (7, 3, 5, 2, True), (8, 3, 6, 2, True),
-    (9, 5, 5, 2, True),
+    (9, 5, 5, 2, True), (10, 3, 2, 2, False), (11, 5, 2, 2, False),
+    (12, 3, 3, 3, False), (13, 5, 3, 3, False), (14, 5, 5, 2, False),
 ]
 
 
@@ -176,10 +178,60 @@ def test_dec_fast_equals_bruteforce_seed(seed, p, n, k, walker):
     fast = dec_subgroup(S, k, n)
     brute = dec_subgroup_bruteforce(S, k, n)
     assert fast == brute
+    assert obstruction._flags_in_subspace(S, k, n) == fast
+    assert obstruction._points_in_flags(S, k, n) == fast
     assert S.contains_subspace(fast)
     if walker:
         assert fast != S and fast.contains(last)
         assert (p ** n - 1) // (p - 1) > obstruction._FIRST_BATCH
+
+
+def _refuse(*args):
+    raise AssertionError("the brute force ran its costlier side")
+
+
+def test_brute_force_guard_counts_the_point_side(monkeypatch):
+    """peyre6 in degree 3: dim S^3 = 2, so 364 lines x 4 points."""
+    S = analyze(builtin("peyre6")).deg3.si
+    monkeypatch.setattr(obstruction, "_flags_in_subspace", _refuse)
+    with pytest.raises(GuardExceededError) as info:
+        dec_subgroup_bruteforce(S, 3, 6, max_work=1455)
+    assert info.value.required == 364 * 4
+    assert dec_subgroup_bruteforce(S, 3, 6, max_work=1456) == \
+        Subspace.from_generators([trivector(3, 6, (1, 3, 5))], 3, comb(6, 3))
+
+
+def test_brute_force_guard_counts_the_flag_side(monkeypatch):
+    """All of Lambda^2 F_3^4: 364 points, but only 3^3 elements per flag."""
+    S = Subspace.full(3, comb(4, 2))
+    monkeypatch.setattr(obstruction, "_points_in_flags", _refuse)
+    lines = (3 ** 4 - 1) // 2
+    with pytest.raises(GuardExceededError) as info:
+        dec_subgroup_bruteforce(S, 2, 4, max_work=lines * 3 ** 3 - 1)
+    assert info.value.required == lines * 3 ** 3
+    assert dec_subgroup_bruteforce(S, 2, 4, max_work=lines * 3 ** 3) == S
+
+
+def test_brute_force_never_takes_the_kernel_route(monkeypatch):
+    def no_kernels(*args):
+        raise AssertionError("the brute force called kernel_stack")
+
+    monkeypatch.setattr(obstruction, "kernel_stack", no_kernels)
+    # u[1,2,3] + u[3,4,5] = u3 ^ (u[1,2] + u[4,5]) has the factor u3
+    S = Subspace.from_generators([trivector(3, 5, (1, 2, 3), (3, 4, 5))], 3,
+                                 comb(5, 3))
+    assert obstruction._flags_in_subspace(S, 3, 5) == S
+    assert obstruction._points_in_flags(S, 3, 5) == S
+
+
+def test_brute_force_checks_each_flag_dimension(monkeypatch):
+    monkeypatch.setattr(obstruction, "wedge_basis_tensor",
+                        lambda n, k: np.zeros((n, comb(n, k), comb(n, k + 1)),
+                                              dtype=np.int64))
+    S = Subspace.full(3, comb(4, 2))
+    for side in (obstruction._flags_in_subspace, obstruction._points_in_flags):
+        with pytest.raises(InternalInconsistencyError):
+            side(S, 2, 4)
 
 
 def test_projective_line_count():
@@ -334,7 +386,7 @@ def test_full_pipeline_matches_raw_enumeration_seed(seed):
     assert rep.deg2.si.dim == log_p(len(s2))
     assert rep.deg2.si_dec.dim == log_p(len(s2dec))
     assert rep.b0_dim == log_p(len(k2max)) - log_p(len(k2))
-    assert {tuple(int(x) for x in v) for v in rep.deg2.si_dec.vectors()} == s2dec
+    assert _enumerate_span(rep.deg2.si_dec.basis, p, d2) == s2dec
 
     k3 = _enumerate_span(_k3_generators(spec, idx2, p, d3), p, d3)
     s3 = {x for x in itertools.product(range(p), repeat=d3)
