@@ -37,7 +37,6 @@ elementary-abelian p-annihilation check is run (divisor data only).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +51,6 @@ Array = np.ndarray
 
 GUARANTEED_ROWS = 20_000       # largest differential assembled without opt-in
 HEAVY_ROWS = 600_000           # hard cap even with --allow-heavy
-DEFAULT_TIME_LIMIT = 600.0
 
 
 def _plog(value: int, p: int) -> int:
@@ -169,28 +167,16 @@ class CohomologyOrders:
         }
 
 
-def differential_divisors(spec: GroupSpec, n: int, k: int,
-                          allow_heavy: bool = False,
-                          time_limit: float = DEFAULT_TIME_LIMIT) -> ElementaryDivisors:
-    """Elementary divisors of delta^n over Z/p^k."""
-    _tier_check(spec, n, allow_heavy)
-    q = spec.p ** k
-    rows, cols, entries = bar_matrix(spec, n, q)
-    deadline = time.monotonic() + time_limit if time_limit else None
-    return elementary_divisors(rows, cols, entries, spec.p, k, deadline=deadline)
-
-
-def mod_exps(spec: GroupSpec, degmax: int, k: int,
-             allow_heavy: bool = False,
-             time_limit: float = DEFAULT_TIME_LIMIT,
+def mod_exps(spec: GroupSpec, degmax: int, k: int, allow_heavy: bool = False
              ) -> tuple[tuple[int, ...], tuple[ElementaryDivisors, ...]]:
     """p-exponents of |H^i(G, Z/p^k)| for i = 1..degmax, with the divisors
-    of delta^1..delta^degmax; each differential is eliminated once.
+    of delta^1..delta^degmax over Z/p^k; each differential is eliminated once.
 
     |H^i| = |ker delta^i| / |im delta^{i-1}|, and delta^0 = 0.
     """
     _tier_check(spec, degmax, allow_heavy)   # rows grow with the degree
-    divs = tuple(differential_divisors(spec, i, k, allow_heavy, time_limit)
+    q = spec.p ** k
+    divs = tuple(elementary_divisors(*bar_matrix(spec, i, q), spec.p, k)
                  for i in range(1, degmax + 1))
     exps = []
     lower_im = 0
@@ -205,14 +191,13 @@ def mod_exps(spec: GroupSpec, degmax: int, k: int,
 
 
 def qz_orders(spec: GroupSpec, degmax: int = 3,
-              allow_heavy: bool = False,
-              time_limit: float = DEFAULT_TIME_LIMIT) -> CohomologyOrders:
+              allow_heavy: bool = False) -> CohomologyOrders:
     """Derived |H^i(G, Q/Z)| for i <= degmax via the integral recursion."""
     if not 1 <= degmax <= 3:
         raise ValueError("degmax must be between 1 and 3")
     p = spec.p
     k = spec.n + spec.m            # p^k = |G|
-    hk, divs = mod_exps(spec, degmax, k, allow_heavy, time_limit)
+    hk, divs = mod_exps(spec, degmax, k, allow_heavy)
     z_exp = 0                      # |H^1(G, Z)| = 1
     qz_exps = []
     for i, h in enumerate(hk, 1):
@@ -228,8 +213,7 @@ def qz_orders(spec: GroupSpec, degmax: int = 3,
 
 
 def verify_p_annihilation(spec: GroupSpec, degmax: int = 3,
-                          allow_heavy: bool = False,
-                          time_limit: float = DEFAULT_TIME_LIMIT) -> VerificationResult:
+                          allow_heavy: bool = False) -> VerificationResult:
     """For elementary abelian E: p * H^i(E, Q/Z) = 0 through degmax.
 
     Checked structurally: |H^i(E, Z/p)| must equal |H^i(E, Z/|E|)| for all
@@ -240,8 +224,8 @@ def verify_p_annihilation(spec: GroupSpec, degmax: int = 3,
                                   note="skipped: requires m = 0 (abelian)",
                                   skipped=True)
     k = spec.n
-    e1, _ = mod_exps(spec, degmax, 1, allow_heavy, time_limit)
-    ek = mod_exps(spec, degmax, k, allow_heavy, time_limit)[0] if k > 1 else e1
+    e1, _ = mod_exps(spec, degmax, 1, allow_heavy)
+    ek = mod_exps(spec, degmax, k, allow_heavy)[0] if k > 1 else e1
     for i, (a, b) in enumerate(zip(e1, ek), 1):
         if a != b:
             return VerificationResult(

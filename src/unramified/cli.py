@@ -5,11 +5,12 @@ broken internal invariant, 2 verification failure (a counterexample was
 found), 3 resource guard exceeded; codes 1 and 3 come with one line on
 stderr.
 
-The --guard flag (or the UNRAMIFIED_GUARD environment variable) takes
-"BYTES" or "BYTES/SECONDS".  Two commands take it: verify-lemmas reads the
-byte budget, which bounds the dense cochain tables of every identity before
-any table is built, and oracle cohomology reads the seconds budget, which
-bounds its eliminations.
+Every resource guard is checked once, from the input, before any work
+starts.  verify-lemmas takes --guard BYTES (or the UNRAMIFIED_GUARD
+environment variable), which bounds the dense cochain tables of every
+identity.  oracle cohomology bounds the rows of its bar differentials,
+and --allow-heavy raises that bound; a heavy run that runs out of memory
+exits 3 too.
 """
 
 from __future__ import annotations
@@ -35,19 +36,13 @@ def _emit_json(data: dict) -> None:
     print(json.dumps(data, sort_keys=True, separators=(",", ":")))
 
 
-def parse_guard(text: str | None) -> tuple[int, float]:
-    default_bytes = cochains.DEFAULT_GUARD_BYTES
-    default_seconds = bar.DEFAULT_TIME_LIMIT
+def parse_guard(text: str | None) -> int:
     if not text:
-        return default_bytes, default_seconds
-    parts = text.split("/")
+        return cochains.DEFAULT_GUARD_BYTES
     try:
-        gbytes = int(float(parts[0])) if parts[0] else default_bytes
-        gsecs = float(parts[1]) if len(parts) > 1 and parts[1] else default_seconds
+        return int(float(text))
     except (ValueError, OverflowError) as exc:
-        raise UnramifiedError(
-            f"--guard must be BYTES[/SECONDS], got {text!r}") from exc
-    return gbytes, gsecs
+        raise UnramifiedError(f"--guard must be BYTES, got {text!r}") from exc
 
 
 def _resolve_spec(args) -> GroupSpec:
@@ -72,7 +67,6 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--builtin", help="builtin spec name (see `builtins`)")
     p.add_argument("--spec", help="path to a spec JSON file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
 
 def cmd_builtins(args) -> int:
@@ -112,7 +106,7 @@ def cmd_verify_group(args) -> int:
 
 def cmd_verify_lemmas(args) -> int:
     spec = _resolve_spec(args)
-    gbytes, _ = parse_guard(args.guard)
+    gbytes = parse_guard(args.guard)
     for which in cochains.IDENTITIES:       # every guard before any table
         cochains.check_identity_guard(spec, which, gbytes)
     results = [cochains.verify_identity(spec, which, guard_bytes=gbytes)
@@ -128,7 +122,6 @@ def cmd_verify_lemmas(args) -> int:
 
 def cmd_oracle_cohomology(args) -> int:
     spec = _resolve_spec(args)
-    _, gsecs = parse_guard(args.guard)
     if args.modulus is not None:
         try:
             k = bar._plog(args.modulus, spec.p)
@@ -137,11 +130,11 @@ def cmd_oracle_cohomology(args) -> int:
         if k < 1:
             raise SpecError(f"--modulus must be a positive power of p={spec.p}")
     orders = bar.qz_orders(spec, degmax=args.degree,
-                           allow_heavy=args.allow_heavy, time_limit=gsecs)
+                           allow_heavy=args.allow_heavy)
     payload = orders.to_json_dict()
     if args.modulus is not None:
         exps = orders.mod_exps if k == orders.k else \
-            bar.mod_exps(spec, args.degree, k, args.allow_heavy, gsecs)[0]
+            bar.mod_exps(spec, args.degree, k, args.allow_heavy)[0]
         payload["requested_modulus"] = args.modulus
         payload["mod_orders_requested"] = {
             str(i): spec.p ** e for i, e in enumerate(exps, 1)}
@@ -195,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run the obstruction pipeline")
     _add_spec_args(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p.add_argument("--strict", dest="strict", action="store_true", default=True)
     p.add_argument("--no-strict", dest="strict", action="store_false",
                    help="analyze even if gamma is not surjective / has radical")
@@ -202,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-group", help="group axioms, exponent, structure")
     _add_spec_args(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p.add_argument("--strict", dest="strict", action="store_true", default=True)
     p.add_argument("--no-strict", dest="strict", action="store_false")
     p.add_argument("--samples", type=int, default=100_000,
@@ -211,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-lemmas", help="cochain identity suite")
     _add_spec_args(p)
     p.add_argument("--guard", default=os.environ.get("UNRAMIFIED_GUARD"),
-                   help="BYTES[/SECONDS]; BYTES bounds the dense tables")
+                   help="BYTES; bounds the dense tables")
     p.set_defaults(func=cmd_verify_lemmas)
 
     po = sub.add_parser("oracle", help="independent ground-truth computations")
@@ -224,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report |H^i(G, Z/modulus)| (power of p)")
     p.add_argument("--allow-heavy", action="store_true",
                    help="permit the large opt-in eliminations")
-    p.add_argument("--guard", default=os.environ.get("UNRAMIFIED_GUARD"),
-                   help="[BYTES]/SECONDS; SECONDS bounds each elimination")
     p.set_defaults(func=cmd_oracle_cohomology)
 
     p = osub.add_parser("decomposables",
@@ -234,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=3, choices=(2, 3))
     p.add_argument("--strict", dest="strict", action="store_true", default=True)
     p.add_argument("--no-strict", dest="strict", action="store_false")
-    p.add_argument("--max-work", type=int, default=10 ** 8,
+    p.add_argument("--max-work", type=int,
+                   default=obstruction.DEFAULT_BRUTE_WORK,
                    help="membership-test budget for the brute force")
     p.set_defaults(func=cmd_oracle_decomposables)
 
@@ -247,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
     except GuardExceededError as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
+        code = EXIT_GUARD
+    except MemoryError:
+        print("guard exceeded: out of memory", file=sys.stderr)
         code = EXIT_GUARD
     except SpecError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)

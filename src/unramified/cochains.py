@@ -76,13 +76,6 @@ def u_projection(spec: GroupSpec) -> GroupSpec:
                      name=(spec.name or "spec") + "-U")
 
 
-def _check_guard(need: int, guard_bytes: int, what: str) -> None:
-    # tables hold int16 numerators: 2 bytes a cell
-    if need > guard_bytes:
-        raise GuardExceededError(
-            f"{what} needs {need} bytes > guard {guard_bytes}", required=need)
-
-
 @dataclass(frozen=True)
 class Cochain:
     """Dense table G^degree -> (1/p)Z/Z, the value stored as a numerator."""
@@ -126,12 +119,11 @@ class Cochain:
         return int(self.values[tuple(gs)])
 
 
-def coboundary(f: Cochain, guard_bytes: int = DEFAULT_GUARD_BYTES) -> Cochain:
+def coboundary(f: Cochain) -> Cochain:
     """The standard inhomogeneous coboundary with trivial action."""
     spec = f.spec
     N = spec.order
     d = f.degree
-    _check_guard(2 * N ** (d + 1), guard_bytes, f"degree-{d + 1} table")
     if d == 0:
         return Cochain(spec, 1, np.zeros(N, dtype=np.int64))
     mul = tables_for(spec).mul
@@ -183,11 +175,8 @@ def tau13(spec: GroupSpec, u, v, w, x) -> Cochain:
     return Cochain(spec, 3, vals)
 
 
-def mu(spec: GroupSpec, u, v, w, x,
-       guard_bytes: int = DEFAULT_GUARD_BYTES) -> Cochain:
+def mu(spec: GroupSpec, u, v, w, x) -> Cochain:
     t = tables_for(spec)
-    N = spec.order
-    _check_guard(2 * N ** 4, guard_bytes, "degree-4 table")
     U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
     vals = np.einsum('a,b,c,d->abcd', U, V, W, X) % spec.p
     return Cochain(spec, 4, vals)
@@ -271,8 +260,7 @@ def verify_df(spec: GroupSpec) -> VerificationResult:
     return VerificationResult("df", True, checked)
 
 
-def verify_tau_squares(spec: GroupSpec,
-                       guard_bytes: int = DEFAULT_GUARD_BYTES) -> VerificationResult:
+def verify_tau_squares(spec: GroupSpec) -> VerificationResult:
     """delta tau23[t] = mu[t + (23)t] and delta tau13[t] = mu[t + (13)t]."""
     import itertools
 
@@ -282,9 +270,9 @@ def verify_tau_squares(spec: GroupSpec,
     basis = [tuple(np.eye(n, dtype=np.int64)[i]) for i in range(n)]
     checked = 0
     for a, b, c, d in itertools.product(basis, repeat=4):
-        d23 = coboundary(tau23(us, a, b, c, d), guard_bytes).values
-        rhs23 = (mu(us, a, b, c, d, guard_bytes).values
-                 + mu(us, a, c, b, d, guard_bytes).values) % p
+        d23 = coboundary(tau23(us, a, b, c, d)).values
+        rhs23 = (mu(us, a, b, c, d).values
+                 + mu(us, a, c, b, d).values) % p
         checked += d23.size
         if not np.array_equal(d23, rhs23):
             gs = ", ".join(render_element(t, g)
@@ -292,9 +280,9 @@ def verify_tau_squares(spec: GroupSpec,
             return VerificationResult(
                 "tau_squares", False, checked,
                 counterexample=f"tau23 square at (u,v,w,x)={(a, b, c, d)}, ({gs})")
-        d13 = coboundary(tau13(us, a, b, c, d), guard_bytes).values
-        rhs13 = (mu(us, a, b, c, d, guard_bytes).values
-                 + mu(us, c, b, a, d, guard_bytes).values) % p
+        d13 = coboundary(tau13(us, a, b, c, d)).values
+        rhs13 = (mu(us, a, b, c, d).values
+                 + mu(us, c, b, a, d).values) % p
         checked += d13.size
         if not np.array_equal(d13, rhs13):
             gs = ", ".join(render_element(t, g)
@@ -359,38 +347,36 @@ def verify_ssquare_kernel(spec: GroupSpec) -> VerificationResult:
         f"span dim {span.dim} != kernel dim {ker.dim}")
 
 
-IDENTITIES = ("dh", "df", "tau_squares", "tau_agree", "ssquare_kernel")
+# name -> (bytes of the identity's largest dense table, verifier).  The
+# largest tables: dh's delta h on G^2, df's |G|^3 slices, and, on U,
+# tau_squares' degree-4 tables and tau_agree's |U|^2 x |U|^3 image: int16
+# columns, an int64 copy and rref_stack's own copy (18 bytes a cell), plus
+# a pivot's update, at most five int64 blocks and five rows of |U|^3 cells.
+IDENTITIES = {
+    "dh": (lambda spec: 2 * spec.order ** 2 if spec.m else 0, verify_dh),
+    "df": (lambda spec: 10 * spec.order ** 3 if spec.m else 0, verify_df),
+    "tau_squares": (lambda spec: 2 * spec.p ** (4 * spec.n),
+                    verify_tau_squares),
+    "tau_agree": (lambda spec: 18 * spec.p ** (5 * spec.n)
+                  + 40 * (_UPDATE_CELLS + spec.p ** (3 * spec.n)),
+                  verify_tau_agree),
+    "ssquare_kernel": (lambda spec: 0, verify_ssquare_kernel),
+}
 
 
 def check_identity_guard(spec: GroupSpec, which: str, guard_bytes: int) -> None:
     """Refuse, before any table is built, an identity whose largest dense
-    table would exceed guard_bytes.
-
-    The largest tables: dh's delta h on G^2, df's |G|^3 slices, and, on U,
-    tau_squares' degree-4 tables and tau_agree's |U|^2 x |U|^3 image: int16
-    columns, an int64 copy and rref_stack's own copy (18 bytes a cell), plus
-    a pivot's update, at most five int64 blocks and five rows of |U|^3 cells.
-    """
-    N, NU = spec.order, spec.p ** spec.n
-    need = {"dh": 2 * N ** 2 if spec.m else 0,
-            "df": 10 * N ** 3 if spec.m else 0,
-            "tau_squares": 2 * NU ** 4,
-            "tau_agree": 18 * NU ** 5 + 40 * (_UPDATE_CELLS + NU ** 3),
-            "ssquare_kernel": 0}
-    if which not in need:
+    table would exceed guard_bytes; no check is made once the work starts."""
+    if which not in IDENTITIES:
         raise ValueError(f"unknown identity {which!r}")
-    _check_guard(need[which], guard_bytes, f"identity {which}")
+    need = IDENTITIES[which][0](spec)
+    if need > guard_bytes:
+        raise GuardExceededError(
+            f"identity {which} needs {need} bytes > guard {guard_bytes}",
+            required=need)
 
 
 def verify_identity(spec: GroupSpec, which: str,
                     guard_bytes: int = DEFAULT_GUARD_BYTES) -> VerificationResult:
     check_identity_guard(spec, which, guard_bytes)
-    if which == "dh":
-        return verify_dh(spec)
-    if which == "df":
-        return verify_df(spec)
-    if which == "tau_squares":
-        return verify_tau_squares(spec, guard_bytes)
-    if which == "tau_agree":
-        return verify_tau_agree(spec)
-    return verify_ssquare_kernel(spec)
+    return IDENTITIES[which][1](spec)

@@ -13,14 +13,15 @@ columns (divisor p^k) and are not listed.
 Pivot order does not affect the exponents, which is all that is consumed
 downstream: |image| = p^image_exp with image_exp = sum(k - e_i), and
 |kernel| = p^(k * cols - image_exp).
+
+The elimination runs to the end once started: it has no time or memory
+bound of its own.  The bound on its cost is the caller's size check on
+the matrix, made before the matrix is built (bar's row tiers).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-
-from .errors import GuardExceededError
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,9 @@ def _pick_unit_pivot(rowdata, coldata, p):
     return None
 
 
-def elementary_divisors(rows: int, cols: int, entries, p: int, k: int,
-                        deadline: float | None = None) -> ElementaryDivisors:
-    """Divisors of a sparse matrix given as (row, col, value) triples.
-
-    ``deadline``: absolute time.monotonic() bound; exceeding it raises
-    GuardExceededError (used by the opt-in heavy tier).
-    """
+def elementary_divisors(rows: int, cols: int, entries, p: int,
+                        k: int) -> ElementaryDivisors:
+    """Divisors of a sparse matrix given as (row, col, value) triples."""
     if k < 1:
         raise ValueError("modulus exponent k must be >= 1")
     mod = p ** k
@@ -89,11 +86,7 @@ def elementary_divisors(rows: int, cols: int, entries, p: int, k: int,
 
     shift = 0
     exps: list[int] = []
-    steps = 0
     while rowdata:
-        steps += 1
-        if deadline is not None and steps % 32 == 0 and time.monotonic() > deadline:
-            raise GuardExceededError("elimination exceeded the time guard")
         pivot = _pick_unit_pivot(rowdata, coldata, p)
         if pivot is None:
             # every remaining entry is divisible by p: strip one factor

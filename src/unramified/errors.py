@@ -37,7 +37,7 @@ class GuardExceededError(UnramifiedError):
     ``required`` carries the bound that would have admitted the request.
     """
 
-    def __init__(self, message: str, required: int | float | None = None):
+    def __init__(self, message: str, required: int | None = None):
         super().__init__(message)
         self.required = required
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -219,6 +219,13 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    @cached_property
+    def pivots(self) -> Array:
+        """Column of each basis row's leading entry."""
+        if self.dim == 0:
+            return np.zeros(0, dtype=np.intp)
+        return (self.basis != 0).argmax(axis=1)
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.p == other.p
@@ -240,8 +247,7 @@ class Subspace:
         if v.shape[0] != self.ambient:
             raise DimensionMismatchError(
                 f"vector of dim {v.shape[0]} in F^{self.ambient}")
-        pivots = [int(np.flatnonzero(row)[0]) for row in self.basis]
-        return not ((v - v[pivots] @ self.basis) % self.p).any()
+        return not ((v - v[self.pivots] @ self.basis) % self.p).any()
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)

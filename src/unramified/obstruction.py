@@ -40,14 +40,14 @@ import numpy as np
 
 from .errors import GuardExceededError, InternalInconsistencyError, SpecError
 from .exterior import render_multivector, wedge_basis_tensor
-from .groups import GroupSpec, ValidationReport, spec_from_json_dict, \
-    spec_to_json_dict, validate_spec
+from .groups import GroupSpec, ValidationReport, spec_to_json_dict, \
+    validate_spec
 from .linalg import Subspace, kernel_stack, projective_lines, rref_mod, \
     rref_stack
 
 Array = np.ndarray
 
-DEFAULT_BRUTE_WORK = 10 ** 7
+DEFAULT_BRUTE_WORK = 10 ** 8
 # Batches of lines in dec_subgroup: the first is small, as early exits come
 # after a few dozen lines; later ones double until a batch's stacked
 # matrices would hold more than _BATCH_CELLS entries (a memory bound).
@@ -122,11 +122,10 @@ def _flags_in_subspace(S: Subspace, k: int, n: int) -> Subspace:
     p = S.p
     grid = np.array(list(itertools.product(
         range(p), repeat=comb(n - 1, k - 1))), dtype=np.int64)
-    pivots = (S.basis != 0).argmax(axis=1)
     acc = np.zeros((0, S.ambient), dtype=np.int64)
     for R, _ in _flag_bases(p, n, k, len(grid)):
         X = (grid @ R).reshape(-1, S.ambient) % p
-        hits = X[(X[:, pivots] @ S.basis % p == X).all(axis=1)]
+        hits = X[(X[:, S.pivots] @ S.basis % p == X).all(axis=1)]
         acc, _ = rref_mod(np.vstack([acc, hits]), p)
     return Subspace(p, S.ambient, acc)
 
@@ -294,25 +293,6 @@ def report_to_json_dict(rep: ObstructionReport, seed: int | None = None) -> dict
     if seed is not None:
         out["seed"] = seed
     return out
-
-
-def report_from_json_dict(data: dict) -> ObstructionReport:
-    """Rebuild a report from its JSON form (round-trip support)."""
-    spec = spec_from_json_dict(data["spec"], name=data.get("name"))
-    p, n = spec.p, spec.n
-
-    def sub(name: str, k: int) -> Subspace:
-        return Subspace.from_generators(
-            np.array(data[name]["basis"], dtype=np.int64).reshape(-1, comb(n, k)),
-            p, comb(n, k))
-
-    validation = ValidationReport(p, n, spec.m, data["gamma_rank"],
-                                  data["radical_dim"])
-    deg2 = DegreeReport(2, sub("k2", 2), sub("s2", 2),
-                        sub("s2_dec", 2), sub("k2_max", 2))
-    deg3 = DegreeReport(3, sub("k3", 3), sub("s3", 3),
-                        sub("s3_dec", 3), sub("k3_max", 3))
-    return ObstructionReport(spec, validation, deg2, deg3)
 
 
 def report_text(rep: ObstructionReport) -> str:

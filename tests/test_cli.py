@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON shape, determinism."""
 
+import argparse
 import json
 import shutil
 
@@ -66,11 +67,18 @@ def test_analyze_bad_spec_file(tmp_path, capsys):
     (["analyze", "--spec", "{tmp}/spec.json"], {"p": 3, "dimU": 2, "dimV": -1}),
     (["analyze", "--builtin", "peyre6", "--bogus"], None),
     (["analyze", "--builtin", "peyre6", "--guard", "1"], None),
+    (["oracle", "cohomology", "--builtin", "elem3", "--guard", "1"], None),
+    (["verify-lemmas", "--builtin", "elem3", "--guard", "1/2"], None),
+    (["verify-lemmas", "--builtin", "elem3", "--seed", "1"], None),
+    (["oracle", "cohomology", "--builtin", "elem3", "--seed", "1"], None),
+    (["oracle", "decomposables", "--builtin", "peyre6", "--seed", "1"], None),
     (["verify-group", "--builtin", "peyre6", "--samples", "-1"], None),
     (["verify-group", "--builtin", "peyre6", "--samples", "0"], None),
 ], ids=["guard-abc", "spec-missing", "spec-is-directory", "negative-dimU",
-        "negative-dimV", "usage-error", "guard-not-taken", "samples-negative",
-        "samples-zero"])
+        "negative-dimV", "usage-error", "guard-not-taken",
+        "guard-not-taken-cohomology", "guard-seconds", "seed-not-taken-lemmas",
+        "seed-not-taken-cohomology", "seed-not-taken-decomposables",
+        "samples-negative", "samples-zero"])
 def test_bad_input_exits_1_with_one_stderr_line(tmp_path, capsys, argv, spec):
     if spec is not None:
         (tmp_path / "spec.json").write_text(json.dumps(spec))
@@ -165,6 +173,19 @@ def test_oracle_cohomology_guard(capsys):
     assert "allow_heavy" in err or "heavy" in err
 
 
+def test_out_of_memory_exits_3_with_one_line(monkeypatch, capsys):
+    from unramified import bar
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(bar, "elementary_divisors", out_of_memory)
+    code, out, err = run(capsys, "oracle", "cohomology", "--builtin", "elem3",
+                         "--degree", "1")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["guard exceeded: out of memory"]
+
+
 @pytest.mark.parametrize("name,guard", [("elem9", "20000"),
                                         ("heisenberg3", "1000")])
 def test_verify_lemmas_guard_refuses_before_any_table(monkeypatch, capsys,
@@ -221,31 +242,73 @@ def test_json_output_is_deterministic(capsys):
     assert c == d
 
 
-def test_report_json_round_trips_through_cli(capsys):
-    from unramified.obstruction import report_from_json_dict, report_to_json_dict
-    code, out, _ = run(capsys, "analyze", "--builtin", "peyre6", "--json",
-                       "--seed", "0")
-    data = json.loads(out)
-    rep = report_from_json_dict(data)
-    assert report_to_json_dict(rep, seed=0) == data
-
-
 def test_guard_env_var_is_honored(monkeypatch, capsys):
     from unramified.cli import build_parser, parse_guard
-    monkeypatch.setenv("UNRAMIFIED_GUARD", "12345/6.5")
+    monkeypatch.setenv("UNRAMIFIED_GUARD", "12345")
     args = build_parser().parse_args(["verify-lemmas", "--builtin", "elem9"])
-    assert parse_guard(args.guard) == (12345, 6.5)
+    assert parse_guard(args.guard) == 12345
+    # oracle cohomology has no byte guard, so the variable does not reach it
+    args = build_parser().parse_args(["oracle", "cohomology", "--builtin",
+                                      "elem9"])
+    assert not hasattr(args, "guard")
     monkeypatch.delenv("UNRAMIFIED_GUARD")
     args = build_parser().parse_args(["verify-lemmas", "--builtin", "elem9"])
-    gb, gs = parse_guard(args.guard)
-    assert gb > 10 ** 8 and gs > 0
+    assert parse_guard(args.guard) > 10 ** 8
 
 
 def test_parse_guard_formats():
     from unramified.cli import parse_guard
-    assert parse_guard("2e8/600") == (200_000_000, 600.0)
-    assert parse_guard("1000") == (1000, parse_guard(None)[1])
-    assert parse_guard("/9") == (parse_guard(None)[0], 9.0)
+    from unramified.errors import UnramifiedError
+    assert parse_guard("2e8") == 200_000_000
+    assert parse_guard("1000") == 1000
+    for text in ("2e8/600", "/9", "1000/"):
+        with pytest.raises(UnramifiedError):
+            parse_guard(text)
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            vars(self)["_read"].add(name)
+        return super().__getattribute__(name)
+
+
+def _leaf_parsers(parser, path=()):
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, path + (name,))
+
+
+# one cheap run of each subcommand
+_CHEAP_RUNS = {
+    ("builtins",): [],
+    ("analyze",): ["--builtin", "heisenberg3", "--json"],
+    ("verify-group",): ["--builtin", "heisenberg3"],
+    ("verify-lemmas",): ["--builtin", "elem3"],
+    ("oracle", "cohomology"): ["--builtin", "elem3", "--degree", "1"],
+    ("oracle", "decomposables"): ["--builtin", "heisenberg3", "--degree", "2"],
+}
+
+
+def test_every_registered_option_is_read(capsys):
+    from unramified.cli import build_parser
+
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert set(leaves) == set(_CHEAP_RUNS)
+    for path, argv in _CHEAP_RUNS.items():
+        args = build_parser().parse_args(list(path) + argv)
+        rec = _ReadRecorder(**vars(args), _read=set())
+        rec.func(rec)
+        capsys.readouterr()
+        options = {a.dest for a in leaves[path]._actions
+                   if a.option_strings and a.dest != "help"}
+        assert options - rec._read == set(), path
 
 
 def test_oracle_decomposables_peyre6_degree3_headline(capsys):

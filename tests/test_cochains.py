@@ -51,13 +51,6 @@ def test_coboundary_of_constant_is_zero():
     assert coboundary(c).is_zero()
 
 
-def test_coboundary_guard():
-    spec = builtin("heisenberg5")
-    f = Cochain(spec, 3, np.zeros((125,) * 3, dtype=np.int64))
-    with pytest.raises(GuardExceededError):
-        coboundary(f, guard_bytes=10 ** 6)
-
-
 @pytest.mark.parametrize("name,which,guard", [
     ("heisenberg3", "dh", 1000), ("heisenberg3", "df", 10 ** 5),
     ("elem9", "tau_squares", 10 ** 4), ("elem9", "tau_agree", 20000),

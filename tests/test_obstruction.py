@@ -19,8 +19,6 @@ from unramified.obstruction import (
     dec_subgroup,
     dec_subgroup_bruteforce,
     projective_lines,
-    report_from_json_dict,
-    report_to_json_dict,
 )
 
 
@@ -310,14 +308,6 @@ def test_nonstrict_analysis_is_stamped():
     assert not rep.hypotheses_ok
     assert "hypotheses violated" in rep.verdict_line()
     assert rep.b0_dim == 0 and rep.h3_dim == 0
-
-
-def test_report_json_round_trip():
-    rep = analyze(builtin("peyre6"))
-    data = report_to_json_dict(rep, seed=0)
-    back = report_from_json_dict(data)
-    assert back == rep
-    assert report_to_json_dict(back, seed=0) == data
 
 
 def test_analyze_tiny_carriers():
