@@ -40,10 +40,16 @@ Identity suite:
                  Z/p^k values for any k: 6 is not invertible).
     ssquare_kernel: the degree-4 tensor generators span the kernel of
                  S^2(Lambda^2 U*) -> Lambda^4 U*.
+
+Tables are int16.  df is checked over every 4-tuple one g1-slice at a
+time, in place in one int16 |G|^3 table whose cells stay within 3(p - 1)
+in absolute value, which fits for p <= 10923.  No larger p reaches it: df
+needs m >= 1 and n >= 2, so |G| >= p^3, and group tables stop at 2^13.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -53,7 +59,8 @@ import numpy as np
 from .errors import DimensionMismatchError, GuardExceededError
 from .exterior import mult_map_kernel, square_kernel_generators
 from .groups import GroupSpec, GroupTables, antisym_matrix, build_tables
-from .linalg import _UPDATE_CELLS, Subspace, half_mod, inv_mod, projective_lines
+from .linalg import (_UPDATE_CELLS, Subspace, half_mod, inv_mod,
+                     projective_lines, reduce_mod)
 from .results import VerificationResult
 
 Array = np.ndarray
@@ -86,7 +93,9 @@ class Cochain:
 
     def __post_init__(self):
         N = self.spec.order
-        v = (np.asarray(self.values) % self.spec.p).astype(np.int16)
+        v = np.asarray(self.values)     # reduced before it is narrowed
+        v = reduce_mod(v.astype(np.promote_types(v.dtype, np.int16)),
+                       self.spec.p).astype(np.int16, copy=False)
         if v.shape != (N,) * self.degree:
             raise DimensionMismatchError(
                 f"table shape {v.shape} for degree {self.degree}, |G| = {N}")
@@ -102,15 +111,14 @@ class Cochain:
         return hash((self.spec, self.degree, self.values.tobytes()))
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        return Cochain(self.spec, self.degree,
-                       (self.values + other.values) % self.spec.p)
+        return Cochain(self.spec, self.degree, self.values + other.values)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        return Cochain(self.spec, self.degree,
-                       (self.values - other.values) % self.spec.p)
+        return Cochain(self.spec, self.degree, self.values - other.values)
 
     def scale(self, c: int) -> "Cochain":
-        return Cochain(self.spec, self.degree, (c * self.values) % self.spec.p)
+        return Cochain(self.spec, self.degree,
+                       (c % self.spec.p) * self.values.astype(np.int64))
 
     def is_zero(self) -> bool:
         return not self.values.any()
@@ -125,18 +133,20 @@ def coboundary(f: Cochain) -> Cochain:
     N = spec.order
     d = f.degree
     if d == 0:
-        return Cochain(spec, 1, np.zeros(N, dtype=np.int64))
+        return Cochain(spec, 1, np.zeros(N, dtype=np.int16))
     mul = tables_for(spec).mul
     F = f.values
-    out = np.broadcast_to(F[None, ...], (N,) * (d + 1)).astype(np.int16).copy()
-    for i in range(1, d + 1):
-        t = np.take(F, mul, axis=i - 1)
-        out += t if i % 2 == 0 else -t
-    if (d + 1) % 2 == 0:
-        out += F[..., None]
-    else:
-        out -= F[..., None]
-    return Cochain(spec, d + 1, out % spec.p)
+    out = np.broadcast_to(F, (N,) * (d + 1)).astype(np.int16)
+    for i in range(1, d + 2):
+        t = np.take(F, mul, axis=i - 1) if i <= d else F[..., None]
+        (np.add if i % 2 == 0 else np.subtract)(out, t, out=out)
+    return Cochain(spec, d + 1, out)      # reduced, in int16, by Cochain
+
+
+def _outer_mod(a: Array, B: Array, p: int) -> Array:
+    """(a (x) B) mod p in int16, gathered from the p rows c*B mod p, so that
+    no full-size int64 table is built; a holds residues."""
+    return reduce_mod(np.multiply.outer(np.arange(p), B), p).astype(np.int16)[a]
 
 
 # -- named cochains -----------------------------------------------------------
@@ -152,34 +162,30 @@ def f_rho_lambda(spec: GroupSpec, rho, lam) -> Cochain:
     t = tables_for(spec)
     rv = t.v_eval(rho)
     L = t.biform(antisym_matrix(spec.p, spec.n, lam))
-    vals = (half_mod(spec.p)
-            * np.einsum('a,bc->abc', rv, L)) % spec.p
-    return Cochain(spec, 3, vals)
+    return Cochain(spec, 3, _outer_mod(half_mod(spec.p) * rv % spec.p, L, spec.p))
 
 
 def tau23(spec: GroupSpec, u, v, w, x) -> Cochain:
     t = tables_for(spec)
-    p = spec.p
     U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
-    vals = np.einsum('a,b,c->abc', U, (V * W) % p, X) % p
-    return Cochain(spec, 3, vals)
+    return Cochain(spec, 3, _outer_mod(U, np.multiply.outer(V * W, X), spec.p))
 
 
 def tau13(spec: GroupSpec, u, v, w, x) -> Cochain:
     t = tables_for(spec)
     p = spec.p
     U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
-    vals = (np.einsum('a,b,c->abc', U, (V * W) % p, X)
-            + np.einsum('a,b,c->abc', (U * W) % p, V, X)
-            + np.einsum('a,b,c->abc', W, (V * U) % p, X)) % p
+    vals = (_outer_mod(U, np.multiply.outer(V * W, X), p)
+            + _outer_mod(U * W % p, np.multiply.outer(V, X), p)
+            + _outer_mod(W, np.multiply.outer(V * U, X), p))
     return Cochain(spec, 3, vals)
 
 
 def mu(spec: GroupSpec, u, v, w, x) -> Cochain:
     t = tables_for(spec)
     U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
-    vals = np.einsum('a,b,c,d->abcd', U, V, W, X) % spec.p
-    return Cochain(spec, 4, vals)
+    UV = np.multiply.outer(U, V) % spec.p
+    return Cochain(spec, 4, _outer_mod(UV, np.multiply.outer(W, X), spec.p))
 
 
 # -- verification -------------------------------------------------------------
@@ -190,9 +196,10 @@ def render_element(t: GroupTables, g: int) -> str:
     return f"(u=({u});v=({v}))"
 
 
-def _first_mismatch(diff: Array) -> tuple[int, ...]:
-    flat = int(np.flatnonzero(diff)[0])
-    return tuple(int(i) for i in np.unravel_index(flat, diff.shape))
+def _where(t: GroupTables, diff: Array, *lead: int) -> str:
+    """The lead elements, then the first nonzero cell of diff, rendered."""
+    at = np.unravel_index(int(np.flatnonzero(diff)[0]), diff.shape)
+    return "(" + ", ".join(render_element(t, int(g)) for g in (*lead, *at)) + ")"
 
 
 def verify_dh(spec: GroupSpec) -> VerificationResult:
@@ -202,94 +209,73 @@ def verify_dh(spec: GroupSpec) -> VerificationResult:
                                   skipped=True)
     t = tables_for(spec)
     p = spec.p
-    half = half_mod(p)
     checked = 0
-    for rindex in range(spec.m):
-        rho = np.eye(spec.m, dtype=np.int64)[rindex]
+    for rindex, rho in enumerate(np.eye(spec.m, dtype=np.int64)):
         dh = coboundary(h_rho(spec, rho)).values
         form = antisym_matrix(p, spec.n, (rho @ spec.gamma) % p)
-        rhs = (-half * t.biform(form)) % p
+        rhs = (-half_mod(p) * t.biform(form)) % p
         checked += dh.size
         if not np.array_equal(dh, rhs):
-            g1, g2 = _first_mismatch((dh - rhs) % p)
-            return VerificationResult(
-                "dh", False, checked,
-                counterexample=f"rho=e{rindex + 1}*, "
-                               f"({render_element(t, g1)}, {render_element(t, g2)})")
+            return VerificationResult("dh", False, checked, counterexample=(
+                f"rho=e{rindex + 1}*, {_where(t, (dh - rhs) % p)}"))
     return VerificationResult("dh", True, checked)
 
 
 def verify_df(spec: GroupSpec) -> VerificationResult:
     """delta f = -(1/4) (rho o gamma)(g1^g2) lam(g3^g4) over all 4-tuples.
 
-    Evaluated slice-by-slice in g1 so only |G|^3 tables are resident.
+    Evaluated slice by slice in g1, in place in one int16 |G|^3 table s:
+    the five terms of delta f minus the right-hand side, a row gather from
+    the p x |G|^2 table cL[c] = -(c/4) lam, stay within 3(p - 1) in absolute
+    value, and s is reduced once.  That fits int16 for p <= 10923, which
+    always holds here: p^3 <= |G| <= 2^13 (see the module docstring).
     """
     if spec.m == 0:
         return VerificationResult("df", True, 0, note="skipped: requires m >= 1",
                                   skipped=True)
     t = tables_for(spec)
     p = spec.p
-    N = spec.order
-    inv4 = inv_mod(4, p)
     mul = t.mul
     checked = 0
-    d2 = comb(spec.n, 2)
-    for rindex in range(spec.m):
-        rho = np.eye(spec.m, dtype=np.int64)[rindex]
+    for rindex, rho in enumerate(np.eye(spec.m, dtype=np.int64)):
         G = t.biform(antisym_matrix(p, spec.n, (rho @ spec.gamma) % p))
-        for lindex in range(d2):
-            lam = np.eye(d2, dtype=np.int64)[lindex]
+        for lindex, lam in enumerate(np.eye(comb(spec.n, 2), dtype=np.int64)):
+            F = f_rho_lambda(spec, rho, lam).values
             L = t.biform(antisym_matrix(p, spec.n, lam))
-            F = f_rho_lambda(spec, rho, lam).values.astype(np.int64)
-            for g1 in range(N):
-                s = (F
-                     - np.take(F, mul[g1], axis=0)
-                     + np.take(F[g1], mul, axis=0)
-                     - np.take(F[g1], mul, axis=1)
-                     + F[g1][:, :, None]) % p
-                rhs = (-inv4 * G[g1][:, None, None] * L[None, :, :]) % p
+            cL = _outer_mod(np.arange(p), -inv_mod(4, p) * L % p, p)
+            for g1, F1 in enumerate(F):
+                s = F[mul[g1]]                  # f(g1 g2, g3, g4)
+                np.subtract(F, s, out=s)
+                s += F1[mul]
+                s -= F1[:, mul]
+                s += F1[:, :, None]
+                s -= cL[G[g1]]
                 checked += s.size
-                if not np.array_equal(s, rhs):
-                    g2, g3, g4 = _first_mismatch((s - rhs) % p)
-                    gs = ", ".join(render_element(t, g)
-                                   for g in (g1, g2, g3, g4))
-                    return VerificationResult(
-                        "df", False, checked,
-                        counterexample=f"rho=e{rindex + 1}*, "
-                                       f"lam=basis{lindex}, ({gs})")
+                if reduce_mod(s, p).any():
+                    return VerificationResult("df", False, checked, counterexample=(
+                        f"rho=e{rindex + 1}*, lam=basis{lindex}, "
+                        f"{_where(t, s, g1)}"))
     return VerificationResult("df", True, checked)
 
 
 def verify_tau_squares(spec: GroupSpec) -> VerificationResult:
     """delta tau23[t] = mu[t + (23)t] and delta tau13[t] = mu[t + (13)t]."""
-    import itertools
-
     us = u_projection(spec)
-    n, p = us.n, us.p
     t = tables_for(us)
-    basis = [tuple(np.eye(n, dtype=np.int64)[i]) for i in range(n)]
+    basis = [tuple(e) for e in np.eye(us.n, dtype=np.int64)]
     checked = 0
     for a, b, c, d in itertools.product(basis, repeat=4):
-        d23 = coboundary(tau23(us, a, b, c, d)).values
-        rhs23 = (mu(us, a, b, c, d).values
-                 + mu(us, a, c, b, d).values) % p
-        checked += d23.size
-        if not np.array_equal(d23, rhs23):
-            gs = ", ".join(render_element(t, g)
-                           for g in _first_mismatch((d23 - rhs23) % p))
-            return VerificationResult(
-                "tau_squares", False, checked,
-                counterexample=f"tau23 square at (u,v,w,x)={(a, b, c, d)}, ({gs})")
-        d13 = coboundary(tau13(us, a, b, c, d)).values
-        rhs13 = (mu(us, a, b, c, d).values
-                 + mu(us, c, b, a, d).values) % p
-        checked += d13.size
-        if not np.array_equal(d13, rhs13):
-            gs = ", ".join(render_element(t, g)
-                           for g in _first_mismatch((d13 - rhs13) % p))
-            return VerificationResult(
-                "tau_squares", False, checked,
-                counterexample=f"tau13 square at (u,v,w,x)={(a, b, c, d)}, ({gs})")
+        base = mu(us, a, b, c, d)
+        for name, tau, swapped in (("tau23", tau23, (a, c, b, d)),
+                                   ("tau13", tau13, (c, b, a, d))):
+            lhs = coboundary(tau(us, a, b, c, d)).values
+            rhs = (base + mu(us, *swapped)).values
+            checked += lhs.size
+            if not np.array_equal(lhs, rhs):
+                return VerificationResult(
+                    "tau_squares", False, checked, counterexample=(
+                        f"{name} square at (u,v,w,x)={(a, b, c, d)}, "
+                        f"{_where(t, (lhs - rhs) % us.p)}"))
     return VerificationResult("tau_squares", True, checked)
 
 
@@ -297,14 +283,9 @@ def verify_tau_squares(spec: GroupSpec) -> VerificationResult:
 def _coboundary_image(spec: GroupSpec) -> Subspace:
     """im(delta: C^2(U) -> C^3(U)) as a canonical subspace of F_p^(N^3)."""
     N = spec.order
-    p = spec.p
-    cols = []
-    for a in range(N):
-        for b in range(N):
-            E = np.zeros((N, N), dtype=np.int64)
-            E[a, b] = 1
-            cols.append(coboundary(Cochain(spec, 2, E)).values.reshape(-1))
-    return Subspace.from_generators(cols, p, N ** 3)
+    cols = [coboundary(Cochain(spec, 2, E)).values.reshape(-1)
+            for E in np.eye(N * N, dtype=np.int16).reshape(-1, N, N)]
+    return Subspace.from_generators(cols, spec.p, N ** 3)
 
 
 def verify_tau_agree(spec: GroupSpec) -> VerificationResult:
@@ -315,16 +296,13 @@ def verify_tau_agree(spec: GroupSpec) -> VerificationResult:
     """
     us = u_projection(spec)
     p, n = us.p, us.n
-    half = half_mod(p)
     image = _coboundary_image(us)
     checked = 0
-    basis = [np.eye(n, dtype=np.int64)[i] for i in range(n)]
     for u in projective_lines(p, n):
-        for v in basis:
-            diff = (half * (tau13(us, u, u, u, v).values.astype(np.int64)
-                            - tau23(us, u, u, u, v).values)) % p
+        for v in np.eye(n, dtype=np.int64):
+            diff = (tau13(us, u, u, u, v) - tau23(us, u, u, u, v)).scale(half_mod(p))
             checked += 1
-            if not image.contains(diff.reshape(-1)):
+            if not image.contains(diff.values):
                 uu = ",".join(map(str, u))
                 vv = ",".join(map(str, v))
                 return VerificationResult(
@@ -347,15 +325,22 @@ def verify_ssquare_kernel(spec: GroupSpec) -> VerificationResult:
         f"span dim {span.dim} != kernel dim {ker.dim}")
 
 
-# name -> (bytes of the identity's largest dense table, verifier).  The
-# largest tables: dh's delta h on G^2, df's |G|^3 slices, and, on U,
-# tau_squares' degree-4 tables and tau_agree's |U|^2 x |U|^3 image: int16
-# columns, an int64 copy and rref_stack's own copy (18 bytes a cell), plus
+# name -> (bytes the identity allocates at its peak, verifier): its dense
+# tables alive at once, plus _SMALL_BYTES for Python objects and tables of
+# at most p|G|^2 cells.  dh: int16 delta h and two int64 right-hand sides
+# on G^2 (18 bytes a cell); df: four int16 |G|^3 tables, f, the slice, a
+# gathered term and the slice's quotient (8); on U, tau_squares: seven int16
+# degree-4 tables, mu, the last right side, this square's two sides, the
+# second mu, the sum's copy and quotient (14); tau_agree: the |U|^2 x |U|^3
+# image as int16 columns, an int64 copy and rref_stack's own copy (18), plus
 # a pivot's update, at most five int64 blocks and five rows of |U|^3 cells.
+_SMALL_BYTES = 1 << 16
 IDENTITIES = {
-    "dh": (lambda spec: 2 * spec.order ** 2 if spec.m else 0, verify_dh),
-    "df": (lambda spec: 10 * spec.order ** 3 if spec.m else 0, verify_df),
-    "tau_squares": (lambda spec: 2 * spec.p ** (4 * spec.n),
+    "dh": (lambda spec: 18 * spec.order ** 2 + _SMALL_BYTES if spec.m else 0,
+           verify_dh),
+    "df": (lambda spec: 8 * spec.order ** 3 + _SMALL_BYTES if spec.m else 0,
+           verify_df),
+    "tau_squares": (lambda spec: 14 * spec.p ** (4 * spec.n) + _SMALL_BYTES,
                     verify_tau_squares),
     "tau_agree": (lambda spec: 18 * spec.p ** (5 * spec.n)
                   + 40 * (_UPDATE_CELLS + spec.p ** (3 * spec.n)),

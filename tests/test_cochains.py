@@ -51,6 +51,12 @@ def test_coboundary_of_constant_is_zero():
     assert coboundary(c).is_zero()
 
 
+def test_scale_by_a_large_factor_does_not_wrap():
+    # 20000 * 2 overflows the int16 table; the product must be taken mod p
+    c = Cochain(builtin("elem3"), 1, np.array([0, 1, 2]))
+    assert c.scale(20000).values.tolist() == [0, 2, 1]
+
+
 @pytest.mark.parametrize("name,which,guard", [
     ("heisenberg3", "dh", 1000), ("heisenberg3", "df", 10 ** 5),
     ("elem9", "tau_squares", 10 ** 4), ("elem9", "tau_agree", 20000),
@@ -227,17 +233,46 @@ def test_coboundary_squares_to_zero_at_order_81():
         assert coboundary(coboundary(f)).is_zero()
 
 
-def test_tau_agree_guard_covers_its_peak_allocation():
-    """The tau_agree guard figure bounds what the check really allocates,
-    the coboundary image and its elimination included."""
-    spec = builtin("elem9")
+@pytest.mark.parametrize("name,which", [
+    ("heisenberg3", "dh"), ("heisenberg5", "dh"),
+    ("heisenberg3", "df"), ("heisenberg5", "df"),
+    ("heisenberg3", "tau_squares"), ("heisenberg5", "tau_squares"),
+    ("elem27", "tau_squares"), ("elem9", "tau_agree"),
+])
+def test_identity_guard_covers_its_peak_allocation(name, which):
+    """Each guard figure bounds what its check really allocates once the
+    group tables are built; tau_agree's covers the coboundary image and its
+    elimination too."""
+    spec = builtin(name)
     with pytest.raises(GuardExceededError) as info:
-        cochains.check_identity_guard(spec, "tau_agree", 0)
+        cochains.check_identity_guard(spec, which, 0)
+    tables_for(spec)
+    tables_for(u_projection(spec))
     cochains._coboundary_image.cache_clear()
     tracemalloc.start()
     try:
-        verify_identity(spec, "tau_agree")
+        verify_identity(spec, which)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= info.value.required
+
+
+def test_df_fails_on_one_changed_cell(monkeypatch):
+    """Negative control: one wrong cell of f in the slice g1 = 5 is caught,
+    first at the 4-tuple it breaks in g1-major order (here in slice 1)."""
+    spec = builtin("heisenberg3")
+    real = cochains.f_rho_lambda
+
+    def broken(spec, rho, lam):
+        vals = real(spec, rho, lam).values.copy()
+        vals[5, 3, 7] += 1
+        return Cochain(spec, 3, vals)
+
+    monkeypatch.setattr(cochains, "f_rho_lambda", broken)
+    r = verify_identity(spec, "df")
+    assert not r.passed
+    assert r.checked == 2 * 27 ** 3
+    assert r.counterexample == (
+        "rho=e1*, lam=basis0, ((u=(0,0);v=(1)), (u=(0,1);v=(1)), "
+        "(u=(0,1);v=(0)), (u=(0,2);v=(1)))")

@@ -17,6 +17,7 @@ from unramified.linalg import (
     kernel,
     kernel_basis,
     kernel_stack,
+    reduce_mod,
     rref_mod,
     rref_stack,
 )
@@ -102,6 +103,21 @@ def test_rref_matches_reference_beyond_the_inverse_table(p):
         rows, pivots = rref_reference(A, p)
         R, got_pivots = rref_mod(A, p)
         assert got_pivots == pivots and R.tolist() == rows
+
+
+@pytest.mark.parametrize("dtype,p", [
+    (dtype, p) for dtype in (np.int16, np.int64) for p in (3, 5, 7, 16411)
+] + [(np.int64, 2147483647)])
+def test_reduce_mod_equals_remainder_in_place(dtype, p):
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(p)
+    A = rng.integers(info.min, info.max, size=(37, 41), dtype=dtype,
+                     endpoint=True)
+    A[0, :4] = [info.min, info.max, -p, -1]
+    expected = np.remainder(A, p)
+    out = reduce_mod(A, p)
+    assert out is A and A.dtype == dtype
+    assert np.array_equal(A, expected)
 
 
 @pytest.mark.parametrize("seed,p", [(s, p) for p in (3, 5, 7, 11) for s in (0, 1)])
