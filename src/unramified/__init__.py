@@ -8,6 +8,11 @@ degree-3 unramified-cohomology obstruction that can detect non-rationality
 even when the Brauer obstruction vanishes.  Every computed quantity has an
 independent check: a brute-force enumeration of decomposable multivectors
 and a normalized bar-resolution cohomology oracle.
+
+The group law (``groups.law``) and the wedge product
+(``exterior.wedge_basis_tensor``) act on batched coordinate arrays; there
+are no element objects.  This namespace re-exports the spec, analysis and
+subspace entry points.
 """
 
 from .catalog import BUILTINS, builtin
@@ -23,19 +28,8 @@ from .errors import (
     SpecError,
     UnramifiedError,
 )
-from .exterior import ExtVector, duality_pairing, flag_subspace, render_multivector, wedge
-from .groups import (
-    GroupElement,
-    GroupSpec,
-    center_and_derived,
-    commutator,
-    enumerate_elements,
-    inverse,
-    load_spec,
-    mul,
-    power,
-    validate_spec,
-)
+from .exterior import flag_subspace, render_multivector
+from .groups import GroupSpec, center_and_derived, load_spec, validate_spec
 from .linalg import Subspace, kernel
 from .obstruction import ObstructionReport, analyze, dec_subgroup, dec_subgroup_bruteforce
 
@@ -44,26 +38,17 @@ __version__ = "0.1.0"
 __all__ = [
     "BUILTINS",
     "ElementaryDivisors",
-    "ExtVector",
-    "GroupElement",
     "GroupSpec",
     "ObstructionReport",
     "Subspace",
     "analyze",
     "builtin",
     "center_and_derived",
-    "commutator",
     "dec_subgroup",
     "dec_subgroup_bruteforce",
-    "duality_pairing",
-    "enumerate_elements",
     "flag_subspace",
-    "inverse",
     "kernel",
     "load_spec",
-    "mul",
-    "power",
     "render_multivector",
     "validate_spec",
-    "wedge",
 ]

@@ -262,7 +262,7 @@ def verify_tau_squares(spec: GroupSpec) -> VerificationResult:
     """delta tau23[t] = mu[t + (23)t] and delta tau13[t] = mu[t + (13)t]."""
     us = u_projection(spec)
     t = tables_for(us)
-    basis = [tuple(e) for e in np.eye(us.n, dtype=np.int64)]
+    basis = [tuple(e) for e in np.eye(us.n, dtype=np.int64).tolist()]
     checked = 0
     for a, b, c, d in itertools.product(basis, repeat=4):
         base = mu(us, a, b, c, d)
@@ -332,8 +332,9 @@ def verify_ssquare_kernel(spec: GroupSpec) -> VerificationResult:
 # gathered term and the slice's quotient (8); on U, tau_squares: seven int16
 # degree-4 tables, mu, the last right side, this square's two sides, the
 # second mu, the sum's copy and quotient (14); tau_agree: the |U|^2 x |U|^3
-# image as int16 columns, an int64 copy and rref_stack's own copy (18), plus
-# a pivot's update, at most five int64 blocks and five rows of |U|^3 cells.
+# image as int16 columns, their int16 stack and rref_stack's int64 copy (12),
+# plus a pivot's update, at most five int64 blocks and five rows of |U|^3
+# cells.
 _SMALL_BYTES = 1 << 16
 IDENTITIES = {
     "dh": (lambda spec: 18 * spec.order ** 2 + _SMALL_BYTES if spec.m else 0,
@@ -342,7 +343,7 @@ IDENTITIES = {
            verify_df),
     "tau_squares": (lambda spec: 14 * spec.p ** (4 * spec.n) + _SMALL_BYTES,
                     verify_tau_squares),
-    "tau_agree": (lambda spec: 18 * spec.p ** (5 * spec.n)
+    "tau_agree": (lambda spec: 12 * spec.p ** (5 * spec.n)
                   + 40 * (_UPDATE_CELLS + spec.p ** (3 * spec.n)),
                   verify_tau_agree),
     "ssquare_kernel": (lambda spec: 0, verify_ssquare_kernel),

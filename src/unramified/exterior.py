@@ -17,13 +17,11 @@ so that degree-3 computations run uniformly for small n.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .errors import DimensionMismatchError
 from .linalg import Subspace, half_mod, kernel
 
 Array = np.ndarray
@@ -47,97 +45,6 @@ def merge_sign(S: tuple[int, ...], T: tuple[int, ...]) -> tuple[int, tuple[int, 
     inversions = sum(1 for s in S for t in T if s > t)
     merged = tuple(sorted(S + T))
     return (-1) ** inversions, merged
-
-
-@dataclass(frozen=True)
-class ExtVector:
-    """An element of Lambda^k(F_p^n) (or of its dual, same coordinates)."""
-
-    p: int
-    n: int
-    k: int
-    coeffs: Array = field(compare=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.int64) % self.p
-        if c.shape != (comb(self.n, self.k),):
-            raise DimensionMismatchError(
-                f"Lambda^{self.k}(F^{self.n}) has dim {comb(self.n, self.k)}, "
-                f"got {c.shape}")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def zero(cls, p: int, n: int, k: int) -> "ExtVector":
-        return cls(p, n, k, np.zeros(comb(n, k), dtype=np.int64))
-
-    @classmethod
-    def basis_element(cls, p: int, n: int, k: int, subset) -> "ExtVector":
-        c = np.zeros(comb(n, k), dtype=np.int64)
-        c[subset_index(n, k)[tuple(subset)]] = 1
-        return cls(p, n, k, c)
-
-    @classmethod
-    def from_vector(cls, p: int, n: int, v) -> "ExtVector":
-        return cls(p, n, 1, np.asarray(v, dtype=np.int64))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ExtVector)
-                and (self.p, self.n, self.k) == (other.p, other.n, other.k)
-                and bool(np.array_equal(self.coeffs, other.coeffs)))
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.n, self.k, self.coeffs.tobytes()))
-
-    def __add__(self, other: "ExtVector") -> "ExtVector":
-        self._check(other, same_degree=True)
-        return ExtVector(self.p, self.n, self.k,
-                         (self.coeffs + other.coeffs) % self.p)
-
-    def __sub__(self, other: "ExtVector") -> "ExtVector":
-        self._check(other, same_degree=True)
-        return ExtVector(self.p, self.n, self.k,
-                         (self.coeffs - other.coeffs) % self.p)
-
-    def scale(self, c: int) -> "ExtVector":
-        return ExtVector(self.p, self.n, self.k, (c * self.coeffs) % self.p)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def _check(self, other: "ExtVector", same_degree: bool = False) -> None:
-        if self.p != other.p or self.n != other.n:
-            raise DimensionMismatchError("mismatched ambient spaces")
-        if same_degree and self.k != other.k:
-            raise DimensionMismatchError(
-                f"degree mismatch: {self.k} vs {other.k}")
-
-
-def wedge(x: ExtVector, y: ExtVector) -> ExtVector:
-    """Bilinear extension of e_S ^ e_T = sign(S, T) e_{S u T}."""
-    x._check(y)
-    p, n = x.p, x.n
-    k = x.k + y.k
-    if k > n:
-        return ExtVector.zero(p, n, k)  # zero space of dim C(n, k) = 0
-    out = np.zeros(comb(n, k), dtype=np.int64)
-    idx = subset_index(n, k)
-    Sx, Sy = subsets(n, x.k), subsets(n, y.k)
-    xi = np.nonzero(x.coeffs)[0]
-    yi = np.nonzero(y.coeffs)[0]
-    for i in xi:
-        ci = int(x.coeffs[i])
-        for j in yi:
-            sign, merged = merge_sign(Sx[i], Sy[j])
-            if sign:
-                out[idx[merged]] += sign * ci * int(y.coeffs[j])
-    return ExtVector(p, n, k, out % p)
-
-
-def duality_pairing(f: ExtVector, x: ExtVector) -> int:
-    """<f, x> for f in the dual exterior power; identity matrix in dual bases."""
-    f._check(x, same_degree=True)
-    return int((f.coeffs @ x.coeffs) % f.p)
 
 
 @lru_cache(maxsize=None)

@@ -10,8 +10,8 @@ whose defining property is the commutator identity
 [ (u1, *), (u2, *) ] = (0, gamma(u1 ^ u2)); it forces exponent p and fixes
 the extension up to isomorphism.  The section s(u) = (u, 0) satisfies
 g * s(pi(g))^-1 = (0, v-part of g).  ``law`` evaluates this product on
-coordinate arrays; element products, the multiplication table and the
-sampled structure checks all go through it.
+coordinate arrays; the multiplication table and the sampled structure
+checks go through it.
 
 Element enumeration is lexicographic on the concatenated (u, v) digit
 string, so the identity has index 0 and all derived tables are
@@ -20,7 +20,6 @@ deterministic.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from math import comb
@@ -28,7 +27,6 @@ from math import comb
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     GuardExceededError,
     NontrivialRadicalError,
     NotSurjectiveError,
@@ -38,8 +36,6 @@ from .exterior import subset_index, subsets
 from .linalg import Subspace, check_odd_prime, half_mod, kernel, rank_mod
 
 Array = np.ndarray
-
-DEFAULT_ENUM_BOUND = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -87,35 +83,6 @@ class GroupSpec:
         return np.einsum('...i,kij,...j->...k', u, A, w) % self.p
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    u: tuple[int, ...]
-    v: tuple[int, ...]
-
-    @classmethod
-    def make(cls, u, v) -> "GroupElement":
-        return cls(tuple(int(x) for x in u), tuple(int(x) for x in v))
-
-    def arrays(self) -> tuple[Array, Array]:
-        return (np.array(self.u, dtype=np.int64),
-                np.array(self.v, dtype=np.int64))
-
-
-def identity(spec: GroupSpec) -> GroupElement:
-    return GroupElement.make((0,) * spec.n, (0,) * spec.m)
-
-
-def section(spec: GroupSpec, u) -> GroupElement:
-    """The set-theoretic section s(u) = (u, 0)."""
-    return GroupElement.make(u, (0,) * spec.m)
-
-
-def _check_element(spec: GroupSpec, g: GroupElement) -> None:
-    if len(g.u) != spec.n or len(g.v) != spec.m:
-        raise DimensionMismatchError(
-            f"element shape ({len(g.u)}, {len(g.v)}) for spec ({spec.n}, {spec.m})")
-
-
 def antisym_matrix(p: int, n: int, coeffs) -> Array:
     """Antisymmetric n x n matrices of Lambda^2-functionals (lex pair coords).
 
@@ -135,32 +102,6 @@ def law(spec: GroupSpec, u1, v1, u2, v2) -> tuple[Array, Array]:
     u = (u1 + u2) % spec.p
     v = (v1 + v2 + spec.half * spec.gamma_of(u1, u2)) % spec.p
     return u, v
-
-
-def mul(spec: GroupSpec, g1: GroupElement, g2: GroupElement) -> GroupElement:
-    _check_element(spec, g1)
-    _check_element(spec, g2)
-    return GroupElement.make(*law(spec, *g1.arrays(), *g2.arrays()))
-
-
-def inverse(spec: GroupSpec, g: GroupElement) -> GroupElement:
-    _check_element(spec, g)
-    u, v = g.arrays()
-    return GroupElement.make((-u) % spec.p, (-v) % spec.p)
-
-
-def power(spec: GroupSpec, g: GroupElement, k: int) -> GroupElement:
-    """g^k; since gamma(u ^ u) = 0 this is (k u, k v), so g^p = e."""
-    _check_element(spec, g)
-    u, v = g.arrays()
-    return GroupElement.make((k * u) % spec.p, (k * v) % spec.p)
-
-
-def commutator(spec: GroupSpec, g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """[g1, g2] = g1 g2 g1^-1 g2^-1 = (0, gamma(u1 ^ u2))."""
-    a = mul(spec, g1, g2)
-    b = mul(spec, g2, g1)
-    return mul(spec, a, inverse(spec, b))
 
 
 # -- structure ---------------------------------------------------------------
@@ -217,24 +158,7 @@ def validate_spec(spec: GroupSpec, strict: bool = True) -> ValidationReport:
     return report
 
 
-# -- enumeration and index tables -------------------------------------------
-
-def enumerate_elements(spec: GroupSpec, bound: int = DEFAULT_ENUM_BOUND):
-    """All p^(n+m) elements, lex on the (u, v) digit string."""
-    if spec.order > bound:
-        raise GuardExceededError(
-            f"|G| = {spec.order} exceeds the enumeration bound {bound}",
-            required=spec.order)
-    for digits in itertools.product(range(spec.p), repeat=spec.n + spec.m):
-        yield GroupElement.make(digits[:spec.n], digits[spec.n:])
-
-
-def element_index(spec: GroupSpec, g: GroupElement) -> int:
-    idx = 0
-    for d in list(g.u) + list(g.v):
-        idx = idx * spec.p + int(d) % spec.p
-    return idx
-
+# -- index tables ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GroupTables:
@@ -261,9 +185,9 @@ class GroupTables:
         return (self.udigits @ form2 @ self.udigits.T) % self.spec.p
 
 
-def build_tables(spec: GroupSpec, bound: int = DEFAULT_ENUM_BOUND) -> GroupTables:
+def build_tables(spec: GroupSpec) -> GroupTables:
     N = spec.order
-    if N > bound or N * N > 1 << 26:
+    if N * N > 1 << 26:
         raise GuardExceededError(
             f"tables for |G| = {N} exceed the bound", required=N)
     p, n, m = spec.p, spec.n, spec.m

@@ -68,8 +68,9 @@ def half_mod(p: int) -> int:
 
 
 def as_matrix(rows, cols: int | None = None) -> Array:
-    """Coerce nested lists / arrays to a 2-d int64 matrix."""
-    A = np.array(rows, dtype=np.int64)
+    """Coerce nested lists / arrays to a 2-d matrix, keeping an array's dtype:
+    rref_stack's int64 conversion is the only copy."""
+    A = np.asarray(rows)
     if A.ndim == 1:
         A = A.reshape(1, -1) if A.size else A.reshape(0, cols or 0)
     if A.size == 0 and cols is not None:

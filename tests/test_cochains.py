@@ -29,7 +29,7 @@ from unramified.cochains import (
     verify_identity,
 )
 from unramified.errors import GuardExceededError
-from unramified.groups import GroupSpec, GroupElement, element_index, mul, section
+from unramified.groups import GroupSpec
 from unramified.linalg import half_mod
 
 
@@ -72,28 +72,33 @@ def test_identity_guard_refuses_before_any_table(monkeypatch, name, which,
         verify_identity(builtin(name), which, guard_bytes=guard)
 
 
+def _index(t, u, v):
+    """The position of the element (u, v) in the tables' enumeration."""
+    hit = (t.udigits == u).all(axis=1) & (t.vdigits == v).all(axis=1)
+    (g,) = np.flatnonzero(hit)
+    return int(g)
+
+
 def test_h_rho_values():
     spec = builtin("heisenberg3")
+    t = tables_for(spec)
     h = h_rho(spec, [1])
     assert h.degree == 1
     for v in range(3):
-        g = GroupElement.make((0, 0), (v,))
-        assert h(element_index(spec, g)) == v
+        assert h(_index(t, (0, 0), (v,))) == v
     # h is blind to the U part: h(g) = rho(g s(ubar g)^{-1})
-    g = GroupElement.make((1, 2), (2,))
-    assert h(element_index(spec, g)) == 2
+    assert h(_index(t, (1, 2), (2,))) == 2
 
 
 def test_f_rho_lambda_spot_value():
     # f(s(e1)(0,v1), s(e1), s(e2)) = (1/2) * 1 * 1 = 1/2
     spec = builtin("heisenberg3")
+    t = tables_for(spec)
     f = f_rho_lambda(spec, [1], [1])
     assert f.degree == 3
-    g1 = mul(spec, section(spec, (1, 0)), GroupElement.make((0, 0), (1,)))
-    g2 = section(spec, (1, 0))
-    g3 = section(spec, (0, 1))
-    val = f(element_index(spec, g1), element_index(spec, g2),
-            element_index(spec, g3))
+    g1 = t.mul[_index(t, (1, 0), (0,)), _index(t, (0, 0), (1,))]
+    assert g1 == _index(t, (1, 0), (1,))
+    val = f(int(g1), _index(t, (1, 0), (0,)), _index(t, (0, 1), (0,)))
     assert val == half_mod(3)
 
 
@@ -135,6 +140,25 @@ def test_dh_df_skipped_for_abelian():
 def test_tau_squares(name):
     r = verify_identity(builtin(name), "tau_squares")
     assert r.passed, r.line()
+
+
+def test_tau_squares_counterexample_prints_plain_ints(monkeypatch):
+    """Negative control: one changed cell of every mu table is caught at
+    the first basis 4-tuple, whose text does not depend on numpy's repr."""
+    real = cochains.mu
+
+    def broken(spec, u, v, w, x):
+        vals = real(spec, u, v, w, x).values.copy()
+        vals[1, 2, 3, 4] += 1
+        return Cochain(spec, 4, vals)
+
+    monkeypatch.setattr(cochains, "mu", broken)
+    r = verify_identity(builtin("heisenberg3"), "tau_squares")
+    assert not r.passed
+    assert r.checked == 9 ** 4
+    assert r.counterexample == (
+        "tau23 square at (u,v,w,x)=((1, 0), (1, 0), (1, 0), (1, 0)), "
+        "((u=(0,1);v=()), (u=(0,2);v=()), (u=(1,0);v=()), (u=(1,1);v=()))")
 
 
 def test_tau13_printed_minus_variant_fails_its_square():

@@ -1,4 +1,4 @@
-"""Group construction: validation, the group law, enumeration, spec JSON."""
+"""Group construction: validation, the group law and its tables, spec JSON."""
 
 import itertools
 import json
@@ -16,27 +16,29 @@ from unramified.errors import (
     SpecError,
 )
 from unramified.groups import (
-    GroupElement,
     GroupSpec,
     build_tables,
     center_and_derived,
-    commutator,
-    element_index,
-    enumerate_elements,
-    identity,
-    inverse,
     law,
-    mul,
     permute_basis,
-    power,
     radical_subspace,
     random_strict_spec,
-    section,
     spec_from_json_dict,
     spec_to_json_dict,
     validate_spec,
 )
 from unramified.structure import verify_group_structure
+
+
+def _inverse(spec, u, v):
+    """(u, v)^-1 = (-u, -v), since gamma(u ^ u) = 0."""
+    return (-np.asarray(u)) % spec.p, (-np.asarray(v)) % spec.p
+
+
+def _commutator(spec, g1, g2):
+    """[g1, g2] = g1 g2 (g2 g1)^-1 through law."""
+    return law(spec, *law(spec, *g1, *g2),
+               *_inverse(spec, *law(spec, *g2, *g1)))
 
 
 def test_heisenberg_is_strict():
@@ -82,38 +84,45 @@ def test_peyre6_radical_confirmed_by_exhaustive_enumeration():
 
 def test_heisenberg_commutator_of_sections():
     spec = builtin("heisenberg3")
-    c = commutator(spec, section(spec, (1, 0)), section(spec, (0, 1)))
-    assert c == GroupElement.make((0, 0), (1,))
+    e, zero = np.eye(2, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    u, v = _commutator(spec, (e[0], zero), (e[1], zero))
+    assert u.tolist() == [0, 0] and v.tolist() == [1]
+    # the same through the tables, where (u1, u2, v) has index 9 u1 + 3 u2 + v
+    t = build_tables(spec)
+    assert t.mul[t.mul[9, 3], t.inv[t.mul[3, 9]]] == 1
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "heisenberg5", "peyre6"])
 def test_power_p_is_identity(name):
     spec = builtin(name)
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        g = GroupElement.make(rng.integers(0, spec.p, size=spec.n),
-                              rng.integers(0, spec.p, size=spec.m))
-        assert power(spec, g, spec.p) == identity(spec)
-        # honest route: fold the multiplication
-        acc = identity(spec)
-        for _ in range(spec.p):
-            acc = mul(spec, acc, g)
-        assert acc == identity(spec)
+    U = rng.integers(0, spec.p, size=(20, spec.n))
+    V = rng.integers(0, spec.p, size=(20, spec.m))
+    # fold the multiplication: g^k = (k u, k v), so g^p = e
+    acc = np.zeros_like(U), np.zeros_like(V)
+    for k in range(1, spec.p + 1):
+        acc = law(spec, *acc, U, V)
+        assert np.array_equal(acc[0], k * U % spec.p)
+        assert np.array_equal(acc[1], k * V % spec.p)
+    assert not acc[0].any() and not acc[1].any()
+    u, v = law(spec, U, V, *_inverse(spec, U, V))
+    assert not u.any() and not v.any()
 
 
 def test_peyre6_section_products():
     spec = builtin("peyre6")
-    e1 = section(spec, (1, 0, 0, 0, 0, 0))
-    e2 = section(spec, (0, 1, 0, 0, 0, 0))
-    a = mul(spec, e1, e2)
-    b = mul(spec, e2, e1)
+    e, zero = np.eye(6, dtype=np.int64), np.zeros(6, dtype=np.int64)
+    e1, e2 = (e[0], zero), (e[1], zero)
+    a = law(spec, *e1, *e2)
+    b = law(spec, *e2, *e1)
     half = spec.half  # 2 mod 3
-    assert a.u == (1, 1, 0, 0, 0, 0)
-    assert a.v == (half % 3, 0, 0, 0, 0, 0)          # +(1/2) v1
-    assert b.v == ((-half) % 3, 0, 0, 0, 0, 0)       # -(1/2) v1
-    quot = mul(spec, a, inverse(spec, b))
-    assert quot == GroupElement.make((0,) * 6, (1, 0, 0, 0, 0, 0))
-    assert quot == commutator(spec, e1, e2)
+    assert a[0].tolist() == [1, 1, 0, 0, 0, 0]
+    assert a[1].tolist() == [half % 3, 0, 0, 0, 0, 0]          # +(1/2) v1
+    assert b[1].tolist() == [(-half) % 3, 0, 0, 0, 0, 0]       # -(1/2) v1
+    quot = law(spec, *a, *_inverse(spec, *b))
+    assert quot[0].tolist() == [0] * 6 and quot[1].tolist() == [1, 0, 0, 0, 0, 0]
+    assert all(np.array_equal(x, y)
+               for x, y in zip(quot, _commutator(spec, e1, e2)))
 
 
 def test_center_and_derived_cases():
@@ -127,22 +136,24 @@ def test_center_and_derived_cases():
 
 
 def test_enumeration_counts_and_order():
-    spec = builtin("heisenberg3")
-    elems = list(enumerate_elements(spec))
-    assert len(elems) == 27
-    assert elems[0] == identity(spec)
-    assert len(set(elems)) == 27
-    assert len(list(enumerate_elements(builtin("elem9")))) == 9
+    # lex on the (u, v) digit string, so the identity has index 0
+    for name in ("heisenberg3", "elem9"):
+        spec = builtin(name)
+        t = build_tables(spec)
+        digits = itertools.product(range(spec.p), repeat=spec.n + spec.m)
+        assert t.size == spec.order
+        assert np.hstack([t.udigits, t.vdigits]).tolist() == \
+            [list(d) for d in digits]
 
 
-def test_enumeration_guard():
-    spec = builtin("peyre6")  # |G| = 3^12 = 531441
-    with pytest.raises(GuardExceededError) as exc:
-        list(enumerate_elements(spec, bound=10 ** 5))
-    assert exc.value.required == 3 ** 12
-    # 3^12 < 10^6, so a bound of 10^6 admits the enumeration
-    it = enumerate_elements(spec, bound=10 ** 6)
-    assert next(it) == identity(spec)
+def test_table_guard():
+    # the product table has |G|^2 cells, at most 2^26: |G| = 3^9 is refused
+    for spec in (GroupSpec(3, 9, 0, np.zeros((0, 36))), builtin("peyre6")):
+        with pytest.raises(GuardExceededError,
+                           match=rf"tables for \|G\| = {spec.order} exceed"
+                           ) as exc:
+            build_tables(spec)
+        assert exc.value.required == spec.order
 
 
 def test_spec_json_round_trip():
@@ -211,14 +222,13 @@ def test_random_strict_specs_are_strict_seed(seed, p):
 
 
 def _law_reference(spec, u1, v1, u2, v2):
-    """The product read off the gamma columns, one pair term at a time."""
-    p, v = spec.p, list(v1)
+    """The product read off the gamma columns, one pair term at a time;
+    coordinates on the last axis, leading axes broadcast."""
+    v = v1 + v2
     for s, (i, j) in enumerate(itertools.combinations(range(spec.n), 2)):
-        w = u1[i] * u2[j] - u1[j] * u2[i]
-        for k in range(spec.m):
-            v[k] += spec.half * int(spec.gamma[k, s]) * w
-    return ([(a + b) % p for a, b in zip(u1, u2)],
-            [(a + b) % p for a, b in zip(v, v2)])
+        w = u1[..., i] * u2[..., j] - u1[..., j] * u2[..., i]
+        v = v + spec.half * spec.gamma[:, s] * w[..., None]
+    return (u1 + u2) % spec.p, v % spec.p
 
 
 def _strict_spec_243():
@@ -234,10 +244,14 @@ def test_table_products_equal_element_products(which):
     spec = builtin(which) if which != "random-3-2" else _strict_spec_243()
     assert spec.order <= 243
     t = build_tables(spec)
-    elems = list(enumerate_elements(spec))
-    for i, a in enumerate(elems):
-        assert [element_index(spec, mul(spec, a, b)) for b in elems] \
-            == t.mul[i].tolist()
+    p, k = spec.p, spec.n + spec.m
+    ud, vd = t.udigits, t.vdigits
+    # index encoding: g is the base-p number of its (u, v) digits
+    digits = np.hstack([ud, vd])
+    assert ((digits @ p ** np.arange(k - 1, -1, -1)) == np.arange(t.size)).all()
+    assert np.array_equal(digits[t.inv], -digits % p)
+    u, v = _law_reference(spec, ud[:, None], vd[:, None], ud[None], vd[None])
+    assert np.array_equal(ud[t.mul], u) and np.array_equal(vd[t.mul], v)
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "peyre6"])
@@ -253,5 +267,5 @@ def test_law_broadcasts_like_its_elementwise_results(name):
         for j in range(B):
             ui, vi = law(spec, U1[i], V1[i], U2[j], V2[j])
             assert np.array_equal(u[i, j], ui) and np.array_equal(v[i, j], vi)
-            assert [ui.tolist(), vi.tolist()] == list(
-                _law_reference(spec, U1[i], V1[i], U2[j], V2[j]))
+            ur, vr = _law_reference(spec, U1[i], V1[i], U2[j], V2[j])
+            assert np.array_equal(ui, ur) and np.array_equal(vi, vr)

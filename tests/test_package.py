@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -26,3 +27,14 @@ def test_every_traced_function_resolves(monkeypatch):
                if not callable(getattr(importlib.import_module(
                    f"unramified.{w.module}"), w.name, None))]
     assert layers.WRAPS and missing == []
+
+
+def test_readme_layout_lists_every_module():
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text(encoding="utf-8")
+    layout = text.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\s+src/unramified/(\w+\.py)\s", layout, re.M)
+    modules = [f.name for f in (root / "src" / "unramified").glob("*.py")
+               if f.name != "__init__.py"]
+    assert sorted(listed) == sorted(modules)
+    assert len(set(listed)) == len(listed)
