@@ -31,8 +31,8 @@ p-torsion structure check.  For any finite G and j >= 1,
 
 and both factors are nondecreasing in j, strictly until p^j reaches the
 exponent.  Hence the integral cohomology through degree d is killed by p
-iff |H^i(G, Z/p)| = |H^i(G, Z/|G|)| for all i <= d, which is how the
-elementary-abelian p-annihilation check is run (divisor data only).
+iff |H^i(G, Z/p)| = |H^i(G, Z/|G|)| for all i <= d.  The tests run this
+check on elementary abelian groups from the divisor data of ``mod_exps``.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ import numpy as np
 
 from .divisors import ElementaryDivisors, elementary_divisors
 from .errors import GuardExceededError, InternalInconsistencyError
-from .groups import GroupSpec
-from .cochains import tables_for
-from .results import VerificationResult
+from .groups import GroupSpec, tables_for
 
 Array = np.ndarray
 
@@ -145,12 +143,6 @@ class CohomologyOrders:
     qz_exps: tuple[int, ...]        # |H^n(G, Q/Z)|  = p ** qz_exps[n-1]
     divisors: tuple[tuple[int, ...], ...] = field(default=())  # of delta^n
 
-    def mod_order(self, n: int) -> int:
-        return self.p ** self.mod_exps[n - 1]
-
-    def qz_order(self, n: int) -> int:
-        return self.p ** self.qz_exps[n - 1]
-
     def to_json_dict(self) -> dict:
         return {
             "group": self.spec_name,
@@ -210,27 +202,3 @@ def qz_orders(spec: GroupSpec, degmax: int = 3,
     return CohomologyOrders(spec.name or "custom", spec.order, p, k, degmax,
                             hk, tuple(qz_exps),
                             tuple(d.exponents for d in divs))
-
-
-def verify_p_annihilation(spec: GroupSpec, degmax: int = 3,
-                          allow_heavy: bool = False) -> VerificationResult:
-    """For elementary abelian E: p * H^i(E, Q/Z) = 0 through degmax.
-
-    Checked structurally: |H^i(E, Z/p)| must equal |H^i(E, Z/|E|)| for all
-    i <= degmax (see module docstring).
-    """
-    if spec.m != 0:
-        return VerificationResult("p_annihilation", True, 0,
-                                  note="skipped: requires m = 0 (abelian)",
-                                  skipped=True)
-    k = spec.n
-    e1, _ = mod_exps(spec, degmax, 1, allow_heavy)
-    ek = mod_exps(spec, degmax, k, allow_heavy)[0] if k > 1 else e1
-    for i, (a, b) in enumerate(zip(e1, ek), 1):
-        if a != b:
-            return VerificationResult(
-                "p_annihilation", False, i,
-                counterexample=f"degree {i}: |H(Z/p)| = p^{a} != "
-                               f"|H(Z/p^{k})| = p^{b}")
-    return VerificationResult("p_annihilation", True, degmax)
-

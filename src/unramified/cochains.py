@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, GuardExceededError
 from .exterior import mult_map_kernel, square_kernel_generators
-from .groups import GroupSpec, GroupTables, antisym_matrix, build_tables
+from .groups import GroupSpec, GroupTables, antisym_matrix, tables_for
 from .linalg import (_UPDATE_CELLS, Subspace, half_mod, inv_mod,
                      projective_lines, reduce_mod)
 from .results import VerificationResult
@@ -66,11 +66,6 @@ from .results import VerificationResult
 Array = np.ndarray
 
 DEFAULT_GUARD_BYTES = 1 << 29
-
-
-@lru_cache(maxsize=32)
-def tables_for(spec: GroupSpec) -> GroupTables:
-    return build_tables(spec)
 
 
 @lru_cache(maxsize=32)
@@ -119,9 +114,6 @@ class Cochain:
     def scale(self, c: int) -> "Cochain":
         return Cochain(self.spec, self.degree,
                        (c % self.spec.p) * self.values.astype(np.int64))
-
-    def is_zero(self) -> bool:
-        return not self.values.any()
 
     def __call__(self, *gs: int) -> int:
         return int(self.values[tuple(gs)])

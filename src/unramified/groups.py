@@ -11,7 +11,8 @@ whose defining property is the commutator identity
 the extension up to isomorphism.  The section s(u) = (u, 0) satisfies
 g * s(pi(g))^-1 = (0, v-part of g).  ``law`` evaluates this product on
 coordinate arrays; the multiplication table and the sampled structure
-checks go through it.
+checks go through it.  ``tables_for`` caches the tables per spec for the
+bar oracle and the cochain lab.
 
 Element enumeration is lexicographic on the concatenated (u, v) digit
 string, so the identity has index 0 and all derived tables are
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -124,7 +126,6 @@ class ValidationReport:
     m: int
     gamma_rank: int
     radical_dim: int
-    strict: bool = field(default=True, compare=False)
 
     @property
     def surjective(self) -> bool:
@@ -147,7 +148,7 @@ def validate_spec(spec: GroupSpec, strict: bool = True) -> ValidationReport:
     """
     check_odd_prime(spec.p)
     rad, rank = center_and_derived(spec)
-    report = ValidationReport(spec.p, spec.n, spec.m, rank, rad, strict)
+    report = ValidationReport(spec.p, spec.n, spec.m, rank, rad)
     if strict:
         if not report.surjective:
             raise NotSurjectiveError(
@@ -185,6 +186,11 @@ class GroupTables:
         return (self.udigits @ form2 @ self.udigits.T) % self.spec.p
 
 
+# build_tables evaluates law on at most this many (g, h) pairs at a time, so
+# that its temporaries stay small next to the 8-byte N x N table.
+_TABLE_BLOCK = 1 << 16
+
+
 def build_tables(spec: GroupSpec) -> GroupTables:
     N = spec.order
     if N * N > 1 << 26:
@@ -197,12 +203,19 @@ def build_tables(spec: GroupSpec) -> GroupTables:
         digits[:, pos] = (idx // p ** (n + m - 1 - pos)) % p
     ud, vd = digits[:, :n], digits[:, n:]
     weights = p ** np.arange(n + m - 1, -1, -1, dtype=np.int64)
-    prod = law(spec, ud[:, None], vd[:, None], ud[None], vd[None])
-    multab = np.concatenate(prod, axis=2) @ weights
-    inv_digits = (-digits) % p
-    invtab = inv_digits @ weights
-    return GroupTables(spec, N, multab.astype(np.int64),
-                       invtab.astype(np.int64), ud, vd)
+    multab = np.empty((N, N), dtype=np.int64)
+    step = max(1, _TABLE_BLOCK // N)
+    for r in range(0, N, step):
+        u, v = law(spec, ud[r:r + step, None], vd[r:r + step, None],
+                   ud[None], vd[None])
+        multab[r:r + step] = u @ weights[:n] + v @ weights[n:]
+    invtab = (-digits) % p @ weights
+    return GroupTables(spec, N, multab, invtab, ud, vd)
+
+
+@lru_cache(maxsize=32)
+def tables_for(spec: GroupSpec) -> GroupTables:
+    return build_tables(spec)
 
 
 # -- spec JSON ---------------------------------------------------------------
@@ -255,41 +268,3 @@ def load_spec(path: str) -> GroupSpec:
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise SpecError(f"spec file is not valid JSON: {exc}") from exc
     return spec_from_json_dict(data, name=path)
-
-
-# -- spec transforms and random specs ----------------------------------------
-
-def permute_basis(spec: GroupSpec, perm) -> GroupSpec:
-    """Conjugate gamma by a permutation of the U basis.
-
-    perm is a sequence with perm[i] = image of basis index i (0-based);
-    the new form satisfies gamma'(e_a ^ e_b) = gamma(e_perm(a) ^ e_perm(b)).
-    """
-    perm = list(perm)
-    idx = subset_index(spec.n, 2)
-    g = np.zeros_like(spec.gamma)
-    for s, (i, j) in enumerate(subsets(spec.n, 2)):
-        a, b = perm[i - 1] + 1, perm[j - 1] + 1
-        sign = 1
-        if a > b:
-            a, b = b, a
-            sign = -1
-        g[:, s] = (sign * spec.gamma[:, idx[(a, b)]]) % spec.p
-    return GroupSpec(spec.p, spec.n, spec.m, g,
-                     name=(spec.name or "spec") + "-permuted")
-
-
-def random_strict_spec(rng: np.random.Generator, p: int,
-                       n_min: int = 2, n_max: int = 5,
-                       max_tries: int = 1000) -> GroupSpec:
-    """A seeded random spec with gamma surjective and trivial radical."""
-    for _ in range(max_tries):
-        n = int(rng.integers(n_min, n_max + 1))
-        d2 = comb(n, 2)
-        m = int(rng.integers(1, d2 + 1))
-        gamma = rng.integers(0, p, size=(m, d2))
-        spec = GroupSpec(p, n, m, gamma)
-        rad, rank = center_and_derived(spec)
-        if rank == m and rad == 0:
-            return spec
-    raise RuntimeError("could not find a strict spec; widen the search")

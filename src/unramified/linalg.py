@@ -274,16 +274,6 @@ class Subspace:
         return Subspace.from_generators(
             np.vstack([self.basis, other.basis]), self.p, self.ambient)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: rref [S|S ; T|0], rows with zero left half span S∩T."""
-        self._check_compatible(other)
-        N = self.ambient
-        top = np.hstack([self.basis, self.basis])
-        bot = np.hstack([other.basis, np.zeros_like(other.basis)])
-        R, _ = rref_mod(np.vstack([top, bot]), self.p)
-        rows = [R[i, N:] for i in range(R.shape[0]) if not R[i, :N].any()]
-        return Subspace.from_generators(rows, self.p, N)
-
     def orthogonal(self) -> "Subspace":
         """{x : s . x = 0 for all s in self}, for the identity pairing."""
         N = self.ambient

@@ -216,9 +216,7 @@ class ObstructionReport:
             "degree-3 unramified obstruction nonzero" if self.h3_dim
             else "degree-3 unramified obstruction zero (this test)",
         ]
-        if self.brauer_trivial and self.degree3_obstruction_nonzero:
-            parts.append("invariant field NOT rational")
-        elif not self.brauer_trivial:
+        if self.b0_dim or self.h3_dim:
             parts.append("invariant field NOT rational")
         line = "; ".join(parts)
         if not self.hypotheses_ok:

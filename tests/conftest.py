@@ -1,0 +1,82 @@
+"""Helpers shared by the test modules.
+
+They live on the test side because no command runs them: seeded random
+strict specs, GL(U) x GL(V) changes of basis for the invariance tests,
+the Zassenhaus intersection of two subspaces, and the p-annihilation
+check of the bar oracle.
+"""
+
+import itertools
+from math import comb
+
+import numpy as np
+
+from unramified.bar import mod_exps
+from unramified.groups import GroupSpec, center_and_derived
+from unramified.linalg import Subspace, rank_mod, rref_mod
+
+
+def random_strict_spec(rng: np.random.Generator, p: int,
+                       n_min: int = 2, n_max: int = 5,
+                       max_tries: int = 1000) -> GroupSpec:
+    """A seeded random spec with gamma surjective and trivial radical."""
+    for _ in range(max_tries):
+        n = int(rng.integers(n_min, n_max + 1))
+        d2 = comb(n, 2)
+        m = int(rng.integers(1, d2 + 1))
+        gamma = rng.integers(0, p, size=(m, d2))
+        spec = GroupSpec(p, n, m, gamma)
+        rad, rank = center_and_derived(spec)
+        if rank == m and rad == 0:
+            return spec
+    raise RuntimeError("could not find a strict spec; widen the search")
+
+
+def wedge2(g: np.ndarray, p: int) -> np.ndarray:
+    """Lambda^2 g in the lex pair basis: the (a, b), (i, j) entry is
+    g[a, i] g[b, j] - g[a, j] g[b, i]."""
+    pairs = list(itertools.combinations(range(g.shape[0]), 2))
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return (g[np.ix_(a, a)] * g[np.ix_(b, b)]
+            - g[np.ix_(a, b)] * g[np.ix_(b, a)]) % p
+
+
+def moved(spec: GroupSpec, g, h) -> GroupSpec:
+    """The spec with form h o gamma o Lambda^2 g, so that
+    gamma'(u ^ w) = h gamma(g u ^ g w); isomorphic to spec for g, h
+    invertible."""
+    g = np.asarray(g, dtype=np.int64)
+    h = np.asarray(h, dtype=np.int64)
+    gamma = h @ spec.gamma @ wedge2(g, spec.p) % spec.p
+    return GroupSpec(spec.p, spec.n, spec.m, gamma,
+                     name=(spec.name or "spec") + "-moved")
+
+
+def random_invertible(rng: np.random.Generator, k: int, p: int) -> np.ndarray:
+    while True:
+        g = rng.integers(0, p, size=(k, k))
+        if rank_mod(g, p) == k:
+            return g
+
+
+def change_basis(spec: GroupSpec, rng: np.random.Generator) -> GroupSpec:
+    """gamma -> h o gamma o Lambda^2 g for random g in GL(U), h in GL(V)."""
+    g = random_invertible(rng, spec.n, spec.p)
+    h = random_invertible(rng, spec.m, spec.p)
+    return moved(spec, g, h)
+
+
+def intersect(S: Subspace, T: Subspace) -> Subspace:
+    """Zassenhaus: rref [S|S ; T|0], rows with zero left half span S n T."""
+    N = S.ambient
+    top = np.hstack([S.basis, S.basis])
+    bot = np.hstack([T.basis, np.zeros_like(T.basis)])
+    R, _ = rref_mod(np.vstack([top, bot]), S.p)
+    rows = [R[i, N:] for i in range(R.shape[0]) if not R[i, :N].any()]
+    return Subspace.from_generators(rows, S.p, N)
+
+
+def p_annihilated(spec: GroupSpec, degmax: int) -> bool:
+    """Does p kill H^i(E, Q/Z) for i <= degmax, E = (Z/p)^n?  Iff
+    |H^i(E, Z/p)| = |H^i(E, Z/|E|)| for each i (``bar`` docstring)."""
+    return mod_exps(spec, degmax, 1)[0] == mod_exps(spec, degmax, spec.n)[0]

@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 from unramified import bar
-from unramified.bar import (
-    bar_matrix,
-    mod_exps,
-    qz_orders,
-    verify_p_annihilation,
-)
+from unramified.bar import bar_matrix, mod_exps, qz_orders
 from unramified.catalog import builtin
 from unramified.cli import main
 from unramified.errors import GuardExceededError
-from unramified.groups import random_strict_spec
 from unramified.linalg import rank_mod
+
+from conftest import p_annihilated, random_strict_spec
 
 
 def order_mod(spec, n, modulus):
@@ -91,26 +87,27 @@ def test_h2_of_elem9_mod3():
 
 def test_qz_orders_cyclic():
     co = qz_orders(builtin("elem3"), 3)
-    assert [co.qz_order(i) for i in (1, 2, 3)] == [3, 1, 3]
+    assert co.to_json_dict()["qz_orders"] == {"1": 3, "2": 1, "3": 3}
 
 
 def test_qz_orders_elem9_match_exterior_and_symmetric_dimensions():
     co = qz_orders(builtin("elem9"), 3)
     # |H^2| = |Lambda^2 E*| = 3^1; |H^3| = |Lambda^3 E* + S^2 E*| = 3^(0+3)
-    assert [co.qz_order(i) for i in (1, 2, 3)] == [9, 3, 27]
+    assert co.to_json_dict()["qz_orders"] == {"1": 9, "2": 3, "3": 27}
 
 
 def test_qz_orders_heisenberg27_degree1():
     co = qz_orders(builtin("heisenberg3"), 1)
-    assert co.qz_order(1) == 9
+    assert co.to_json_dict()["qz_orders"] == {"1": 9}
 
 
 def test_qz_orders_heisenberg27_degree2_regression():
     # oracle-derived regression value (|H^2(G, Q/Z)| = 9 for the order-27
     # exponent-3 group); degree 2 at |G| = 27 sits in the guaranteed tier
     co = qz_orders(builtin("heisenberg3"), 2)
-    assert co.qz_order(2) == 9
-    assert co.mod_order(2) == 81
+    d = co.to_json_dict()
+    assert d["qz_orders"]["2"] == 9
+    assert d["mod_orders"]["2"] == 81
 
 
 @pytest.mark.parametrize("name", ["elem3", "elem9", "heisenberg3"])
@@ -118,8 +115,7 @@ def test_degree1_sanity_equals_abelianization(name):
     spec = builtin(name)
     co = qz_orders(spec, 1)
     # |G^ab| = p^(n + m - rank gamma), computed away from the bar complex
-    assert co.qz_order(1) == spec.p ** (spec.n + spec.m
-                                        - rank_mod(spec.gamma, spec.p))
+    assert co.qz_exps[0] == spec.n + spec.m - rank_mod(spec.gamma, spec.p)
 
 
 def test_degree1_sanity_random_spec():
@@ -127,19 +123,12 @@ def test_degree1_sanity_random_spec():
     spec = random_strict_spec(rng, 3, n_max=2)  # heisenberg-like, |G| = 27
     co = qz_orders(spec, 1)
     # |G^ab| = p^(n + m - rank gamma), computed away from the bar complex
-    assert co.qz_order(1) == spec.p ** (spec.n + spec.m
-                                        - rank_mod(spec.gamma, spec.p))
+    assert co.qz_exps[0] == spec.n + spec.m - rank_mod(spec.gamma, spec.p)
 
 
 @pytest.mark.parametrize("name,degmax", [("elem3", 3), ("elem9", 3)])
 def test_p_annihilation_structural(name, degmax):
-    r = verify_p_annihilation(builtin(name), degmax)
-    assert r.passed, r.line()
-
-
-def test_p_annihilation_skips_nonabelian():
-    r = verify_p_annihilation(builtin("heisenberg3"), 1)
-    assert r.skipped
+    assert p_annihilated(builtin(name), degmax)
 
 
 def test_qz_orders_of_elementary_abelian_are_p_powers_of_dimension():
@@ -157,7 +146,7 @@ def test_heavy_tier_guard():
 
 
 @pytest.mark.parametrize("check,name", [(qz_orders, "heisenberg3"),
-                                        (verify_p_annihilation, "elem27")])
+                                        (p_annihilated, "elem27")])
 def test_guard_refuses_before_any_matrix(monkeypatch, check, name):
     # degrees 1 and 2 are within the guaranteed tier, degree 3 is not
     def no_matrix(*args):
@@ -170,7 +159,7 @@ def test_guard_refuses_before_any_matrix(monkeypatch, check, name):
 
 @pytest.mark.parametrize("run,calls", [
     (lambda: qz_orders(builtin("elem9"), 3), 3),
-    (lambda: verify_p_annihilation(builtin("elem9"), 3), 6),
+    (lambda: p_annihilated(builtin("elem9"), 3), 6),
     (lambda: main(["oracle", "cohomology", "--builtin", "elem9", "--degree",
                    "3", "--modulus", "9"]), 3),
 ], ids=["qz_orders", "p_annihilation", "cli-modulus"])

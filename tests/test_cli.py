@@ -191,13 +191,13 @@ def test_out_of_memory_exits_3_with_one_line(monkeypatch, capsys):
 def test_verify_lemmas_guard_refuses_before_any_table(monkeypatch, capsys,
                                                       name, guard):
     # each identity's guard is checked before the first identity runs
-    from unramified import cochains
+    from unramified import groups
 
     def no_tables(*args):
         raise AssertionError("a group table was built before the guard refused")
 
-    cochains.tables_for.cache_clear()
-    monkeypatch.setattr(cochains, "build_tables", no_tables)
+    groups.tables_for.cache_clear()
+    monkeypatch.setattr(groups, "build_tables", no_tables)
     code, out, err = run(capsys, "verify-lemmas", "--builtin", name,
                          "--guard", guard)
     assert code == 3 and out == ""

@@ -22,14 +22,14 @@ from unramified.cochains import (
     f_rho_lambda,
     h_rho,
     mu,
-    tables_for,
     tau13,
     tau23,
     u_projection,
     verify_identity,
 )
 from unramified.errors import GuardExceededError
-from unramified.groups import GroupSpec
+from unramified import groups
+from unramified.groups import GroupSpec, tables_for
 from unramified.linalg import half_mod
 
 
@@ -42,13 +42,13 @@ def test_coboundary_squares_to_zero_seed(name, degree, seed):
     N = spec.order
     rng = np.random.default_rng(seed)
     f = Cochain(spec, degree, rng.integers(0, spec.p, size=(N,) * degree))
-    assert coboundary(coboundary(f)).is_zero()
+    assert not coboundary(coboundary(f)).values.any()
 
 
 def test_coboundary_of_constant_is_zero():
     spec = builtin("heisenberg3")
     c = Cochain(spec, 0, np.array(2))
-    assert coboundary(c).is_zero()
+    assert not coboundary(c).values.any()
 
 
 def test_scale_by_a_large_factor_does_not_wrap():
@@ -66,8 +66,8 @@ def test_identity_guard_refuses_before_any_table(monkeypatch, name, which,
     def no_tables(*args):
         raise AssertionError("a group table was built before the guard refused")
 
-    cochains.tables_for.cache_clear()
-    monkeypatch.setattr(cochains, "build_tables", no_tables)
+    tables_for.cache_clear()
+    monkeypatch.setattr(groups, "build_tables", no_tables)
     with pytest.raises(GuardExceededError):
         verify_identity(builtin(name), which, guard_bytes=guard)
 
@@ -211,7 +211,7 @@ def test_tau_difference_has_the_predicted_form():
                         + np.einsum('i,j,k->ijk', (a * a) % p, a, vv))) % p
     assert np.array_equal(diff, expected)
     # and it is a cocycle, so failure of tau_agree is a cohomology statement
-    assert coboundary(Cochain(spec, 3, diff)).is_zero()
+    assert not coboundary(Cochain(spec, 3, diff)).values.any()
 
 
 def test_ssquare_kernel_identity():
@@ -251,10 +251,10 @@ def test_coboundary_squares_to_zero_at_order_81():
     spec = GroupSpec(3, 4, 0, np.zeros((0, 6), dtype=np.int64), name="elem81")
     rng = np.random.default_rng(8)
     N = spec.order
-    assert coboundary(Cochain(spec, 0, np.array(1))).is_zero()
+    assert not coboundary(Cochain(spec, 0, np.array(1))).values.any()
     for degree in (1, 2):
         f = Cochain(spec, degree, rng.integers(0, 3, size=(N,) * degree))
-        assert coboundary(coboundary(f)).is_zero()
+        assert not coboundary(coboundary(f)).values.any()
 
 
 @pytest.mark.parametrize("name,which", [

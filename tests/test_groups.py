@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,14 +21,14 @@ from unramified.groups import (
     build_tables,
     center_and_derived,
     law,
-    permute_basis,
     radical_subspace,
-    random_strict_spec,
     spec_from_json_dict,
     spec_to_json_dict,
     validate_spec,
 )
 from unramified.structure import verify_group_structure
+
+from conftest import moved, random_invertible, random_strict_spec
 
 
 def _inverse(spec, u, v):
@@ -181,25 +182,19 @@ def test_spec_json_error_messages():
         spec_from_json_dict({"p": 3, "dimU": 2})
 
 
-def _push(perm, u):
-    """The linear map e_i -> e_perm(i): (Pu)_perm(i) = u_i."""
-    out = np.zeros_like(u)
-    out[perm] = u
-    return out
-
-
-def test_permute_basis_transforms_gamma_covariantly():
-    # gamma'(e_a ^ e_b) = gamma(e_perm(a) ^ e_perm(b)), so bilinearly
-    # gamma'(u ^ w) = gamma(Pu ^ Pw)
+def test_change_basis_transforms_gamma_covariantly():
+    # gamma' = h o gamma o Lambda^2 g, so gamma'(u ^ w) = h gamma(gu ^ gw)
     spec = builtin("peyre6")
     rng = np.random.default_rng(3)
-    perm = rng.permutation(6)
-    spec2 = permute_basis(spec, perm)
+    g = random_invertible(rng, 6, 3)
+    h = random_invertible(rng, 6, 3)
+    spec2 = moved(spec, g, h)
+    assert validate_spec(spec2).hypotheses_ok
     for _ in range(50):
         u = rng.integers(0, 3, size=6)
         w = rng.integers(0, 3, size=6)
         assert np.array_equal(spec2.gamma_of(u, w),
-                              spec.gamma_of(_push(perm, u), _push(perm, w)))
+                              h @ spec.gamma_of(g @ u, g @ w) % 3)
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "heisenberg5", "elem27"])
@@ -252,6 +247,20 @@ def test_table_products_equal_element_products(which):
     assert np.array_equal(digits[t.inv], -digits % p)
     u, v = _law_reference(spec, ud[:, None], vd[:, None], ud[None], vd[None])
     assert np.array_equal(ud[t.mul], u) and np.array_equal(vd[t.mul], v)
+
+
+def test_build_tables_peak_is_the_table_plus_bounded_blocks():
+    # law runs on row blocks, so the build holds little beyond the 8-byte
+    # N x N product table
+    spec = GroupSpec(3, 6, 0, np.zeros((0, 15), dtype=np.int64))
+    N = spec.order
+    tracemalloc.start()
+    try:
+        build_tables(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * N * N + 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "peyre6"])

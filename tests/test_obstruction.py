@@ -9,7 +9,7 @@ import pytest
 from unramified.catalog import builtin
 from unramified.errors import GuardExceededError, InternalInconsistencyError
 from unramified.exterior import subset_index
-from unramified.groups import GroupSpec, permute_basis, random_strict_spec
+from unramified.groups import GroupSpec
 from unramified.linalg import Subspace
 from unramified import obstruction
 from unramified.obstruction import (
@@ -20,6 +20,8 @@ from unramified.obstruction import (
     dec_subgroup_bruteforce,
     projective_lines,
 )
+
+from conftest import change_basis, random_strict_spec
 
 
 def dual_bivector(p, n, *terms):
@@ -289,18 +291,35 @@ def test_b0_zero_for_tiny_n():
         assert analyze(builtin(name)).b0_dim == 0
 
 
+def _dims(rep):
+    return [(d.ki.dim, d.si.dim, d.si_dec.dim, d.ki_max.dim)
+            for d in (rep.deg2, rep.deg3)] + [(rep.b0_dim, rep.h3_dim)]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_obstruction_dims_are_basis_permutation_invariant_seed(seed):
+    # under any gamma -> h o gamma o Lambda^2 g, of which basis permutations
+    # are one case, the group is the same, so every dim is unchanged
     rng = np.random.default_rng(seed)
     spec = builtin("peyre6")
-    rep = analyze(spec)
-    perm = rng.permutation(6)
-    rep2 = analyze(permute_basis(spec, perm))
-    assert (rep.b0_dim, rep.h3_dim) == (rep2.b0_dim, rep2.h3_dim)
+    rep = analyze(change_basis(spec, rng))
+    assert (rep.b0_dim, rep.h3_dim) == (0, 1) and rep.deg3.si_dec.dim == 1
+    assert _dims(rep) == _dims(analyze(spec))
+    assert dec_subgroup_bruteforce(rep.deg3.si, 3, 6) == rep.deg3.si_dec
     small = random_strict_spec(rng, 3, n_max=4)
-    rep3 = analyze(small)
-    rep4 = analyze(permute_basis(small, rng.permutation(small.n)))
-    assert (rep3.b0_dim, rep3.h3_dim) == (rep4.b0_dim, rep4.h3_dim)
+    assert _dims(analyze(change_basis(small, rng))) == _dims(analyze(small))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_obstruction_dims_are_basis_change_invariant_seed(seed):
+    p = 3 if seed % 2 == 0 else 5
+    rng = np.random.default_rng(seed)
+    spec = random_strict_spec(rng, p, n_min=3, n_max=5)
+    rep = analyze(change_basis(spec, rng))
+    assert _dims(rep) == _dims(analyze(spec))
+    for deg in (rep.deg2, rep.deg3):
+        assert dec_subgroup(deg.si, deg.i, spec.n) == \
+            dec_subgroup_bruteforce(deg.si, deg.i, spec.n)
 
 
 def test_nonstrict_analysis_is_stamped():

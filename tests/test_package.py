@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -38,3 +39,45 @@ def test_readme_layout_lists_every_module():
                if f.name != "__init__.py"]
     assert sorted(listed) == sorted(modules)
     assert len(set(listed)) == len(listed)
+
+
+def _defined_and_referenced(files):
+    """Top-level functions and methods of files, and every name they use:
+    Name and Attribute nodes, plus string constants that are identifiers
+    (bench/layers.py names the functions it traces)."""
+    defs, refs = [], []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            defs += [(path, fn) for fn in body if isinstance(
+                fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((path, node, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node, node.attr))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                refs.append((path, node, node.value))
+    return defs, refs
+
+
+def test_every_function_in_src_is_used_outside_the_tests():
+    # a function or method that only the tests call does not belong in src/;
+    # public names (__all__) and dunders are exempt
+    root = Path(__file__).resolve().parents[1]
+    files = [f for f in sorted((root / "src" / "unramified").glob("*.py"))
+             if f.name != "__init__.py"] + sorted((root / "bench").glob("*.py"))
+    defs, refs = _defined_and_referenced(files)
+    exempt = set(unramified.__all__)
+    unused = []
+    for path, fn in defs:
+        if fn.name in exempt or (fn.name.startswith("__")
+                                 and fn.name.endswith("__")):
+            continue
+        if not any(name == fn.name and not (
+                where == path and fn.lineno <= node.lineno <= fn.end_lineno)
+                for where, node, name in refs):
+            unused.append(f"{path.relative_to(root)}:{fn.lineno} {fn.name}")
+    assert unused == []
