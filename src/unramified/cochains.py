@@ -31,15 +31,28 @@ Identity suite:
     df:          delta f_{rho,lam} = -(1/4) (rho o gamma)(g1^g2) lam(g3^g4)
     tau_squares: the two square identities above, all basis 4-tuples
     tau_agree:   tau13 - tau23 on the generators u x u x u x v of the
-                 triply-symmetric part is a coboundary.  This is decided by
-                 an exact linear solve against im(delta: C^2 -> C^3).  It
-                 holds for p >= 5 (witness k(a) = -a^3/6) and FAILS for
-                 p = 3, where the difference (1/2)(a b^2 + a^2 b) v(g3),
-                 a = u(g1), b = u(g2), represents the nonzero class
-                 beta(u) cup v in H^3(U, Z/p) (and stays nonzero with
-                 Z/p^k values for any k: 6 is not invertible).
+                 triply-symmetric part is a coboundary, decided for each
+                 (u, v) by a checked certificate (below).  With a = u(g1),
+                 b = u(g2) the difference is (1/2)(a b^2 + a^2 b) v(g3).  It
+                 holds for p >= 5 and FAILS for p = 3, where it represents
+                 the nonzero class beta(u) cup v in H^3(U, Z/p) (and stays
+                 nonzero with Z/p^k values for any k: 6 is not invertible).
     ssquare_kernel: the degree-4 tensor generators span the kernel of
                  S^2(Lambda^2 U*) -> Lambda^4 U*.
+
+The tau_agree certificates.  delta is dual to the bar boundary
+d[g1|g2|g3] = [g2|g3] - [g1 g2|g3] + [g1|g2 g3] - [g1|g2] under the pairing
+<f, [g1|g2|g3]> = f(g1, g2, g3), so <delta k, z> = <k, dz>.
+  pass: for 6 invertible, k(g1, g2) = -(1/6) u(g1)^3 v(g2) has delta k =
+    -(1/6)(b^3 - (a + b)^3 + a^3) v(g3) = diff, checked cell for cell.
+  fail: a bar 3-cycle z with <diff, z> != 0; a coboundary would pair to
+    <k, dz> = 0.  Pick x with u(x) = 1, and y with u(y) = 0, v(y) = 1, or
+    y = x if v is a multiple of u.  z = sum_i ([x|x^i|y] - [x|y|x^i] +
+    [y|x|x^i]) is the norm 2-cycle sum_i [x|x^i] shuffled with [y], and is
+    sum_i [x|x^i|x] for y = x.  dz = 0 is checked from the four faces of
+    each term; <diff, z> is (1/2) sum_i (i + i^2) times v(y), which is
+    nonzero at p = 3 and zero for p >= 5.
+  neither: an internal inconsistency, never a verdict.
 
 Tables are int16.  df is checked over every 4-tuple one g1-slice at a
 time, in place in one int16 |G|^3 table whose cells stay within 3(p - 1)
@@ -50,17 +63,19 @@ needs m >= 1 and n >= 2, so |G| >= p^3, and group tables stop at 2^13.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .errors import DimensionMismatchError, GuardExceededError
+from .errors import (DimensionMismatchError, GuardExceededError,
+                     InternalInconsistencyError)
 from .exterior import mult_map_kernel, square_kernel_generators
 from .groups import GroupSpec, GroupTables, antisym_matrix, tables_for
-from .linalg import (_UPDATE_CELLS, Subspace, half_mod, inv_mod,
-                     projective_lines, reduce_mod)
+from .linalg import (Subspace, half_mod, inv_mod, projective_lines,
+                     reduce_mod)
 from .results import VerificationResult
 
 Array = np.ndarray
@@ -112,8 +127,8 @@ class Cochain:
         return Cochain(self.spec, self.degree, self.values - other.values)
 
     def scale(self, c: int) -> "Cochain":
-        return Cochain(self.spec, self.degree,
-                       (c % self.spec.p) * self.values.astype(np.int64))
+        p = self.spec.p
+        return Cochain(self.spec, self.degree, _outer_mod(self.values, c % p, p))
 
     def __call__(self, *gs: int) -> int:
         return int(self.values[tuple(gs)])
@@ -271,30 +286,58 @@ def verify_tau_squares(spec: GroupSpec) -> VerificationResult:
     return VerificationResult("tau_squares", True, checked)
 
 
-@lru_cache(maxsize=8)
-def _coboundary_image(spec: GroupSpec) -> Subspace:
-    """im(delta: C^2(U) -> C^3(U)) as a canonical subspace of F_p^(N^3)."""
-    N = spec.order
-    cols = [coboundary(Cochain(spec, 2, E)).values.reshape(-1)
-            for E in np.eye(N * N, dtype=np.int16).reshape(-1, N, N)]
-    return Subspace.from_generators(cols, spec.p, N ** 3)
+def _bar_cycle(t: GroupTables, u, v) -> list[tuple[int, int, int, int]]:
+    """Terms (coefficient, g1, g2, g3) of the module docstring's bar
+    3-cycle z for (u, v)."""
+    a, b = t.u_eval(u), t.u_eval(v)
+    x = int(np.flatnonzero(a == 1)[0])
+    ys = np.flatnonzero((a == 0) & (b == 1))
+    y = int(ys[0]) if ys.size else x
+    xs = [0]
+    while len(xs) < t.spec.p:
+        xs.append(int(t.mul[xs[-1], x]))
+    return [z for xi in xs
+            for z in ((1, x, xi, y), (-1, x, y, xi), (1, y, x, xi))]
+
+
+def tau_agree_certified(us: GroupSpec, u, v) -> bool:
+    """Is (1/2)(tau13 - tau23) on u x u x u x v a coboundary?  True by the
+    witness k, False by the bar cycle z (module docstring), each checked;
+    a pair that neither certifies raises."""
+    p, t = us.p, tables_for(us)
+    diff = (tau13(us, u, u, u, v) - tau23(us, u, u, u, v)).scale(half_mod(p))
+    if p > 3:
+        k = np.multiply.outer(-inv_mod(6, p) * t.u_eval(u) ** 3 % p,
+                              t.u_eval(v))
+        if coboundary(Cochain(us, 2, k)) == diff:
+            return True
+    faces, pairing = Counter(), 0
+    for c, g1, g2, g3 in _bar_cycle(t, u, v):
+        faces[g2, g3] += c
+        faces[int(t.mul[g1, g2]), g3] -= c
+        faces[g1, int(t.mul[g2, g3])] += c
+        faces[g1, g2] -= c
+        pairing += c * diff(g1, g2, g3)
+    if pairing % p and not any(f % p for f in faces.values()):
+        return False
+    raise InternalInconsistencyError(
+        f"tau_agree at u={tuple(map(int, u))}, v={tuple(map(int, v))}: "
+        "neither the coboundary witness nor the bar 3-cycle certifies")
 
 
 def verify_tau_agree(spec: GroupSpec) -> VerificationResult:
     """tau13 - tau23 on the generators u x u x u x v must be a coboundary.
 
-    True for p >= 5, false for p = 3 (see module docstring); the verifier
-    reports whatever the exact linear algebra says.
+    True for p >= 5, false for p = 3 (see module docstring); each verdict
+    is a checked certificate.
     """
     us = u_projection(spec)
     p, n = us.p, us.n
-    image = _coboundary_image(us)
     checked = 0
     for u in projective_lines(p, n):
         for v in np.eye(n, dtype=np.int64):
-            diff = (tau13(us, u, u, u, v) - tau23(us, u, u, u, v)).scale(half_mod(p))
             checked += 1
-            if not image.contains(diff.values):
+            if not tau_agree_certified(us, u, v):
                 uu = ",".join(map(str, u))
                 vv = ",".join(map(str, v))
                 return VerificationResult(
@@ -323,10 +366,9 @@ def verify_ssquare_kernel(spec: GroupSpec) -> VerificationResult:
 # on G^2 (18 bytes a cell); df: four int16 |G|^3 tables, f, the slice, a
 # gathered term and the slice's quotient (8); on U, tau_squares: seven int16
 # degree-4 tables, mu, the last right side, this square's two sides, the
-# second mu, the sum's copy and quotient (14); tau_agree: the |U|^2 x |U|^3
-# image as int16 columns, their int16 stack and rref_stack's int64 copy (12),
-# plus a pivot's update, at most five int64 blocks and five rows of |U|^3
-# cells.
+# second mu, the sum's copy and quotient (14); tau_agree: five int16 |U|^3
+# tables, tau13, tau23, their difference and its copy and quotient (10),
+# plus the witness k as an int64 and an int16 |U|^2 table (10).
 _SMALL_BYTES = 1 << 16
 IDENTITIES = {
     "dh": (lambda spec: 18 * spec.order ** 2 + _SMALL_BYTES if spec.m else 0,
@@ -335,8 +377,8 @@ IDENTITIES = {
            verify_df),
     "tau_squares": (lambda spec: 14 * spec.p ** (4 * spec.n) + _SMALL_BYTES,
                     verify_tau_squares),
-    "tau_agree": (lambda spec: 12 * spec.p ** (5 * spec.n)
-                  + 40 * (_UPDATE_CELLS + spec.p ** (3 * spec.n)),
+    "tau_agree": (lambda spec: 10 * (spec.p ** (3 * spec.n)
+                                     + spec.p ** (2 * spec.n)) + _SMALL_BYTES,
                   verify_tau_agree),
     "ssquare_kernel": (lambda spec: 0, verify_ssquare_kernel),
 }

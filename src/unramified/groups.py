@@ -186,16 +186,23 @@ class GroupTables:
         return (self.udigits @ form2 @ self.udigits.T) % self.spec.p
 
 
-# build_tables evaluates law on at most this many (g, h) pairs at a time, so
-# that its temporaries stay small next to the 8-byte N x N table.
+# The guard admits |G| <= 2^13, so n + m <= 8.  build_tables evaluates law
+# on at most _TABLE_BLOCK (g, h) pairs at a time, a few int64 vectors of
+# n + m coordinates a pair: at most 15.4 MiB traced over the admitted shapes
+# (the most at n = 0, m = 8).
 _TABLE_BLOCK = 1 << 16
+
+
+def table_bytes(N: int) -> int:
+    """Peak bytes of build_tables: the 8-byte N x N table and one block."""
+    return 8 * N * N + (24 << 20)
 
 
 def build_tables(spec: GroupSpec) -> GroupTables:
     N = spec.order
-    if N * N > 1 << 26:
-        raise GuardExceededError(
-            f"tables for |G| = {N} exceed the bound", required=N)
+    if table_bytes(N) > table_bytes(1 << 13):
+        raise GuardExceededError(f"tables for |G| = {N} exceed the bound",
+                                 required=table_bytes(N))
     p, n, m = spec.p, spec.n, spec.m
     digits = np.zeros((N, n + m), dtype=np.int64)
     idx = np.arange(N)

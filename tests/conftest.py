@@ -2,16 +2,19 @@
 
 They live on the test side because no command runs them: seeded random
 strict specs, GL(U) x GL(V) changes of basis for the invariance tests,
-the Zassenhaus intersection of two subspaces, and the p-annihilation
-check of the bar oracle.
+the Zassenhaus intersection of two subspaces, the p-annihilation check
+of the bar oracle, and the coboundary image that the tau_agree
+certificates are checked against.
 """
 
 import itertools
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from unramified.bar import mod_exps
+from unramified.cochains import Cochain, coboundary
 from unramified.groups import GroupSpec, center_and_derived
 from unramified.linalg import Subspace, rank_mod, rref_mod
 
@@ -80,3 +83,14 @@ def p_annihilated(spec: GroupSpec, degmax: int) -> bool:
     """Does p kill H^i(E, Q/Z) for i <= degmax, E = (Z/p)^n?  Iff
     |H^i(E, Z/p)| = |H^i(E, Z/|E|)| for each i (``bar`` docstring)."""
     return mod_exps(spec, degmax, 1)[0] == mod_exps(spec, degmax, spec.n)[0]
+
+
+@lru_cache(maxsize=8)
+def coboundary_image(spec: GroupSpec) -> Subspace:
+    """im(delta: C^2 -> C^3) as a canonical subspace of F_p^(N^3), by
+    eliminating the coboundaries of all N^2 basis 2-cochains: the
+    reference that decides membership with no certificate."""
+    N = spec.order
+    cols = [coboundary(Cochain(spec, 2, E)).values.reshape(-1)
+            for E in np.eye(N * N, dtype=np.int16).reshape(-1, N, N)]
+    return Subspace.from_generators(cols, spec.p, N ** 3)

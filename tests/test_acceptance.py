@@ -213,9 +213,10 @@ def test_criterion_5_tau_agreement_on_F3_squared():
     """Agreement-mod-coboundary of the two liftings on U = (F_3)^2.
 
     Stated criterion; mathematically false at p = 3 (see module docstring).
-    EXPECTED TO FAIL: the exact solver exhibits the nonzero class.  The
-    p = 5 companion check below it passes, which isolates the failure to
-    the prime, not the machinery.
+    EXPECTED TO FAIL: a bar 3-cycle z with dz = 0 and <diff, z> != 0,
+    both checked, exhibits the nonzero class.  The p = 5 companion check
+    below it passes, by the checked witness delta(-u^3 v / 6) = diff, which
+    isolates the failure to the prime, not the machinery.
     """
     r5 = verify_identity(builtin("elem25"), "tau_agree")
     assert r5.passed, "the p = 5 agreement must hold (witness -a^3/6)"

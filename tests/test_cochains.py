@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from unramified import cochains
-from unramified.catalog import builtin
+from unramified.catalog import BUILTINS, builtin, elementary
+from unramified.cli import main
 from unramified.cochains import (
+    DEFAULT_GUARD_BYTES,
     Cochain,
     coboundary,
     f_rho_lambda,
@@ -27,10 +29,12 @@ from unramified.cochains import (
     u_projection,
     verify_identity,
 )
-from unramified.errors import GuardExceededError
+from unramified.errors import GuardExceededError, InternalInconsistencyError
 from unramified import groups
 from unramified.groups import GroupSpec, tables_for
-from unramified.linalg import half_mod
+from unramified.linalg import half_mod, projective_lines, rank_mod
+
+from conftest import coboundary_image
 
 
 @pytest.mark.parametrize("name,degree,seed", [
@@ -194,6 +198,67 @@ def test_tau_agree_fails_for_p_3_with_counterexample():
     assert not r2.passed
 
 
+@pytest.mark.parametrize("name", sorted(
+    name for name in BUILTINS if builtin(name).p ** builtin(name).n <= 25))
+def test_tau_agree_certificates_match_the_elimination(name):
+    """Every (u, v), not only the first: the certificate's verdict equals
+    membership in im(delta: C^2 -> C^3) by elimination, for both forms of
+    the bar cycle, sum_i [x|x^i|x] (v a multiple of u) and the shuffle
+    product with [y]."""
+    us = u_projection(builtin(name))
+    p, half = us.p, half_mod(us.p)
+    image = coboundary_image(us)
+    verdicts, forms = set(), set()
+    for u in projective_lines(p, us.n):
+        for v in np.eye(us.n, dtype=np.int64):
+            diff = (tau13(us, u, u, u, v) - tau23(us, u, u, u, v)).scale(half)
+            ok = cochains.tau_agree_certified(us, u, v)
+            assert ok == image.contains(diff.values), (u, v)
+            verdicts.add(ok)
+            forms.add(rank_mod(np.array([u, v]), p))
+    assert verdicts == {p >= 5}
+    assert forms == ({1, 2} if us.n >= 2 else {1})
+
+
+def test_tau_agree_raises_on_one_changed_cell_off_the_cycle(monkeypatch,
+                                                            capsys):
+    """Negative control: tau13 wrong at (0, 0, 0), a cell off every bar
+    cycle's support, breaks the witness but leaves <diff, z> = 0, so no
+    certificate holds: the verifier raises, and does not pass."""
+    real = cochains.tau13
+
+    def broken(spec, u, v, w, x):
+        vals = real(spec, u, v, w, x).values.copy()
+        vals[0, 0, 0] += 1
+        return Cochain(spec, 3, vals)
+
+    monkeypatch.setattr(cochains, "tau13", broken)
+    with pytest.raises(InternalInconsistencyError):
+        verify_identity(builtin("heisenberg5"), "tau_agree")
+    code = main(["verify-lemmas", "--builtin", "heisenberg5"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: tau_agree at u=(1, 0), v=(1, 0): neither")
+
+
+def test_tau_agree_refuses_a_chain_that_is_not_a_cycle(monkeypatch):
+    """Negative control for dz = 0: without the terms -[x|y|x^i] the chain
+    still pairs to 1 with the p = 3 difference, but its boundary is not 0,
+    so it certifies nothing."""
+    real = cochains._bar_cycle
+    monkeypatch.setattr(cochains, "_bar_cycle", lambda t, u, v: [
+        term for term in real(t, u, v) if term[0] == 1])
+    with pytest.raises(InternalInconsistencyError):
+        verify_identity(builtin("elem9"), "tau_agree")
+
+
+def test_tau_agree_guard_admits_u_of_order_125():
+    # about 10 bytes a cell of |U|^3 = 5^9, some 20 MB
+    cochains.check_identity_guard(elementary(5, 3, "elem125"), "tau_agree",
+                                  DEFAULT_GUARD_BYTES)
+
+
 def test_tau_difference_has_the_predicted_form():
     # tau13(t) - tau23(t) on t = u x u x u x v, evaluated with the 1/2
     # normalization, equals (1/2)(a b^2 + a^2 b) v(g3)
@@ -262,17 +327,16 @@ def test_coboundary_squares_to_zero_at_order_81():
     ("heisenberg3", "df"), ("heisenberg5", "df"),
     ("heisenberg3", "tau_squares"), ("heisenberg5", "tau_squares"),
     ("elem27", "tau_squares"), ("elem9", "tau_agree"),
+    ("heisenberg5", "tau_agree"),
 ])
 def test_identity_guard_covers_its_peak_allocation(name, which):
     """Each guard figure bounds what its check really allocates once the
-    group tables are built; tau_agree's covers the coboundary image and its
-    elimination too."""
+    group tables are built; tau_agree's covers its certificates too."""
     spec = builtin(name)
     with pytest.raises(GuardExceededError) as info:
         cochains.check_identity_guard(spec, which, 0)
     tables_for(spec)
     tables_for(u_projection(spec))
-    cochains._coboundary_image.cache_clear()
     tracemalloc.start()
     try:
         verify_identity(spec, which)

@@ -24,6 +24,7 @@ from unramified.groups import (
     radical_subspace,
     spec_from_json_dict,
     spec_to_json_dict,
+    table_bytes,
     validate_spec,
 )
 from unramified.structure import verify_group_structure
@@ -148,13 +149,21 @@ def test_enumeration_counts_and_order():
 
 
 def test_table_guard():
-    # the product table has |G|^2 cells, at most 2^26: |G| = 3^9 is refused
+    # the guard admits the 8-byte product table up to |G| = 2^13:
+    # |G| = 3^9 is refused, with the bytes it would need
     for spec in (GroupSpec(3, 9, 0, np.zeros((0, 36))), builtin("peyre6")):
         with pytest.raises(GuardExceededError,
                            match=rf"tables for \|G\| = {spec.order} exceed"
                            ) as exc:
             build_tables(spec)
-        assert exc.value.required == spec.order
+        assert exc.value.required == table_bytes(spec.order)
+
+
+def test_table_guard_admits_the_same_orders_as_the_cell_count():
+    # the byte figure refuses exactly the |G| with |G|^2 > 2^26 cells
+    guard = table_bytes(1 << 13)
+    for N in (3 ** 8, 5 ** 5, 89 ** 2, 8191, 3 ** 9, 97 ** 2, 8209):
+        assert (table_bytes(N) > guard) == (N * N > 1 << 26)
 
 
 def test_spec_json_round_trip():
@@ -251,7 +260,7 @@ def test_table_products_equal_element_products(which):
 
 def test_build_tables_peak_is_the_table_plus_bounded_blocks():
     # law runs on row blocks, so the build holds little beyond the 8-byte
-    # N x N product table
+    # N x N product table, and the guard's byte figure bounds it
     spec = GroupSpec(3, 6, 0, np.zeros((0, 15), dtype=np.int64))
     N = spec.order
     tracemalloc.start()
@@ -261,6 +270,7 @@ def test_build_tables_peak_is_the_table_plus_bounded_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * N * N + 16 * 2 ** 20
+    assert peak <= table_bytes(N)
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "peyre6"])
