@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divisors import ElementaryDivisors, elementary_divisors
+from .divisors import ElementaryDivisors, check_modulus, elementary_divisors
 from .errors import GuardExceededError, InternalInconsistencyError
 from .groups import GroupSpec, tables_for
 
@@ -61,33 +61,29 @@ def _plog(value: int, p: int) -> int:
     return e
 
 
-def bar_matrix(spec: GroupSpec, n: int, modulus: int) -> tuple[int, int, list]:
+def bar_matrix(spec: GroupSpec, n: int, modulus: int) -> tuple[int, int, Array]:
     """Sparse matrix of delta^n: C^n -> C^{n+1} over Z/modulus.
 
-    Returns (rows, cols, entries) with entries a list of (row, col, value);
+    Returns (rows, cols, entries) with entries an (nnz, 3) int64 array of
+    (row, col, value) rows sorted by (row, col), values nonzero mod modulus;
     rows = (N-1)^{n+1}, cols = (N-1)^n in the normalized complex.
     """
     t = tables_for(spec)
     N = t.size
-    q = modulus
     M = N - 1
     rows, cols = M ** (n + 1), M ** n
     if n == 0:
-        return rows, 1, []  # trivial action: delta^0 = 0
+        return rows, 1, np.zeros((0, 3), dtype=np.int64)  # delta^0 = 0
     # decode all row tuples; digits in 0..M-1 stand for elements 1..M
     ridx = np.arange(rows)
-    digits = np.empty((rows, n + 1), dtype=np.int64)
-    for pos in range(n + 1):
-        digits[:, pos] = (ridx // M ** (n - pos)) % M
-    elems = digits + 1
+    elems = ridx[:, None] // M ** np.arange(n, -1, -1) % M + 1
     weights = M ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
-    out_r, out_c, out_v = [], [], []
+    keys, vals = [], []          # row * cols + col, and the coefficient
 
     def emit(rowsel: Array, coltuples: Array, coeff: int) -> None:
-        out_r.append(rowsel)
-        out_c.append((coltuples - 1) @ weights)
-        out_v.append(np.full(rowsel.shape[0], coeff % q, dtype=np.int64))
+        keys.append(rowsel * cols + (coltuples - 1) @ weights)
+        vals.append(np.full(rowsel.shape[0], coeff, dtype=np.int64))
 
     emit(ridx, elems[:, 1:], 1)                          # drop g_1
     mul = t.mul
@@ -99,20 +95,12 @@ def bar_matrix(spec: GroupSpec, n: int, modulus: int) -> tuple[int, int, list]:
         emit(ridx[keep], tup[keep], (-1) ** i)
     emit(ridx, elems[:, :n], (-1) ** (n + 1))            # drop g_{n+1}
 
-    r = np.concatenate(out_r)
-    c = np.concatenate(out_c)
-    v = np.concatenate(out_v)
-    # combine duplicate coordinates
-    key = r * cols + c
-    order = np.argsort(key, kind="stable")
-    key, r, c, v = key[order], r[order], c[order], v[order]
-    uniq, start = np.unique(key, return_index=True)
-    sums = np.add.reduceat(v, start) % q
+    # combine duplicate coordinates (coefficients are +-1, so floats are exact)
+    uniq, at = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = np.bincount(at, np.concatenate(vals)).astype(np.int64) % modulus
     keep = sums != 0
-    rr = (uniq // cols)[keep]
-    cc = (uniq % cols)[keep]
-    vv = sums[keep]
-    return rows, cols, list(zip(rr.tolist(), cc.tolist(), vv.tolist()))
+    return rows, cols, np.stack(
+        ((uniq // cols)[keep], (uniq % cols)[keep], sums[keep]), axis=1)
 
 
 def _tier_check(spec: GroupSpec, degree: int, allow_heavy: bool) -> None:
@@ -167,6 +155,7 @@ def mod_exps(spec: GroupSpec, degmax: int, k: int, allow_heavy: bool = False
     |H^i| = |ker delta^i| / |im delta^{i-1}|, and delta^0 = 0.
     """
     _tier_check(spec, degmax, allow_heavy)   # rows grow with the degree
+    check_modulus(spec.p, k)
     q = spec.p ** k
     divs = tuple(elementary_divisors(*bar_matrix(spec, i, q), spec.p, k)
                  for i in range(1, degmax + 1))

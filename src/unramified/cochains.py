@@ -74,8 +74,7 @@ from .errors import (DimensionMismatchError, GuardExceededError,
                      InternalInconsistencyError)
 from .exterior import mult_map_kernel, square_kernel_generators
 from .groups import GroupSpec, GroupTables, antisym_matrix, tables_for
-from .linalg import (Subspace, half_mod, inv_mod, projective_lines,
-                     reduce_mod)
+from .linalg import Subspace, half_mod, projective_lines, reduce_mod
 from .results import VerificationResult
 
 Array = np.ndarray
@@ -249,7 +248,7 @@ def verify_df(spec: GroupSpec) -> VerificationResult:
         for lindex, lam in enumerate(np.eye(comb(spec.n, 2), dtype=np.int64)):
             F = f_rho_lambda(spec, rho, lam).values
             L = t.biform(antisym_matrix(p, spec.n, lam))
-            cL = _outer_mod(np.arange(p), -inv_mod(4, p) * L % p, p)
+            cL = _outer_mod(np.arange(p), -pow(4, -1, p) * L % p, p)
             for g1, F1 in enumerate(F):
                 s = F[mul[g1]]                  # f(g1 g2, g3, g4)
                 np.subtract(F, s, out=s)
@@ -307,7 +306,7 @@ def tau_agree_certified(us: GroupSpec, u, v) -> bool:
     p, t = us.p, tables_for(us)
     diff = (tau13(us, u, u, u, v) - tau23(us, u, u, u, v)).scale(half_mod(p))
     if p > 3:
-        k = np.multiply.outer(-inv_mod(6, p) * t.u_eval(u) ** 3 % p,
+        k = np.multiply.outer(-pow(6, -1, p) * t.u_eval(u) ** 3 % p,
                               t.u_eval(v))
         if coboundary(Cochain(us, 2, k)) == diff:
             return True

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -44,13 +45,6 @@ def check_odd_prime(p: int) -> int:
     if p == 2:
         raise EvenPrimeError("p = 2 is not supported; 1/2 must exist mod p")
     return p
-
-
-def inv_mod(a: int, p: int) -> int:
-    a = int(a) % p
-    if a == 0:
-        raise ZeroDivisionError(f"0 has no inverse mod {p}")
-    return pow(a, p - 2, p)
 
 
 def reduce_mod(A: Array, p: int) -> Array:
@@ -94,21 +88,23 @@ def projective_lines(p: int, n: int):
 
 
 @lru_cache(maxsize=None)
-def _inverse_table(p: int) -> Array:
-    """inv[a] = 1/a mod p (inv[0] = 0); read-only, since cached."""
-    inv = np.array([pow(a, p - 2, p) for a in range(p)], dtype=np.int64)
+def _inverse_table(q: int) -> Array:
+    """inv[a] = 1/a mod q for units a, else 0; read-only, since cached."""
+    inv = np.array([pow(a, -1, q) if gcd(a, q) == 1 else 0 for a in range(q)],
+                   dtype=np.int64)
     inv.setflags(write=False)
     return inv
 
 
-def _pivot_inverses(a: Array, p: int) -> Array:
-    """1/a mod p for units a: from a table of p entries unless p > _UPDATE_CELLS."""
-    if p > _UPDATE_CELLS:
-        return np.array([pow(x, p - 2, p) for x in a.tolist()], dtype=np.int64)
-    return _inverse_table(p)[a]
+def _pivot_inverses(a: Array, q: int) -> Array:
+    """1/a mod q for units a: from a table of q entries unless q > _UPDATE_CELLS."""
+    if q > _UPDATE_CELLS:
+        return np.array([pow(x, -1, q) for x in a.tolist()], dtype=np.int64)
+    return _inverse_table(q)[a]
 
 
-def rref_stack(A: Array, p: int) -> tuple[Array, Array, Array]:
+def rref_stack(A: Array, p: int, q: int | None = None
+               ) -> tuple[Array, Array, Array]:
     """Gauss-Jordan over F_p on each matrix of a stack of shape (L, m, n).
 
     Returns (R, ranks, pivots): R[l] is the reduced row echelon form of
@@ -116,9 +112,15 @@ def rref_stack(A: Array, p: int) -> tuple[Array, Array, Array]:
     of row i, or -1 for i >= ranks[l].  A pivot updates only the rows that
     are nonzero in its column, and in them only the columns where its row
     is nonzero, so sparse matrices stay cheap.
+
+    Over Z/q for q = p^k > p only units pivot, and a column without one is
+    skipped, so rows ranks[l]: end up divisible by p.  A skipped column's
+    multiples of p stay in rows that pivot later: over Z/q a pivot row
+    also updates the columns left of its pivot.
     """
+    q = q or p
     A = np.array(A, dtype=np.int64, order="C")
-    A %= p
+    A %= q
     L, m, n = A.shape
     flat = A.reshape(-1)
     ranks = np.zeros(L, dtype=np.int64)
@@ -127,7 +129,7 @@ def rref_stack(A: Array, p: int) -> tuple[Array, Array, Array]:
         lo = int(ranks.min()) if L else m
         if lo == m:
             break
-        cand = A[:, lo:, c] != 0
+        cand = A[:, lo:, c] != 0 if q == p else A[:, lo:, c] % p != 0
         if L > 1:
             cand &= np.arange(lo, m) >= ranks[:, None]
         P = np.flatnonzero(cand.any(axis=1))
@@ -137,21 +139,23 @@ def rref_stack(A: Array, p: int) -> tuple[Array, Array, Array]:
         i = lo + cand[P].argmax(axis=1)
         if (i != r).any():
             A[P, r], A[P, i] = A[P, i], A[P, r]
-        piv = A[P, r, c:]
-        piv = piv * _pivot_inverses(piv[:, 0], p)[:, None] % p
-        A[P, r, c:] = piv
+        c0 = c if q == p else 0
+        piv = A[P, r, c0:]
+        piv = piv * _pivot_inverses(piv[:, c - c0], q)[:, None] % q
+        A[P, r, c0:] = piv
         hit = A[P, :, c] != 0
         hit[np.arange(P.size), r] = False
         k, j = np.nonzero(hit)
         cols = np.flatnonzero(piv.any(axis=0))
+        at_c = 0 if q == p else int(np.searchsorted(cols, c))
         step = max(1, _UPDATE_CELLS // cols.size)
         for s in range(0, k.size, step):
             ks = k[s:s + step]
-            at = ((P[ks] * m + j[s:s + step]) * n + c)[:, None] + cols
+            at = ((P[ks] * m + j[s:s + step]) * n + c0)[:, None] + cols
             block = flat[at]
-            block -= block[:, :1] * (piv[:, cols] if P.size == 1
-                                     else piv[ks[:, None], cols])
-            flat[at] = reduce_mod(block, p)
+            block -= block[:, at_c, None] * (piv[:, cols] if P.size == 1
+                                             else piv[ks[:, None], cols])
+            flat[at] = reduce_mod(block, q)
         pivots[P, r] = c
         ranks[P] = r + 1
     return A, ranks, pivots

@@ -3,8 +3,8 @@
 They live on the test side because no command runs them: seeded random
 strict specs, GL(U) x GL(V) changes of basis for the invariance tests,
 the Zassenhaus intersection of two subspaces, the p-annihilation check
-of the bar oracle, and the coboundary image that the tau_agree
-certificates are checked against.
+of the bar oracle, the coboundary image that the tau_agree certificates
+are checked against, and a dense Smith form over Z/p^k.
 """
 
 import itertools
@@ -94,3 +94,37 @@ def coboundary_image(spec: GroupSpec) -> Subspace:
     cols = [coboundary(Cochain(spec, 2, E)).values.reshape(-1)
             for E in np.eye(N * N, dtype=np.int16).reshape(-1, N, N)]
     return Subspace.from_generators(cols, spec.p, N ** 3)
+
+
+def local_smith_exponents(rows, cols, entries, p, k):
+    """Divisor exponents of a dense matrix over Z/p^k: each step pivots on an
+    entry of least p-valuation anywhere in the live block."""
+    q = p ** k
+    A = [[0] * cols for _ in range(rows)]
+    for r, c, v in entries:
+        A[r][c] = (A[r][c] + v) % q
+
+    def valuation(x):
+        e = 0
+        while e < k and x % p == 0:
+            x //= p
+            e += 1
+        return e            # k for x = 0
+
+    live_rows, live_cols = set(range(rows)), set(range(cols))
+    exps = []
+    while live_rows and live_cols:
+        e, pr, pc = min((valuation(A[r][c]), r, c)
+                        for r in live_rows for c in live_cols)
+        if e == k:
+            break
+        inv = pow(A[pr][pc] // p ** e, -1, q)
+        for r in live_rows - {pr}:
+            f = (A[r][pc] // p ** e) * inv % q
+            A[r] = [(x - f * y) % q for x, y in zip(A[r], A[pr])]
+        # every live entry of row pr is a multiple of p^e, so column
+        # operations clear it without touching the other live rows
+        live_rows.discard(pr)
+        live_cols.discard(pc)
+        exps.append(e)
+    return tuple(sorted(exps))

@@ -1,5 +1,7 @@
 """Bar-resolution oracle: matrix shapes, d o d = 0, cohomology orders."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from unramified import bar
 from unramified.bar import bar_matrix, mod_exps, qz_orders
 from unramified.catalog import builtin
 from unramified.cli import main
+from unramified.divisors import elementary_divisors
 from unramified.errors import GuardExceededError
 from unramified.linalg import rank_mod
 
@@ -67,6 +70,20 @@ def test_d_composed_with_d_is_zero_heisenberg27_degree2():
     d2 = bar_matrix(spec, 2, 27)
     assert (d2[0], d2[1]) == (17576, 676)
     assert sparse_matmul_is_zero(d2, d1, 27)
+
+
+@pytest.mark.parametrize("name,n,k,counts", [
+    ("heisenberg3", 2, 3, {0: 648, 1: 2}),
+    ("elem27", 2, 3, {0: 647, 1: 3}),
+    ("elem9", 3, 2, {0: 453, 1: 3}),
+    ("heisenberg5", 1, 3, {0: 122, 1: 2}),
+], ids=["heisenberg3-d2", "elem27-d2", "elem9-d3", "heisenberg5-d1"])
+def test_divisor_multisets_of_the_largest_differentials(name, n, k, counts):
+    # {exponent: count} of delta^n over Z/p^k, as a sparse dict-of-dict
+    # Smith elimination with a different pivot order computed them
+    spec = builtin(name)
+    d = elementary_divisors(*bar_matrix(spec, n, spec.p ** k), spec.p, k)
+    assert Counter(d.exponents) == counts
 
 
 def test_h2_of_cyclic3_mod9():

@@ -109,6 +109,29 @@ def test_broken_invariant_is_typed_and_reported(monkeypatch, capsys):
     assert err.splitlines() == ["error: K^2 not inside K^2_max"]
 
 
+def test_incomplete_pivot_set_is_typed_and_reported(monkeypatch, capsys):
+    from unramified import divisors
+    from unramified.bar import bar_matrix
+    from unramified.errors import InternalInconsistencyError
+
+    real = divisors._unit_pivots
+
+    def corrupted(r, c, v, cols, p, q):
+        Tf, pos = real(r, c, v, cols, p, q)
+        if Tf.size:             # one entry of T off by one
+            Tf[0, 0] = (Tf[0, 0] + 1) % q
+        return Tf, pos
+
+    monkeypatch.setattr(divisors, "_unit_pivots", corrupted)
+    with pytest.raises(InternalInconsistencyError):
+        divisors.elementary_divisors(*bar_matrix(builtin("elem9"), 2, 9), 3, 2)
+    code, out, err = run(capsys, "oracle", "cohomology", "--builtin", "elem9",
+                         "--degree", "2")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: a row keeps a unit after reduction by every unit pivot"]
+
+
 def test_exactly_one_input_source_required(capsys):
     code, _, err = run(capsys, "analyze")
     assert code == 1
@@ -216,6 +239,27 @@ def test_oracle_cohomology_bad_modulus(capsys):
     code, _, err = run(capsys, "oracle", "cohomology", "--builtin", "elem3",
                        "--degree", "1", "--modulus", "10")
     assert code == 1
+
+
+@pytest.mark.parametrize("e", [15, 40])
+def test_oracle_cohomology_modulus_bound(monkeypatch, capsys, e):
+    # the elimination multiplies residues in float64, exact while
+    # 256 (q - 1)^2 < 2^53: 3^14 is admitted; larger moduli are refused
+    # before any matrix, also those that overflow int64
+    from unramified import bar
+
+    code, out, _ = run(capsys, "oracle", "cohomology", "--builtin", "elem9",
+                       "--degree", "2", "--modulus", str(3 ** 14), "--json")
+    assert code == 0
+    assert json.loads(out)["mod_orders_requested"] == {"1": 9, "2": 27}
+    real = bar.bar_matrix
+    monkeypatch.setattr(bar, "bar_matrix", lambda spec, n, q: (
+        real(spec, n, q) if q == 9 else pytest.fail("matrix built")))
+    code, out, err = run(capsys, "oracle", "cohomology", "--builtin", "elem9",
+                         "--degree", "2", "--modulus", str(3 ** e))
+    assert code == 3 and out == ""
+    assert err.splitlines() == [f"guard exceeded: modulus 3^{e} is too "
+                                "large for exact float64 products"]
 
 
 def test_oracle_decomposables_peyre6_degree2(capsys):

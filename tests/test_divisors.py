@@ -5,7 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from unramified import divisors
 from unramified.divisors import elementary_divisors
+
+from conftest import local_smith_exponents
 
 
 def dense_entries(M):
@@ -91,53 +94,36 @@ def test_all_entries_divisible_by_p():
     assert d.kernel_exp == 2
 
 
-def local_smith_exponents(rows, cols, entries, p, k):
-    """Divisor exponents of a dense matrix over Z/p^k: each step pivots on an
-    entry of least p-valuation anywhere in the live block."""
+@pytest.mark.parametrize("p,k,case", [
+    (p, k, case) for p in (3, 5) for k in (1, 2, 3) for case in range(4)
+] + [(p, k, shape) for p in (3, 5) for k in (2, 3) for shape in ("tall", "wide")])
+def test_matches_dense_local_smith(monkeypatch, p, k, case):
+    """An integer case is a random matrix.  "tall" is shaped like a bar
+    differential (rows >> cols, at most 5 entries a row) with column c
+    scaled by p^(c % k); "wide" has row r scaled by p^(r % k) instead.
+    Both run in blocks of a few cells, so that block boundaries fall inside
+    the matrix and the rounds after the first span several blocks."""
+    rng = np.random.default_rng([p, k, {"tall": 4, "wide": 5}.get(case, case)])
     q = p ** k
-    A = [[0] * cols for _ in range(rows)]
-    for r, c, v in entries:
-        A[r][c] = (A[r][c] + v) % q
-
-    def valuation(x):
-        e = 0
-        while e < k and x % p == 0:
-            x //= p
-            e += 1
-        return e            # k for x = 0
-
-    live_rows, live_cols = set(range(rows)), set(range(cols))
-    exps = []
-    while live_rows and live_cols:
-        e, pr, pc = min((valuation(A[r][c]), r, c)
-                        for r in live_rows for c in live_cols)
-        if e == k:
-            break
-        inv = pow(A[pr][pc] // p ** e, -1, q)
-        for r in live_rows - {pr}:
-            f = (A[r][pc] // p ** e) * inv % q
-            A[r] = [(x - f * y) % q for x, y in zip(A[r], A[pr])]
-        # every live entry of row pr is a multiple of p^e, so column
-        # operations clear it without touching the other live rows
-        live_rows.discard(pr)
-        live_cols.discard(pc)
-        exps.append(e)
-    return tuple(sorted(exps))
-
-
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("p", [3, 5])
-def test_matches_dense_local_smith(p, k, seed):
-    rng = np.random.default_rng([p, k, seed])
-    q = p ** k
-    rows, cols = int(rng.integers(1, 41)), int(rng.integers(1, 31))
-    nnz = int(rng.integers(0, rows * cols // 3 + 2))
-    entries = [(int(rng.integers(rows)), int(rng.integers(cols)),
-                int(rng.integers(1, q)) * p ** int(rng.integers(0, k + 1)))
-               for _ in range(nnz)]
+    if isinstance(case, str):
+        monkeypatch.setattr(divisors, "_BLOCK_CELLS", 50)
+        rows, cols, per_row = (240, 12, 5) if case == "tall" else (12, 240, 30)
+        scale = (lambda r, c: p ** (c % k)) if case == "tall" else \
+            (lambda r, c: p ** (r % k))
+        entries = [(r, c, int(rng.integers(1, q)) * scale(r, c))
+                   for r in range(rows)
+                   for c in rng.choice(cols, int(rng.integers(1, per_row + 1)),
+                                       replace=False).tolist()]
+    else:
+        rows, cols = int(rng.integers(1, 41)), int(rng.integers(1, 31))
+        scale = lambda r, c: 1
+        entries = [(int(rng.integers(rows)), int(rng.integers(cols)),
+                    int(rng.integers(1, q)) * p ** int(rng.integers(0, k + 1)))
+                   for _ in range(int(rng.integers(0, rows * cols // 3 + 2)))]
     # repeat some coordinates so that entries accumulate, or cancel
-    entries += [(r, c, int(rng.integers(-q, q)))
-                for r, c, _ in entries[:nnz // 4]]
+    entries += [(r, c, int(rng.integers(-q, q)) * scale(r, c))
+                for r, c, _ in entries[:len(entries) // 4]]
     d = elementary_divisors(rows, cols, entries, p, k)
     assert d.exponents == local_smith_exponents(rows, cols, entries, p, k)
+    if isinstance(case, str):
+        assert len(set(d.exponents)) >= 2

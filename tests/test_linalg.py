@@ -22,7 +22,7 @@ from unramified.linalg import (
     rref_stack,
 )
 
-from conftest import intersect
+from conftest import intersect, local_smith_exponents
 
 
 def span_size_by_enumeration(rows, p):
@@ -144,6 +144,32 @@ def test_stack_slices_equal_their_own_2d_result_seed(seed, p):
         assert np.array_equal(R[l, :r], R2) and not R[l, r:].any()
         assert pivots[l, :r].tolist() == pivots2 and (pivots[l, r:] == -1).all()
         assert np.array_equal(K[l][K[l].any(axis=1)], kernel_basis(A[l], p))
+
+
+@pytest.mark.parametrize("seed,p,k", [(0, 3, 2), (1, 3, 3), (2, 5, 2)])
+def test_rref_over_prime_power_keeps_the_divisors_seed(seed, p, k):
+    """Over Z/p^k a column without a unit is skipped, but its multiples of
+    p stay in rows that pivot later: clearing with such a row must update
+    the columns left of its pivot too.  In [[p, 1], [0, 1]] column 0 is
+    skipped, row 0 pivots on column 1, and clearing row 1 leaves -p in
+    column 0; a loop that starts at the pivot column leaves 0 there."""
+    q = p ** k
+    rng = np.random.default_rng(seed)
+    mats = [np.array([[p, 1], [0, 1]])]
+    for _ in range(30):
+        m, n = (int(x) for x in rng.integers(1, 9, size=2))
+        A = rng.integers(0, q, size=(m, n)) * p ** rng.integers(0, k + 1, (m, n))
+        A[:, :int(rng.integers(0, n + 1))] *= p   # columns with no unit
+        mats.append(A % q)
+    for A in mats:
+        (R,), (rank,), (pivots,) = rref_stack(A[None], p, q)
+        assert not (R[rank:] % p).any()
+        assert (R[np.arange(rank), pivots[:rank]] == 1).all()
+        assert all(np.count_nonzero(R[:, c]) == 1 for c in pivots[:rank])
+        entries = [[(i, j, int(x)) for (i, j), x in np.ndenumerate(M) if x]
+                   for M in (A, R)]
+        assert (local_smith_exponents(*A.shape, entries[1], p, k)
+                == local_smith_exponents(*A.shape, entries[0], p, k))
 
 
 def test_scalar_validation():

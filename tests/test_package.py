@@ -7,7 +7,12 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import unramified
+from unramified.bar import bar_matrix
+from unramified.catalog import builtin
+from unramified.divisors import elementary_divisors
 
 
 def test_every_name_in_all_resolves():
@@ -16,18 +21,43 @@ def test_every_name_in_all_resolves():
     assert missing == []
 
 
-def test_every_traced_function_resolves(monkeypatch):
-    # bench/layers.py traces these by name; a missing one would silently
-    # drop its per-layer metrics from the benchmark
+def _bench_layers(monkeypatch):
     path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
     spec = importlib.util.spec_from_file_location("bench_layers", path)
     layers = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, layers)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def test_every_traced_function_resolves(monkeypatch):
+    # bench/layers.py traces these by name; a missing one would silently
+    # drop its per-layer metrics from the benchmark
+    layers = _bench_layers(monkeypatch)
     missing = [w.span for w in layers.WRAPS
                if not callable(getattr(importlib.import_module(
                    f"unramified.{w.module}"), w.name, None))]
     assert layers.WRAPS and missing == []
+
+
+def test_bench_attribute_readers_count_real_results(monkeypatch):
+    # bench/layers.py reads bar.nnz and divisors.rank off the return values;
+    # a changed return type would corrupt them without any error
+    layers = _bench_layers(monkeypatch)
+    attrs = {w.span: w.attrs for w in layers.WRAPS}
+    spec = builtin("elem9")
+    matrix = bar_matrix(spec, 2, 9)
+    rows, cols, entries = matrix
+    dense = np.zeros((rows, cols), dtype=np.int64)
+    for r, c, v in entries:
+        dense[r, c] += v
+    assert np.count_nonzero(dense % 9) == 1904
+    assert attrs["bar.bar_matrix"]((spec, 2, 9), {}, matrix) == {
+        "rows": 512, "cols": 64, "nnz": 1904}
+    d = elementary_divisors(*matrix, 3, 2)
+    # 55 unit divisors and one divisor 3
+    assert attrs["divisors.elementary_divisors"](
+        (*matrix, 3, 2), {}, d) == {"rank": 56}
 
 
 def test_readme_layout_lists_every_module():
