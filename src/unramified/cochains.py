@@ -16,7 +16,8 @@ Named cochains (ubar = image of g in U, vpart = g s(ubar(g))^{-1} in V):
     tau23[u,v,w,x]        = u(ubar g1) v(ubar g2) w(ubar g2) x(ubar g3)
     tau13[u,v,w,x]        = u(g1)v(g2)w(g2)x(g3) + u(g1)w(g1)v(g2)x(g3)
                             + w(g1)v(g2)u(g2)x(g3)
-    mu[u,v,w,x]           = u(ubar g1) v(ubar g2) w(ubar g3) x(ubar g4)
+    mu[u,v,w,x]           = u(ubar g1) v(ubar g2) w(ubar g3) x(ubar g4),
+                            built one g1-slice at a time
 
 The middle term of tau13 carries a plus sign: that is the unique
 (1,3)-symmetric multilinear choice whose coboundary satisfies
@@ -54,17 +55,20 @@ d[g1|g2|g3] = [g2|g3] - [g1 g2|g3] + [g1|g2 g3] - [g1|g2] under the pairing
     nonzero at p = 3 and zero for p >= 5.
   neither: an internal inconsistency, never a verdict.
 
-Tables are int16.  df is checked over every 4-tuple one g1-slice at a
-time, in place in one int16 |G|^3 table whose cells stay within 3(p - 1)
-in absolute value, which fits for p <= 10923.  No larger p reaches it: df
-needs m >= 1 and n >= 2, so |G| >= p^3, and group tables stop at 2^13.
+Tables are int16.  Every identity is checked one g1-slice at a time:
+coboundary_slice forms (delta F)(g1, .) for a table F of degree d <= 3 in
+one int16 |G|^d table, the slice of the right-hand side is subtracted, and
+the slice is reduced once.  Its cells stay within 3(p - 1) in absolute
+value before the subtraction and 4(p - 1) after it (tau_squares subtracts
+two mu slices), which fits int16 for p <= 8192; every group table has
+p <= |G| <= 2^13.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -92,32 +96,28 @@ def u_projection(spec: GroupSpec) -> GroupSpec:
                      name=(spec.name or "spec") + "-U")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cochain:
-    """Dense table G^degree -> (1/p)Z/Z, the value stored as a numerator."""
+    """Dense table G^degree -> (1/p)Z/Z, the value stored as a numerator.
+
+    A writable int16 table is taken as it is and reduced in place; any
+    other table is converted first."""
 
     spec: GroupSpec
     degree: int
-    values: Array = field(compare=False)  # shape (N,) * degree
+    values: Array  # shape (N,) * degree
 
     def __post_init__(self):
         N = self.spec.order
         v = np.asarray(self.values)     # reduced before it is narrowed
-        v = reduce_mod(v.astype(np.promote_types(v.dtype, np.int16)),
-                       self.spec.p).astype(np.int16, copy=False)
+        if v.dtype != np.int16 or not v.flags.writeable:
+            v = v.astype(np.promote_types(v.dtype, np.int16))
+        v = reduce_mod(v, self.spec.p).astype(np.int16, copy=False)
         if v.shape != (N,) * self.degree:
             raise DimensionMismatchError(
                 f"table shape {v.shape} for degree {self.degree}, |G| = {N}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Cochain) and self.spec == other.spec
-                and self.degree == other.degree
-                and bool(np.array_equal(self.values, other.values)))
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.degree, self.values.tobytes()))
 
     def __add__(self, other: "Cochain") -> "Cochain":
         return Cochain(self.spec, self.degree, self.values + other.values)
@@ -133,20 +133,16 @@ class Cochain:
         return int(self.values[tuple(gs)])
 
 
-def coboundary(f: Cochain) -> Cochain:
-    """The standard inhomogeneous coboundary with trivial action."""
-    spec = f.spec
-    N = spec.order
-    d = f.degree
-    if d == 0:
-        return Cochain(spec, 1, np.zeros(N, dtype=np.int16))
-    mul = tables_for(spec).mul
-    F = f.values
-    out = np.broadcast_to(F, (N,) * (d + 1)).astype(np.int16)
-    for i in range(1, d + 2):
-        t = np.take(F, mul, axis=i - 1) if i <= d else F[..., None]
-        (np.add if i % 2 == 0 else np.subtract)(out, t, out=out)
-    return Cochain(spec, d + 1, out)      # reduced, in int16, by Cochain
+def coboundary_slice(F: Array, mul: Array, g1: int, out: Array) -> Array:
+    """(delta F)(g1, .) for an int16 table F of degree 1 to 3, with trivial
+    action, unreduced, written to out: an int16 table of F's shape."""
+    s = np.take(F, mul[g1], axis=0, out=out)     # f(g1 g2, ...)
+    np.subtract(F, s, out=s)
+    for i in range(2, F.ndim + 2):      # f(g1, .., g_i g_i+1, ..), f(g1, .., g_d)
+        op = np.add if i % 2 == 0 else np.subtract
+        op(s, np.take(F[g1], mul, axis=i - 2) if i <= F.ndim else F[g1, ..., None],
+           out=s)
+    return s
 
 
 def _outer_mod(a: Array, B: Array, p: int) -> Array:
@@ -187,11 +183,13 @@ def tau13(spec: GroupSpec, u, v, w, x) -> Cochain:
     return Cochain(spec, 3, vals)
 
 
-def mu(spec: GroupSpec, u, v, w, x) -> Cochain:
+def mu_slices(spec: GroupSpec, u, v, w, x):
+    """g1 -> mu[u,v,w,x](g1, .) = u(g1) v(g2) w(g3) x(g4), an int16 |U|^3
+    table gathered from the p rows c w (x) x."""
     t = tables_for(spec)
     U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
-    UV = np.multiply.outer(U, V) % spec.p
-    return Cochain(spec, 4, _outer_mod(UV, np.multiply.outer(W, X), spec.p))
+    rows = _outer_mod(np.arange(spec.p), np.multiply.outer(W, X), spec.p)
+    return lambda g1: rows[U[g1] * V % spec.p]
 
 
 # -- verification -------------------------------------------------------------
@@ -208,6 +206,24 @@ def _where(t: GroupTables, diff: Array, *lead: int) -> str:
     return "(" + ", ".join(render_element(t, int(g)) for g in (*lead, *at)) + ")"
 
 
+def _check(name: str, t: GroupTables, cases) -> VerificationResult:
+    """delta F = R for each (label, F, rhs) of cases, one g1-slice at a
+    time, rhs(g1) being the slice of R.  checked counts the cells compared;
+    the first nonzero cell stops the check and is rendered after label."""
+    checked = 0
+    for label, F, rhs in cases:
+        s = np.empty(F.shape, dtype=np.int16)   # reused by every slice
+        for g1 in range(len(F)):
+            coboundary_slice(F, t.mul, g1, s)
+            s -= rhs(g1)
+            checked += s.size
+            if reduce_mod(s, t.spec.p).any():
+                return VerificationResult(name, False, checked, counterexample=(
+                    label + _where(t, s, g1)))
+        del F, s                        # before cases builds the next F
+    return VerificationResult(name, True, checked)
+
+
 def verify_dh(spec: GroupSpec) -> VerificationResult:
     """delta h_rho(g1,g2) = -(1/2)(rho o gamma)(ubar g1 ^ ubar g2), all rho."""
     if spec.m == 0:
@@ -215,74 +231,51 @@ def verify_dh(spec: GroupSpec) -> VerificationResult:
                                   skipped=True)
     t = tables_for(spec)
     p = spec.p
-    checked = 0
-    for rindex, rho in enumerate(np.eye(spec.m, dtype=np.int64)):
-        dh = coboundary(h_rho(spec, rho)).values
-        form = antisym_matrix(p, spec.n, (rho @ spec.gamma) % p)
-        rhs = (-half_mod(p) * t.biform(form)) % p
-        checked += dh.size
-        if not np.array_equal(dh, rhs):
-            return VerificationResult("dh", False, checked, counterexample=(
-                f"rho=e{rindex + 1}*, {_where(t, (dh - rhs) % p)}"))
-    return VerificationResult("dh", True, checked)
+
+    def cases():
+        for rindex, rho in enumerate(np.eye(spec.m, dtype=np.int64)):
+            form = antisym_matrix(p, spec.n, -half_mod(p) * (rho @ spec.gamma))
+            W = form @ t.udigits.T % p
+            yield (f"rho=e{rindex + 1}*, ", h_rho(spec, rho).values,
+                   lambda g1: t.udigits[g1] @ W % p)
+    return _check("dh", t, cases())
 
 
 def verify_df(spec: GroupSpec) -> VerificationResult:
-    """delta f = -(1/4) (rho o gamma)(g1^g2) lam(g3^g4) over all 4-tuples.
-
-    Evaluated slice by slice in g1, in place in one int16 |G|^3 table s:
-    the five terms of delta f minus the right-hand side, a row gather from
-    the p x |G|^2 table cL[c] = -(c/4) lam, stay within 3(p - 1) in absolute
-    value, and s is reduced once.  That fits int16 for p <= 10923, which
-    always holds here: p^3 <= |G| <= 2^13 (see the module docstring).
-    """
+    """delta f = -(1/4) (rho o gamma)(g1^g2) lam(g3^g4) over all 4-tuples;
+    the right-hand side's slice at g1 is a row gather from the p x |G|^2
+    table cL[c] = -(c/4) lam."""
     if spec.m == 0:
         return VerificationResult("df", True, 0, note="skipped: requires m >= 1",
                                   skipped=True)
     t = tables_for(spec)
     p = spec.p
-    mul = t.mul
-    checked = 0
-    for rindex, rho in enumerate(np.eye(spec.m, dtype=np.int64)):
-        G = t.biform(antisym_matrix(p, spec.n, (rho @ spec.gamma) % p))
-        for lindex, lam in enumerate(np.eye(comb(spec.n, 2), dtype=np.int64)):
-            F = f_rho_lambda(spec, rho, lam).values
-            L = t.biform(antisym_matrix(p, spec.n, lam))
-            cL = _outer_mod(np.arange(p), -pow(4, -1, p) * L % p, p)
-            for g1, F1 in enumerate(F):
-                s = F[mul[g1]]                  # f(g1 g2, g3, g4)
-                np.subtract(F, s, out=s)
-                s += F1[mul]
-                s -= F1[:, mul]
-                s += F1[:, :, None]
-                s -= cL[G[g1]]
-                checked += s.size
-                if reduce_mod(s, p).any():
-                    return VerificationResult("df", False, checked, counterexample=(
-                        f"rho=e{rindex + 1}*, lam=basis{lindex}, "
-                        f"{_where(t, s, g1)}"))
-    return VerificationResult("df", True, checked)
+
+    def cases():
+        for rindex, rho in enumerate(np.eye(spec.m, dtype=np.int64)):
+            G = t.biform(antisym_matrix(p, spec.n, (rho @ spec.gamma) % p))
+            for lindex, lam in enumerate(np.eye(comb(spec.n, 2), dtype=np.int64)):
+                L = t.biform(antisym_matrix(p, spec.n, lam))
+                cL = _outer_mod(np.arange(p), -pow(4, -1, p) * L % p, p)
+                yield (f"rho=e{rindex + 1}*, lam=basis{lindex}, ",
+                       f_rho_lambda(spec, rho, lam).values, lambda g1: cL[G[g1]])
+    return _check("df", t, cases())
 
 
 def verify_tau_squares(spec: GroupSpec) -> VerificationResult:
     """delta tau23[t] = mu[t + (23)t] and delta tau13[t] = mu[t + (13)t]."""
     us = u_projection(spec)
-    t = tables_for(us)
     basis = [tuple(e) for e in np.eye(us.n, dtype=np.int64).tolist()]
-    checked = 0
-    for a, b, c, d in itertools.product(basis, repeat=4):
-        base = mu(us, a, b, c, d)
-        for name, tau, swapped in (("tau23", tau23, (a, c, b, d)),
-                                   ("tau13", tau13, (c, b, a, d))):
-            lhs = coboundary(tau(us, a, b, c, d)).values
-            rhs = (base + mu(us, *swapped)).values
-            checked += lhs.size
-            if not np.array_equal(lhs, rhs):
-                return VerificationResult(
-                    "tau_squares", False, checked, counterexample=(
-                        f"{name} square at (u,v,w,x)={(a, b, c, d)}, "
-                        f"{_where(t, (lhs - rhs) % us.p)}"))
-    return VerificationResult("tau_squares", True, checked)
+
+    def cases():
+        for a, b, c, d in itertools.product(basis, repeat=4):
+            base = mu_slices(us, a, b, c, d)
+            for name, tau, swapped in (("tau23", tau23, (a, c, b, d)),
+                                       ("tau13", tau13, (c, b, a, d))):
+                other = mu_slices(us, *swapped)
+                yield (f"{name} square at (u,v,w,x)={(a, b, c, d)}, ",
+                       tau(us, a, b, c, d).values, lambda g1: base(g1) + other(g1))
+    return _check("tau_squares", tables_for(us), cases())
 
 
 def _bar_cycle(t: GroupTables, u, v) -> list[tuple[int, int, int, int]]:
@@ -307,8 +300,9 @@ def tau_agree_certified(us: GroupSpec, u, v) -> bool:
     diff = (tau13(us, u, u, u, v) - tau23(us, u, u, u, v)).scale(half_mod(p))
     if p > 3:
         k = np.multiply.outer(-pow(6, -1, p) * t.u_eval(u) ** 3 % p,
-                              t.u_eval(v))
-        if coboundary(Cochain(us, 2, k)) == diff:
+                              t.u_eval(v)) % p
+        if _check("tau_agree", t, [("", k.astype(np.int16),
+                                    diff.values.__getitem__)]).passed:
             return True
     faces, pairing = Counter(), 0
     for c, g1, g2, g3 in _bar_cycle(t, u, v):
@@ -359,26 +353,29 @@ def verify_ssquare_kernel(spec: GroupSpec) -> VerificationResult:
         f"span dim {span.dim} != kernel dim {ker.dim}")
 
 
-# name -> (bytes the identity allocates at its peak, verifier): its dense
-# tables alive at once, plus _SMALL_BYTES for Python objects and tables of
-# at most p|G|^2 cells.  dh: int16 delta h and two int64 right-hand sides
-# on G^2 (18 bytes a cell); df: four int16 |G|^3 tables, f, the slice, a
-# gathered term and the slice's quotient (8); on U, tau_squares: seven int16
-# degree-4 tables, mu, the last right side, this square's two sides, the
-# second mu, the sum's copy and quotient (14); tau_agree: five int16 |U|^3
-# tables, tau13, tau23, their difference and its copy and quotient (10),
-# plus the witness k as an int64 and an int16 |U|^2 table (10).
+# name -> (bytes the identity allocates at its peak, verifier), counted with
+# the group tables already built, plus _SMALL_BYTES for Python objects.  A
+# check holds F, its slice and one more table of the slice's shape at a
+# time: a gathered term, the right-hand side or the slice's quotient.
+#   dh: degree-1 slices, the n x |G| form and int64 rows ((8n + 24) bytes
+#     an element).
+#   df: three int16 |G|^3 tables (6 bytes a cell), plus cL and two int64
+#     biforms ((2p + 16) bytes a cell of |G|^2).
+#   tau_squares, on U: tau, the slice, two mu slices and their sum (10 bytes
+#     a cell of |U|^3), plus the rows the mu slices gather from and the int64
+#     ones they are built from ((16p + 8) bytes a cell of |U|^2).
+#   tau_agree, on U: tau13, tau23, their difference and its quotient (8),
+#     plus the rows the taus gather from and the witness k ((16p + 18)).
 _SMALL_BYTES = 1 << 16
 IDENTITIES = {
-    "dh": (lambda spec: 18 * spec.order ** 2 + _SMALL_BYTES if spec.m else 0,
-           verify_dh),
-    "df": (lambda spec: 8 * spec.order ** 3 + _SMALL_BYTES if spec.m else 0,
-           verify_df),
-    "tau_squares": (lambda spec: 14 * spec.p ** (4 * spec.n) + _SMALL_BYTES,
-                    verify_tau_squares),
-    "tau_agree": (lambda spec: 10 * (spec.p ** (3 * spec.n)
-                                     + spec.p ** (2 * spec.n)) + _SMALL_BYTES,
-                  verify_tau_agree),
+    "dh": (lambda spec: (8 * spec.n + 24) * spec.order + _SMALL_BYTES
+           if spec.m else 0, verify_dh),
+    "df": (lambda spec: 6 * spec.order ** 3 + (2 * spec.p + 16) * spec.order ** 2
+           + _SMALL_BYTES if spec.m else 0, verify_df),
+    "tau_squares": (lambda spec: 10 * spec.p ** (3 * spec.n) + (16 * spec.p + 8)
+                    * spec.p ** (2 * spec.n) + _SMALL_BYTES, verify_tau_squares),
+    "tau_agree": (lambda spec: 8 * spec.p ** (3 * spec.n) + (16 * spec.p + 18)
+                  * spec.p ** (2 * spec.n) + _SMALL_BYTES, verify_tau_agree),
     "ssquare_kernel": (lambda spec: 0, verify_ssquare_kernel),
 }
 

@@ -227,28 +227,18 @@ class ObstructionReport:
 def analyze(spec: GroupSpec, strict: bool = True) -> ObstructionReport:
     """Run the full degree-2 and degree-3 pipeline."""
     validation = validate_spec(spec, strict=strict)
-    p, n = spec.p, spec.n
-
-    k2 = compute_k2(spec)
-    s2 = k2.orthogonal()
-    s2_dec = dec_subgroup(s2, 2, n)
-    k2_max = k2 if s2_dec == s2 else s2_dec.orthogonal()
-    deg2 = DegreeReport(2, k2, s2, s2_dec, k2_max)
-
-    k3 = compute_k3(spec, k2)
-    s3 = k3.orthogonal()
-    s3_dec = dec_subgroup(s3, 3, n)
-    k3_max = k3 if s3_dec == s3 else s3_dec.orthogonal()
-    deg3 = DegreeReport(3, k3, s3, s3_dec, k3_max)
-
-    for deg in (deg2, deg3):
-        if not deg.ki_max.contains_subspace(deg.ki):
-            raise InternalInconsistencyError(
-                f"K^{deg.i} not inside K^{deg.i}_max")
-        if not deg.si.contains_subspace(deg.si_dec):
-            raise InternalInconsistencyError(
-                f"S^{deg.i}_dec not inside S^{deg.i}")
-    return ObstructionReport(spec, validation, deg2, deg3)
+    degrees = []
+    for i in (2, 3):
+        ki = compute_k2(spec) if i == 2 else compute_k3(spec, degrees[0].ki)
+        si = ki.orthogonal()
+        si_dec = dec_subgroup(si, i, spec.n)
+        ki_max = ki if si_dec == si else si_dec.orthogonal()
+        if not ki_max.contains_subspace(ki):
+            raise InternalInconsistencyError(f"K^{i} not inside K^{i}_max")
+        if not si.contains_subspace(si_dec):
+            raise InternalInconsistencyError(f"S^{i}_dec not inside S^{i}")
+        degrees.append(DegreeReport(i, ki, si, si_dec, ki_max))
+    return ObstructionReport(spec, validation, *degrees)
 
 
 # -- serialization -----------------------------------------------------------

@@ -3,8 +3,10 @@
 They live on the test side because no command runs them: seeded random
 strict specs, GL(U) x GL(V) changes of basis for the invariance tests,
 the Zassenhaus intersection of two subspaces, the p-annihilation check
-of the bar oracle, the coboundary image that the tau_agree certificates
-are checked against, and a dense Smith form over Z/p^k.
+of the bar oracle, the full-table coboundary that the slices of
+``cochains.coboundary_slice`` are checked against, the coboundary image
+that the tau_agree certificates are checked against, and a dense Smith
+form over Z/p^k.
 """
 
 import itertools
@@ -14,8 +16,8 @@ from math import comb
 import numpy as np
 
 from unramified.bar import mod_exps
-from unramified.cochains import Cochain, coboundary
-from unramified.groups import GroupSpec, center_and_derived
+from unramified.cochains import coboundary_slice
+from unramified.groups import GroupSpec, center_and_derived, tables_for
 from unramified.linalg import Subspace, rank_mod, rref_mod
 
 
@@ -85,13 +87,42 @@ def p_annihilated(spec: GroupSpec, degmax: int) -> bool:
     return mod_exps(spec, degmax, 1)[0] == mod_exps(spec, degmax, spec.n)[0]
 
 
+def coboundary(spec: GroupSpec, F: np.ndarray, rows=None) -> np.ndarray:
+    """(delta F)(g1, ...) for g1 in rows (all of G by default), reduced mod
+    p, for a reduced int16 table F: the standard inhomogeneous coboundary
+    with trivial action, built with one axis per argument."""
+    N, d = spec.order, F.ndim
+    rows = np.arange(N) if rows is None else np.asarray(rows)
+    if d == 0:
+        return np.zeros(len(rows), dtype=np.int16)
+    mul = tables_for(spec).mul
+    out = np.broadcast_to(F, (len(rows),) + F.shape).astype(np.int16)
+    for i in range(1, d + 2):
+        if i == 1:
+            t = np.take(F, mul[rows], axis=0)
+        elif i <= d:
+            t = np.take(F[rows], mul, axis=i - 1)
+        else:
+            t = F[rows][..., None]
+        (np.add if i % 2 == 0 else np.subtract)(out, t, out=out)
+    return out % spec.p
+
+
+def coboundary_by_slices(spec: GroupSpec, F: np.ndarray, rows=None) -> np.ndarray:
+    """The same rows stacked from cochains.coboundary_slice."""
+    mul = tables_for(spec).mul
+    rows = range(spec.order) if rows is None else rows
+    return np.stack([coboundary_slice(F, mul, g, np.empty_like(F))
+                     for g in rows]) % spec.p
+
+
 @lru_cache(maxsize=8)
 def coboundary_image(spec: GroupSpec) -> Subspace:
     """im(delta: C^2 -> C^3) as a canonical subspace of F_p^(N^3), by
     eliminating the coboundaries of all N^2 basis 2-cochains: the
     reference that decides membership with no certificate."""
     N = spec.order
-    cols = [coboundary(Cochain(spec, 2, E)).values.reshape(-1)
+    cols = [coboundary(spec, E).reshape(-1)
             for E in np.eye(N * N, dtype=np.int16).reshape(-1, N, N)]
     return Subspace.from_generators(cols, spec.p, N ** 3)
 

@@ -1,4 +1,4 @@
-"""Cochain tables, the coboundary, and the identity suite.
+"""Cochain tables, the coboundary slices, and the identity suite.
 
 The tau13/tau23 agreement deserves a note: the two lifted maps agree up to
 coboundary exactly when p >= 5 (an explicit primitive k(a) = -a^3/6 exists
@@ -19,11 +19,11 @@ from unramified.catalog import BUILTINS, builtin, elementary
 from unramified.cli import main
 from unramified.cochains import (
     DEFAULT_GUARD_BYTES,
+    IDENTITIES,
     Cochain,
-    coboundary,
     f_rho_lambda,
     h_rho,
-    mu,
+    mu_slices,
     tau13,
     tau23,
     u_projection,
@@ -31,10 +31,10 @@ from unramified.cochains import (
 )
 from unramified.errors import GuardExceededError, InternalInconsistencyError
 from unramified import groups
-from unramified.groups import GroupSpec, tables_for
+from unramified.groups import GroupSpec, spec_from_json_dict, tables_for
 from unramified.linalg import half_mod, projective_lines, rank_mod
 
-from conftest import coboundary_image
+from conftest import coboundary, coboundary_by_slices, coboundary_image
 
 
 @pytest.mark.parametrize("name,degree,seed", [
@@ -46,13 +46,44 @@ def test_coboundary_squares_to_zero_seed(name, degree, seed):
     N = spec.order
     rng = np.random.default_rng(seed)
     f = Cochain(spec, degree, rng.integers(0, spec.p, size=(N,) * degree))
-    assert not coboundary(coboundary(f)).values.any()
+    assert not coboundary(spec, coboundary(spec, f.values)).any()
 
 
 def test_coboundary_of_constant_is_zero():
     spec = builtin("heisenberg3")
     c = Cochain(spec, 0, np.array(2))
-    assert not coboundary(c).values.any()
+    assert not coboundary(spec, c.values).any()
+
+
+def _group(name):
+    """A builtin, or order81: nonabelian of order 3^4 with three lam's."""
+    if name == "order81":
+        return GroupSpec(3, 3, 1, np.array([[1, 0, 1]]), name=name)
+    return builtin(name)
+
+
+@pytest.mark.parametrize("name", [
+    "elem3", "elem9", "heisenberg3", "heisenberg5", "order81"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_coboundary_slices_match_the_reference(name, degree):
+    """The stacked slices of coboundary_slice equal the full-table
+    reference, and below degree 3 delta delta = 0 through the slices: on
+    every g1 or, past 2^22 cells, on four random ones."""
+    spec = _group(name)
+    p, N = spec.p, spec.order
+    rng = np.random.default_rng(degree)
+    F = Cochain(spec, degree, rng.integers(0, p, size=(N,) * degree)).values
+
+    def some(cells):
+        return (np.arange(N) if cells <= 1 << 22
+                else np.sort(rng.choice(N, 4, replace=False)))
+
+    rows = some(N ** (degree + 1))
+    stacked = coboundary_by_slices(spec, F, rows)
+    assert np.array_equal(stacked, coboundary(spec, F, rows))
+    if degree < 3:                          # here rows is all of G
+        assert not coboundary_by_slices(spec, stacked,
+                                        some(N ** (degree + 2))).any()
 
 
 def test_scale_by_a_large_factor_does_not_wrap():
@@ -147,19 +178,25 @@ def test_tau_squares(name):
 
 
 def test_tau_squares_counterexample_prints_plain_ints(monkeypatch):
-    """Negative control: one changed cell of every mu table is caught at
-    the first basis 4-tuple, whose text does not depend on numpy's repr."""
-    real = cochains.mu
+    """Negative control: one changed cell (1, 2, 3, 4) of every mu is caught
+    at the first basis 4-tuple, in slice g1 = 1, and the text does not
+    depend on numpy's repr."""
+    real = cochains.mu_slices
 
     def broken(spec, u, v, w, x):
-        vals = real(spec, u, v, w, x).values.copy()
-        vals[1, 2, 3, 4] += 1
-        return Cochain(spec, 4, vals)
+        slices = real(spec, u, v, w, x)
 
-    monkeypatch.setattr(cochains, "mu", broken)
+        def at(g1):
+            vals = slices(g1)
+            if g1 == 1:
+                vals[2, 3, 4] += 1
+            return vals
+        return at
+
+    monkeypatch.setattr(cochains, "mu_slices", broken)
     r = verify_identity(builtin("heisenberg3"), "tau_squares")
     assert not r.passed
-    assert r.checked == 9 ** 4
+    assert r.checked == 2 * 9 ** 3
     assert r.counterexample == (
         "tau23 square at (u,v,w,x)=((1, 0), (1, 0), (1, 0), (1, 0)), "
         "((u=(0,1);v=()), (u=(0,2);v=()), (u=(1,0);v=()), (u=(1,1);v=()))")
@@ -172,15 +209,16 @@ def test_tau13_printed_minus_variant_fails_its_square():
     p = 3
     u, v, w, x = [1, 0], [0, 1], [1, 0], [0, 1]
     plus = tau13(spec, u, v, w, x)
-    assert plus.degree == 3 and mu(spec, u, v, w, x).degree == 4
+    assert plus.degree == 3
     t = tables_for(spec)
     U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
     # the middle term u(g1) w(g1) v(g2) x(g3) of the lifting
     middle = Cochain(spec, 3, np.einsum('a,b,c->abc', (U * W) % p, V, X) % p)
+    mu, swapped = mu_slices(spec, u, v, w, x), mu_slices(spec, w, v, u, x)
+    rhs = np.stack([mu(g1) + swapped(g1) for g1 in range(spec.order)]) % p
+    assert np.array_equal(coboundary(spec, plus.values), rhs)
     minus_variant = plus - middle.scale(2)  # +1 replaced by -1
-    lhs = coboundary(minus_variant).values
-    rhs = (mu(spec, u, v, w, x).values + mu(spec, w, v, u, x).values) % p
-    assert not np.array_equal(lhs, rhs)
+    assert not np.array_equal(coboundary(spec, minus_variant.values), rhs)
 
 
 def test_tau_agree_passes_for_p_at_least_5():
@@ -254,9 +292,16 @@ def test_tau_agree_refuses_a_chain_that_is_not_a_cycle(monkeypatch):
 
 
 def test_tau_agree_guard_admits_u_of_order_125():
-    # about 10 bytes a cell of |U|^3 = 5^9, some 20 MB
+    # about 8 bytes a cell of |U|^3 = 5^9, some 16 MB
     cochains.check_identity_guard(elementary(5, 3, "elem125"), "tau_agree",
                                   DEFAULT_GUARD_BYTES)
+
+
+def test_default_guard_admits_every_identity_on_u_of_order_125():
+    # the guard only: verify-lemmas on this spec runs for minutes
+    spec = spec_from_json_dict({"p": 5, "dimU": 3, "dimV": 0, "gamma": []})
+    for which in IDENTITIES:
+        cochains.check_identity_guard(spec, which, DEFAULT_GUARD_BYTES)
 
 
 def test_tau_difference_has_the_predicted_form():
@@ -276,7 +321,7 @@ def test_tau_difference_has_the_predicted_form():
                         + np.einsum('i,j,k->ijk', (a * a) % p, a, vv))) % p
     assert np.array_equal(diff, expected)
     # and it is a cocycle, so failure of tau_agree is a cohomology statement
-    assert not coboundary(Cochain(spec, 3, diff)).values.any()
+    assert not coboundary(spec, Cochain(spec, 3, diff).values).any()
 
 
 def test_ssquare_kernel_identity():
@@ -316,23 +361,21 @@ def test_coboundary_squares_to_zero_at_order_81():
     spec = GroupSpec(3, 4, 0, np.zeros((0, 6), dtype=np.int64), name="elem81")
     rng = np.random.default_rng(8)
     N = spec.order
-    assert not coboundary(Cochain(spec, 0, np.array(1))).values.any()
+    assert not coboundary(spec, Cochain(spec, 0, np.array(1)).values).any()
     for degree in (1, 2):
         f = Cochain(spec, degree, rng.integers(0, 3, size=(N,) * degree))
-        assert not coboundary(coboundary(f)).values.any()
+        assert not coboundary(spec, coboundary(spec, f.values)).any()
 
 
 @pytest.mark.parametrize("name,which", [
-    ("heisenberg3", "dh"), ("heisenberg5", "dh"),
-    ("heisenberg3", "df"), ("heisenberg5", "df"),
-    ("heisenberg3", "tau_squares"), ("heisenberg5", "tau_squares"),
-    ("elem27", "tau_squares"), ("elem9", "tau_agree"),
-    ("heisenberg5", "tau_agree"),
-])
+    (name, which)
+    for name in ("heisenberg3", "heisenberg5", "elem9", "elem27", "order81")
+    for which in IDENTITIES if IDENTITIES[which][0](_group(name))])
 def test_identity_guard_covers_its_peak_allocation(name, which):
-    """Each guard figure bounds what its check really allocates once the
-    group tables are built; tau_agree's covers its certificates too."""
-    spec = builtin(name)
+    """Each identity with a guard figure, on each group, allocates no more
+    than the figure once the group tables are built; tau_agree's covers its
+    certificates too, and order81's df the step from one lam to the next."""
+    spec = _group(name)
     with pytest.raises(GuardExceededError) as info:
         cochains.check_identity_guard(spec, which, 0)
     tables_for(spec)
@@ -364,3 +407,22 @@ def test_df_fails_on_one_changed_cell(monkeypatch):
     assert r.counterexample == (
         "rho=e1*, lam=basis0, ((u=(0,0);v=(1)), (u=(0,1);v=(1)), "
         "(u=(0,1);v=(0)), (u=(0,2);v=(1)))")
+
+
+def test_dh_fails_on_one_changed_cell(monkeypatch):
+    """Negative control: one wrong value of h at element 5 is caught in
+    slice g1 = 1; slice 0, h(g2) - h(g2) + h(0), does not see it."""
+    spec = builtin("heisenberg3")
+    real = cochains.h_rho
+
+    def broken(spec, rho):
+        vals = real(spec, rho).values.copy()
+        vals[5] += 1
+        return Cochain(spec, 1, vals)
+
+    monkeypatch.setattr(cochains, "h_rho", broken)
+    r = verify_identity(spec, "dh")
+    assert not r.passed
+    assert r.checked == 2 * 27
+    # g1 = (u=(0,0);v=(1)) is central, so g1 g2 = 5 at g2 = (u=(0,1);v=(1))
+    assert r.counterexample == "rho=e1*, ((u=(0,0);v=(1)), (u=(0,1);v=(1)))"
