@@ -188,7 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run the obstruction pipeline")
     _add_spec_args(p)
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    p.add_argument("--seed", type=int, default=0,
+                   help='echoed as the "seed" key of --json; '
+                        'analyze samples nothing')
     p.add_argument("--strict", dest="strict", action="store_true", default=True)
     p.add_argument("--no-strict", dest="strict", action="store_false",
                    help="analyze even if gamma is not surjective / has radical")

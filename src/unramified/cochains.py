@@ -55,7 +55,9 @@ d[g1|g2|g3] = [g2|g3] - [g1 g2|g3] + [g1|g2 g3] - [g1|g2] under the pairing
     nonzero at p = 3 and zero for p >= 5.
   neither: an internal inconsistency, never a verdict.
 
-Tables are int16.  Every identity is checked one g1-slice at a time:
+A cochain is a plain int16 array of residues with one axis per argument
+(tau13 sums its three terms, within 3(p - 1), before it reduces them).
+Every identity is checked one g1-slice at a time:
 coboundary_slice forms (delta F)(g1, .) for a table F of degree d <= 3 in
 one int16 |G|^d table, the slice of the right-hand side is subtracted, and
 the slice is reduced once.  Its cells stay within 3(p - 1) in absolute
@@ -68,14 +70,12 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, GuardExceededError,
-                     InternalInconsistencyError)
+from .errors import GuardExceededError, InternalInconsistencyError
 from .exterior import mult_map_kernel, square_kernel_generators
 from .groups import GroupSpec, GroupTables, antisym_matrix, tables_for
 from .linalg import Subspace, half_mod, projective_lines, reduce_mod
@@ -94,43 +94,6 @@ def u_projection(spec: GroupSpec) -> GroupSpec:
     return GroupSpec(spec.p, spec.n, 0,
                      np.zeros((0, comb(spec.n, 2)), dtype=np.int64),
                      name=(spec.name or "spec") + "-U")
-
-
-@dataclass(frozen=True, eq=False)
-class Cochain:
-    """Dense table G^degree -> (1/p)Z/Z, the value stored as a numerator.
-
-    A writable int16 table is taken as it is and reduced in place; any
-    other table is converted first."""
-
-    spec: GroupSpec
-    degree: int
-    values: Array  # shape (N,) * degree
-
-    def __post_init__(self):
-        N = self.spec.order
-        v = np.asarray(self.values)     # reduced before it is narrowed
-        if v.dtype != np.int16 or not v.flags.writeable:
-            v = v.astype(np.promote_types(v.dtype, np.int16))
-        v = reduce_mod(v, self.spec.p).astype(np.int16, copy=False)
-        if v.shape != (N,) * self.degree:
-            raise DimensionMismatchError(
-                f"table shape {v.shape} for degree {self.degree}, |G| = {N}")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        return Cochain(self.spec, self.degree, self.values + other.values)
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return Cochain(self.spec, self.degree, self.values - other.values)
-
-    def scale(self, c: int) -> "Cochain":
-        p = self.spec.p
-        return Cochain(self.spec, self.degree, _outer_mod(self.values, c % p, p))
-
-    def __call__(self, *gs: int) -> int:
-        return int(self.values[tuple(gs)])
 
 
 def coboundary_slice(F: Array, mul: Array, g1: int, out: Array) -> Array:
@@ -153,34 +116,33 @@ def _outer_mod(a: Array, B: Array, p: int) -> Array:
 
 # -- named cochains -----------------------------------------------------------
 
-def h_rho(spec: GroupSpec, rho) -> Cochain:
+def h_rho(spec: GroupSpec, rho) -> Array:
     """h(g) = rho(vpart(g)); equals rho(g s(ubar g)^{-1}) for s(u) = (u, 0)."""
-    t = tables_for(spec)
-    return Cochain(spec, 1, t.v_eval(rho))
+    return tables_for(spec).v_eval(rho).astype(np.int16)
 
 
-def f_rho_lambda(spec: GroupSpec, rho, lam) -> Cochain:
+def f_rho_lambda(spec: GroupSpec, rho, lam) -> Array:
     """f(g1,g2,g3) = (1/2) rho(vpart g1) lam(ubar g2 ^ ubar g3)."""
     t = tables_for(spec)
     rv = t.v_eval(rho)
     L = t.biform(antisym_matrix(spec.p, spec.n, lam))
-    return Cochain(spec, 3, _outer_mod(half_mod(spec.p) * rv % spec.p, L, spec.p))
+    return _outer_mod(half_mod(spec.p) * rv % spec.p, L, spec.p)
 
 
-def tau23(spec: GroupSpec, u, v, w, x) -> Cochain:
+def tau23(spec: GroupSpec, u, v, w, x) -> Array:
     t = tables_for(spec)
     U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
-    return Cochain(spec, 3, _outer_mod(U, np.multiply.outer(V * W, X), spec.p))
+    return _outer_mod(U, np.multiply.outer(V * W, X), spec.p)
 
 
-def tau13(spec: GroupSpec, u, v, w, x) -> Cochain:
+def tau13(spec: GroupSpec, u, v, w, x) -> Array:
     t = tables_for(spec)
     p = spec.p
     U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
-    vals = (_outer_mod(U, np.multiply.outer(V * W, X), p)
-            + _outer_mod(U * W % p, np.multiply.outer(V, X), p)
-            + _outer_mod(W, np.multiply.outer(V * U, X), p))
-    return Cochain(spec, 3, vals)
+    vals = _outer_mod(U, np.multiply.outer(V * W, X), p)
+    vals += _outer_mod(U * W % p, np.multiply.outer(V, X), p)
+    vals += _outer_mod(W, np.multiply.outer(V * U, X), p)
+    return reduce_mod(vals, p)
 
 
 def mu_slices(spec: GroupSpec, u, v, w, x):
@@ -236,7 +198,7 @@ def verify_dh(spec: GroupSpec) -> VerificationResult:
         for rindex, rho in enumerate(np.eye(spec.m, dtype=np.int64)):
             form = antisym_matrix(p, spec.n, -half_mod(p) * (rho @ spec.gamma))
             W = form @ t.udigits.T % p
-            yield (f"rho=e{rindex + 1}*, ", h_rho(spec, rho).values,
+            yield (f"rho=e{rindex + 1}*, ", h_rho(spec, rho),
                    lambda g1: t.udigits[g1] @ W % p)
     return _check("dh", t, cases())
 
@@ -258,7 +220,7 @@ def verify_df(spec: GroupSpec) -> VerificationResult:
                 L = t.biform(antisym_matrix(p, spec.n, lam))
                 cL = _outer_mod(np.arange(p), -pow(4, -1, p) * L % p, p)
                 yield (f"rho=e{rindex + 1}*, lam=basis{lindex}, ",
-                       f_rho_lambda(spec, rho, lam).values, lambda g1: cL[G[g1]])
+                       f_rho_lambda(spec, rho, lam), lambda g1: cL[G[g1]])
     return _check("df", t, cases())
 
 
@@ -274,7 +236,7 @@ def verify_tau_squares(spec: GroupSpec) -> VerificationResult:
                                        ("tau13", tau13, (c, b, a, d))):
                 other = mu_slices(us, *swapped)
                 yield (f"{name} square at (u,v,w,x)={(a, b, c, d)}, ",
-                       tau(us, a, b, c, d).values, lambda g1: base(g1) + other(g1))
+                       tau(us, a, b, c, d), lambda g1: base(g1) + other(g1))
     return _check("tau_squares", tables_for(us), cases())
 
 
@@ -297,12 +259,14 @@ def tau_agree_certified(us: GroupSpec, u, v) -> bool:
     witness k, False by the bar cycle z (module docstring), each checked;
     a pair that neither certifies raises."""
     p, t = us.p, tables_for(us)
-    diff = (tau13(us, u, u, u, v) - tau23(us, u, u, u, v)).scale(half_mod(p))
+    diff = tau13(us, u, u, u, v)
+    diff -= tau23(us, u, u, u, v)
+    diff = _outer_mod(reduce_mod(diff, p), half_mod(p), p)
     if p > 3:
         k = np.multiply.outer(-pow(6, -1, p) * t.u_eval(u) ** 3 % p,
                               t.u_eval(v)) % p
         if _check("tau_agree", t, [("", k.astype(np.int16),
-                                    diff.values.__getitem__)]).passed:
+                                    diff.__getitem__)]).passed:
             return True
     faces, pairing = Counter(), 0
     for c, g1, g2, g3 in _bar_cycle(t, u, v):
@@ -310,7 +274,7 @@ def tau_agree_certified(us: GroupSpec, u, v) -> bool:
         faces[int(t.mul[g1, g2]), g3] -= c
         faces[g1, int(t.mul[g2, g3])] += c
         faces[g1, g2] -= c
-        pairing += c * diff(g1, g2, g3)
+        pairing += c * int(diff[g1, g2, g3])
     if pairing % p and not any(f % p for f in faces.values()):
         return False
     raise InternalInconsistencyError(

@@ -12,6 +12,9 @@ matrix is the identity, and orthogonal complements reduce to plain kernels.
 
 Degrees with k > n are carried as the zero space of dimension C(n, k) = 0
 so that degree-3 computations run uniformly for small n.
+
+The basis of S^2(Lambda^2) is {e_i e_j : i <= j} over the Lambda^2 basis,
+ordered as np.triu_indices orders the pairs (i, j): by i, then by j.
 """
 
 from __future__ import annotations
@@ -38,28 +41,18 @@ def subset_index(n: int, k: int) -> dict[tuple[int, ...], int]:
     return {s: i for i, s in enumerate(subsets(n, k))}
 
 
-def merge_sign(S: tuple[int, ...], T: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Sign and sorted union of disjoint index tuples; sign 0 on overlap."""
-    if set(S) & set(T):
-        return 0, ()
-    inversions = sum(1 for s in S for t in T if s > t)
-    merged = tuple(sorted(S + T))
-    return (-1) ** inversions, merged
-
-
 @lru_cache(maxsize=None)
 def wedge_basis_tensor(n: int, k: int) -> Array:
     """E[j] = matrix of (omega -> omega ^ e_{j+1}), shape (n, C(n,k), C(n,k+1)).
 
-    Entries are the signs 0, +1, -1 of merge_sign; read-only, since cached.
+    e_S ^ e_t is 0 for t in S, else (-1)^#{s in S : s > t} e_(S + t sorted);
+    read-only, since cached.
     """
     E = np.zeros((n, comb(n, k), comb(n, k + 1)), dtype=np.int64)
     idx = subset_index(n, k + 1)
     for i, S in enumerate(subsets(n, k)):
-        for j in range(n):
-            sign, merged = merge_sign(S, (j + 1,))
-            if sign:
-                E[j, i, idx[merged]] = sign
+        for t in set(range(1, n + 1)) - set(S):
+            E[t - 1, i, idx[tuple(sorted(S + (t,)))]] = (-1) ** sum(s > t for s in S)
     E.setflags(write=False)
     return E
 
@@ -84,62 +77,30 @@ def flag_subspace(p: int, n: int, k: int, v) -> Subspace:
 
 # -- the multiplication map S^2(Lambda^2 U*) -> Lambda^4 U* ------------------
 
-@lru_cache(maxsize=None)
-def sym2_pairs(d: int) -> tuple[tuple[int, int], ...]:
-    """Basis of S^2 of a d-dim space: index pairs (i, j), i <= j, lex order."""
-    return tuple((i, j) for i in range(d) for j in range(i, d))
-
-
-def sym2_product(x: Array, y: Array, p: int) -> Array:
-    """Coordinates of x.y in the {e_i e_j : i <= j} basis of S^2."""
-    d = x.shape[0]
-    out = np.zeros(len(sym2_pairs(d)), dtype=np.int64)
-    for t, (i, j) in enumerate(sym2_pairs(d)):
-        out[t] = (x[i] * y[j] + x[j] * y[i]) % p if i != j else (x[i] * y[i]) % p
-    return out
-
-
 def mult_map_matrix(n: int, p: int) -> Array:
-    """Matrix of S^2(Lambda^2 U*) -> Lambda^4 U*, rows = S^2 basis elements."""
-    d2 = comb(n, 2)
-    d4 = comb(n, 4) if n >= 4 else 0
-    pairs = sym2_pairs(d2)
-    M = np.zeros((len(pairs), d4), dtype=np.int64)
-    if d4 == 0:
-        return M
-    S2 = subsets(n, 2)
-    idx4 = subset_index(n, 4)
-    for t, (i, j) in enumerate(pairs):
-        sign, merged = merge_sign(S2[i], S2[j])
-        if sign:
-            M[t, idx4[merged]] = sign % p
-    return M
+    """Matrix of S^2(Lambda^2 U*) -> Lambda^4 U*, rows = S^2 basis elements.
+
+    Row e_i e_j is e_Si ^ e_Sj = e_Si ^ e_a ^ e_b for S_j = (a, b), read off
+    the wedge tensor in degrees 2 and 3."""
+    a, b = np.triu_indices(n, 1)            # the 2-subsets, lex order
+    W = wedge_basis_tensor(n, 2)[a] @ wedge_basis_tensor(n, 3)[b]
+    i, j = np.triu_indices(comb(n, 2))
+    return W[j, i] % p                      # W[j, i] = e_Si ^ e_Sj
 
 
-def square_kernel_generators(n: int, p: int) -> list[Array]:
-    """Images of (1/2)(u^v . w^x + u^w . v^x) over all basis 4-tuples.
+def square_kernel_generators(n: int, p: int) -> Array:
+    """Rows (1/2)(u^v . w^x + u^w . v^x) over all basis 4-tuples (u, v, w, x)
+    in lex order, in the S^2(Lambda^2) basis.
 
-    These span the kernel of the multiplication map; coordinates are in the
-    S^2(Lambda^2) basis of sym2_pairs.
+    These span the kernel of the multiplication map.  The coordinate of
+    y . z on e_i e_j is y_i z_j + y_j z_i for i < j and y_i z_i for i = j.
     """
-    half = half_mod(p)
-    d2 = comb(n, 2)
-    idx2 = subset_index(n, 2)
-
-    def wedge2(a: int, b: int) -> Array:
-        out = np.zeros(d2, dtype=np.int64)
-        if a == b:
-            return out
-        s = 1 if a < b else -1
-        out[idx2[(min(a, b), max(a, b))]] = s % p
-        return out
-
-    gens = []
-    for u, v, w, x in itertools.product(range(1, n + 1), repeat=4):
-        g = (half * (sym2_product(wedge2(u, v), wedge2(w, x), p)
-                     + sym2_product(wedge2(u, w), wedge2(v, x), p))) % p
-        gens.append(g)
-    return gens
+    A = wedge_basis_tensor(n, 1).transpose(1, 0, 2)     # A[a, b] = e_a ^ e_b
+    P = (np.einsum("uvi,wxj->uvwxij", A, A)             # u^v (x) w^x
+         + np.einsum("uwi,vxj->uvwxij", A, A))          # + u^w (x) v^x
+    i, j = np.triu_indices(comb(n, 2))
+    gens = P[..., i, j] + P[..., j, i] * (i != j)
+    return half_mod(p) * gens.reshape(n ** 4, len(i)) % p
 
 
 def mult_map_kernel(n: int, p: int) -> Subspace:

@@ -260,16 +260,18 @@ class Subspace:
                 f"ambient mismatch: F_{self.p}^{self.ambient} vs "
                 f"F_{other.p}^{other.ambient}")
 
-    def contains(self, vec) -> bool:
-        v = np.asarray(vec, dtype=np.int64).reshape(-1) % self.p
-        if v.shape[0] != self.ambient:
+    def contains(self, vecs) -> Array:
+        """Membership of each vector of a stack (..., N): one bool per
+        vector, a 0-d bool for one vector."""
+        v = np.asarray(vecs, dtype=np.int64) % self.p
+        if v.shape[-1:] != (self.ambient,):
             raise DimensionMismatchError(
-                f"vector of dim {v.shape[0]} in F^{self.ambient}")
-        return not ((v - v[self.pivots] @ self.basis) % self.p).any()
+                f"vectors of shape {v.shape} in F^{self.ambient}")
+        return ((v - v[..., self.pivots] @ self.basis) % self.p == 0).all(axis=-1)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains(r) for r in other.basis)
+        return bool(self.contains(other.basis).all())
 
     # -- lattice operations ------------------------------------------------
 

@@ -125,7 +125,7 @@ def _flags_in_subspace(S: Subspace, k: int, n: int) -> Subspace:
     acc = np.zeros((0, S.ambient), dtype=np.int64)
     for R, _ in _flag_bases(p, n, k, len(grid)):
         X = (grid @ R).reshape(-1, S.ambient) % p
-        hits = X[(X[:, S.pivots] @ S.basis % p == X).all(axis=1)]
+        hits = X[S.contains(X)]
         acc, _ = rref_mod(np.vstack([acc, hits]), p)
     return Subspace(p, S.ambient, acc)
 

@@ -6,6 +6,7 @@ import shutil
 
 import pytest
 
+from unramified import groups, structure
 from unramified.catalog import builtin
 from unramified.cli import main
 
@@ -156,6 +157,37 @@ def test_verify_group_peyre6_sampled_and_seed_stamped(capsys):
                        "--samples", "5000", "--seed", "11")
     assert code == 0
     assert "seed=11" in out
+
+
+def _abelian_law(spec, u1, v1, u2, v2):
+    """groups.law without its (1/2) gamma term: the group (Z/p)^(n + m)."""
+    return (u1 + u2) % spec.p, (v1 + v2) % spec.p
+
+
+@pytest.mark.parametrize("argv,failed", [
+    (("--builtin", "heisenberg3"), [
+        "FAIL  commutator_is_gamma  (checked 729)  counterexample: indices (3, 9)",
+        "FAIL  derived_equals_im_gamma  (checked 1)  "
+        "counterexample: span dim 0 != rank gamma 1",
+        "FAIL  center_is_radical_plus_V  (checked 27)  counterexample: index 3"]),
+    (("--builtin", "peyre6", "--samples", "2000"), [
+        "FAIL  commutator_is_gamma  (checked 2000)  "
+        "[sampled, seed=0, samples=2000]",
+        "FAIL  derived_equals_im_gamma  (checked 2000)  "
+        "[sampled, seed=0, samples=2000]  "
+        "counterexample: sampled commutator span dim 0 != rank gamma 6"]),
+])
+def test_verify_group_fails_on_an_abelian_law(monkeypatch, capsys, argv,
+                                              failed):
+    """Negative control for both tiers: with the law abelian, the checks
+    that see gamma fail, on the tables (heisenberg3) and on samples
+    (peyre6); the sampled center check reads gamma, not the law."""
+    monkeypatch.setattr(groups, "law", _abelian_law)
+    monkeypatch.setattr(structure, "law", _abelian_law)
+    code, out, _ = run(capsys, "verify-group", *argv)
+    assert code == 2
+    assert [line for line in out.splitlines()
+            if line.startswith("FAIL")] == failed
 
 
 def test_verify_group_rejects_nonstrict_spec(tmp_path, capsys):

@@ -14,7 +14,6 @@ from unramified.exterior import (
     square_kernel_generators,
     subset_index,
     subsets,
-    sym2_pairs,
     wedge_basis_tensor,
     wedge_by_vector_matrix,
 )
@@ -167,12 +166,14 @@ def test_flag_subspace_rejects_zero_vector():
         flag_subspace(3, 4, 1, [0, 0, 0, 0])
 
 
-@pytest.mark.parametrize("n,p", [(2, 3), (3, 3), (2, 5), (3, 5)])
+@pytest.mark.parametrize("n,p", [(0, 3), (1, 3), (2, 3), (3, 3), (0, 5),
+                                 (1, 5), (2, 5), (3, 5)])
 def test_mult_map_kernel_is_everything_below_dim_4(n, p):
     M, gens = mult_map_matrix(n, p), square_kernel_generators(n, p)
-    assert M.shape[1] == 0
+    dim_s2 = comb(comb(n, 2) + 1, 2)
+    assert M.shape == (dim_s2, 0) and gens.shape == (n ** 4, dim_s2)
     K = mult_map_kernel(n, p)
-    assert K.dim == len(sym2_pairs(comb(n, 2)))
+    assert K.dim == dim_s2
     assert Subspace.from_generators(gens, p, K.ambient) == K
 
 
@@ -182,11 +183,15 @@ def test_mult_map_kernel_equals_generator_span(n, p):
     K = mult_map_kernel(n, p)
     span = Subspace.from_generators(gens, p, K.ambient)
     assert span == K
+    # row e_Si e_Sj of M is e_Si ^ e_Sj
+    S2 = subsets(n, 2)
+    for t, (i, j) in enumerate(zip(*np.triu_indices(len(S2)))):
+        assert np.array_equal(
+            M[t], wedge(p, n, basis(n, 2, S2[i]), 2, basis(n, 2, S2[j]), 2))
     if n == 4:
         # dim S^2(Lambda^2) = 21, the map onto the 1-dim Lambda^4 has rank 1
         from unramified.linalg import rank_mod
         assert K.ambient == 21
-        assert len(sym2_pairs(comb(4, 2))) == 21
         assert rank_mod(M.T, p) == 1
         assert K.dim == 20
 
@@ -209,7 +214,7 @@ def tensor4_of_sym2(vec, n, p):
         out[b, a] = (-half) % p
         return out
 
-    for t, (i, j) in enumerate(sym2_pairs(comb(n, 2))):
+    for t, (i, j) in enumerate(zip(*np.triu_indices(comb(n, 2)))):
         c = int(vec[t])
         if not c:
             continue

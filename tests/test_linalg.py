@@ -241,6 +241,9 @@ def test_intersection_matches_enumeration_seed(seed):
     got = intersect(S, T)
     elements = np.array(list(itertools.product(range(p), repeat=S.dim))) @ S.basis
     hits = [v for v in elements % p if T.contains(v)]
+    # the stack form answers each vector as the one-vector form does
+    assert np.array_equal(T.contains(elements),
+                          [bool(T.contains(v)) for v in elements])
     expected = Subspace.from_generators(hits, p, 6)
     assert got == expected
     assert (S + T).dim + got.dim == S.dim + T.dim
@@ -271,6 +274,8 @@ def test_ambient_mismatch_rejected():
         S + T
     with pytest.raises(DimensionMismatchError):
         S.contains([1, 0, 0])
+    with pytest.raises(DimensionMismatchError):
+        S.contains(np.zeros((4, 3), dtype=np.int64))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
