@@ -28,7 +28,7 @@ from .errors import (
     SpecError,
     UnramifiedError,
 )
-from .exterior import flag_subspace, render_multivector
+from .exterior import render_multivector
 from .groups import GroupSpec, center_and_derived, load_spec, validate_spec
 from .linalg import Subspace, kernel
 from .obstruction import ObstructionReport, analyze, dec_subgroup, dec_subgroup_bruteforce
@@ -46,7 +46,6 @@ __all__ = [
     "center_and_derived",
     "dec_subgroup",
     "dec_subgroup_bruteforce",
-    "flag_subspace",
     "kernel",
     "load_spec",
     "render_multivector",

@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import bar, cochains, obstruction, structure
 from .catalog import BUILTIN_NOTES, BUILTINS, builtin
@@ -96,7 +97,7 @@ def cmd_verify_group(args) -> int:
     results = structure.verify_group_structure(spec, seed=args.seed,
                                                samples=args.samples)
     if args.json:
-        _emit_json({"results": [r.to_json_dict() for r in results],
+        _emit_json({"results": [asdict(r) for r in results],
                     "seed": args.seed})
     else:
         for r in results:
@@ -112,7 +113,7 @@ def cmd_verify_lemmas(args) -> int:
     results = [cochains.verify_identity(spec, which, guard_bytes=gbytes)
                for which in cochains.IDENTITIES]
     if args.json:
-        _emit_json({"results": [r.to_json_dict() for r in results]})
+        _emit_json({"results": [asdict(r) for r in results]})
     else:
         for r in results:
             print(r.line())
@@ -154,9 +155,9 @@ def cmd_oracle_decomposables(args) -> int:
     spec = _resolve_spec(args)
     rep = obstruction.analyze(spec, strict=args.strict)
     deg = args.degree
-    S = rep.deg2.si if deg == 2 else rep.deg3.si
-    fast = obstruction.dec_subgroup(S, deg, spec.n)
-    brute = obstruction.dec_subgroup_bruteforce(S, deg, spec.n,
+    d = rep.deg2 if deg == 2 else rep.deg3
+    fast = d.si_dec                 # analyze's dec_subgroup(S^deg)
+    brute = obstruction.dec_subgroup_bruteforce(d.si, deg, spec.n,
                                                 max_work=args.max_work)
     agree = fast == brute
     text = [render_multivector(row, spec.n, deg, spec.p)

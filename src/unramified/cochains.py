@@ -330,6 +330,10 @@ def verify_ssquare_kernel(spec: GroupSpec) -> VerificationResult:
 #     ones they are built from ((16p + 8) bytes a cell of |U|^2).
 #   tau_agree, on U: tau13, tau23, their difference and its quotient (8),
 #     plus the rows the taus gather from and the witness k ((16p + 18)).
+#   ssquare_kernel: the two einsum terms of the int64 n^4 x C(n, 2)^2
+#     product tensor, then the generator rows, and einsum's 192 KiB of
+#     iteration buffers, which outweigh both terms at n = 4 (32 bytes a
+#     cell of the tensor); below tau_squares' figure at every (p, n).
 _SMALL_BYTES = 1 << 16
 IDENTITIES = {
     "dh": (lambda spec: (8 * spec.n + 24) * spec.order + _SMALL_BYTES
@@ -340,7 +344,8 @@ IDENTITIES = {
                     * spec.p ** (2 * spec.n) + _SMALL_BYTES, verify_tau_squares),
     "tau_agree": (lambda spec: 8 * spec.p ** (3 * spec.n) + (16 * spec.p + 18)
                   * spec.p ** (2 * spec.n) + _SMALL_BYTES, verify_tau_agree),
-    "ssquare_kernel": (lambda spec: 0, verify_ssquare_kernel),
+    "ssquare_kernel": (lambda spec: 32 * spec.n ** 4 * comb(spec.n, 2) ** 2
+                       + _SMALL_BYTES, verify_ssquare_kernel),
 }
 
 

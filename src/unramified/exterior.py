@@ -63,18 +63,6 @@ def wedge_by_vector_matrix(p: int, n: int, k: int, v) -> Array:
     return np.tensordot(v, wedge_basis_tensor(n, k), axes=1) % p
 
 
-def flag_subspace(p: int, n: int, k: int, v) -> Subspace:
-    """{omega ^ v : omega in Lambda^k(F_p^n)} as a subspace of Lambda^{k+1}.
-
-    Has dimension C(n-1, k) for v != 0; also equals ker(^ v) on Lambda^{k+1}.
-    """
-    v = np.asarray(v, dtype=np.int64) % p
-    if not v.any():
-        raise ValueError("flag_subspace requires a nonzero vector")
-    M = wedge_by_vector_matrix(p, n, k, v)
-    return Subspace.from_generators(M, p, M.shape[1])
-
-
 # -- the multiplication map S^2(Lambda^2 U*) -> Lambda^4 U* ------------------
 
 def mult_map_matrix(n: int, p: int) -> Array:

@@ -22,13 +22,3 @@ class VerificationResult:
         if self.counterexample:
             msg += f"  counterexample: {self.counterexample}"
         return msg
-
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "passed": self.passed,
-            "checked": self.checked,
-            "counterexample": self.counterexample,
-            "note": self.note,
-            "skipped": self.skipped,
-        }

@@ -3,6 +3,9 @@
 Exhaustive for |G| <= 3^5 via dense index tables; above that, seeded random
 sampling on coordinate arrays (the sample size and seed are reported, so a
 run is reproducible from its output line).
+
+Both tiers take commutation from the law: the commutator, derived-group and
+center checks read one x y (y x)^-1 result; gamma only forms expected values.
 """
 
 from __future__ import annotations
@@ -14,6 +17,20 @@ from .linalg import Subspace
 from .results import VerificationResult
 
 EXHAUSTIVE_BOUND = 3 ** 5
+
+
+def _derived(spec: GroupSpec, values, checked, note="") -> VerificationResult:
+    """[G, G] = im gamma, with values the V-parts of the commutators found."""
+    if not spec.m:
+        return VerificationResult("derived_equals_im_gamma", True, 0,
+                                  note="gamma = 0: [G,G] = 1")
+    span = Subspace.from_generators(values, spec.p, spec.m)
+    image = Subspace.from_generators(spec.gamma.T, spec.p, spec.m)
+    ok = span == image
+    return VerificationResult(
+        "derived_equals_im_gamma", ok, checked, note=note,
+        counterexample=None if ok else
+        f"span dim {span.dim} != rank gamma {image.dim}")
 
 
 def _verify_exhaustive(spec: GroupSpec) -> list[VerificationResult]:
@@ -53,49 +70,25 @@ def _verify_exhaustive(spec: GroupSpec) -> list[VerificationResult]:
         "order", spec.order == N, 1,
         counterexample=None if spec.order == N else f"{N} != {spec.order}"))
 
-    # commutators realize gamma exactly, and their span is im gamma
-    wv = spec.p ** np.arange(spec.m - 1, -1, -1, dtype=np.int64) \
-        if spec.m else np.zeros(0, dtype=np.int64)
-    bad = None
-    seen_v: set[tuple[int, ...]] = set()
-    for a in range(N):
-        x = mul[a]
-        y = mul[:, a]
-        comm = mul[x, inv[y]]
-        gv = spec.gamma_of(t.udigits[a], t.udigits)
-        expected = gv @ wv if spec.m else np.zeros(N, dtype=np.int64)
-        if not np.array_equal(comm, expected):
-            b = int(np.flatnonzero(comm != expected)[0])
-            bad = (a, b)
-            break
-        if spec.m:
-            seen_v.update(map(tuple, gv))
+    # comm[a, b] = a b (b a)^-1; expected: the index of (0, gamma(u_a ^ u_b))
+    comm = mul[mul, inv[mul.T]]
+    wv = spec.p ** np.arange(spec.m - 1, -1, -1, dtype=np.int64)
+    expected = spec.gamma_of(t.udigits[:, None], t.udigits[None]) @ wv
+    bad = np.argwhere(comm != expected)
     out.append(VerificationResult(
-        "commutator_is_gamma", bad is None, N ** 2,
-        counterexample=None if bad is None else f"indices {bad}"))
+        "commutator_is_gamma", not len(bad), N ** 2,
+        counterexample=f"indices {tuple(map(int, bad[0]))}" if len(bad)
+        else None))
 
-    if spec.m:
-        span = Subspace.from_generators(
-            np.array(sorted(seen_v), dtype=np.int64), spec.p, spec.m)
-        image = Subspace.from_generators(spec.gamma.T, spec.p, spec.m)
-        ok = span == image
-        out.append(VerificationResult(
-            "derived_equals_im_gamma", ok, len(seen_v),
-            counterexample=None if ok else
-            f"span dim {span.dim} != rank gamma {image.dim}"))
-    else:
-        out.append(VerificationResult("derived_equals_im_gamma", True, 0,
-                                      note="gamma = 0: [G,G] = 1"))
+    values = np.unique(comm)
+    out.append(_derived(spec, t.vdigits[values], len(values)))
 
     # center = {(u, v) : u in radical}
-    rad = radical_subspace(spec)
-    central = np.array([np.array_equal(mul[g], mul[:, g]) for g in range(N)])
-    expected_central = rad.contains(t.udigits)
-    ok = bool((central == expected_central).all())
+    central = (comm == 0).all(axis=1)
+    bad = np.flatnonzero(central != radical_subspace(spec).contains(t.udigits))
     out.append(VerificationResult(
-        "center_is_radical_plus_V", ok, N,
-        counterexample=None if ok else
-        f"index {int(np.nonzero(central != expected_central)[0][0])}"))
+        "center_is_radical_plus_V", not len(bad), N,
+        counterexample=f"index {bad[0]}" if len(bad) else None))
     return out
 
 
@@ -108,6 +101,10 @@ def _verify_sampled(spec: GroupSpec, seed: int,
     V = [rng.integers(0, p, size=(B, m)) for _ in range(3)]
     out = []
     note = f"sampled, seed={seed}, samples={samples}"
+
+    def commutator(x, y, xy):   # x y (y x)^-1 by the law, given x y
+        yu, yv = law(spec, *y, *x)
+        return law(spec, *xy, -yu % p, -yv % p)
 
     ab = law(spec, U[0], V[0], U[1], V[1])
     ab_c = law(spec, *ab, U[2], V[2])
@@ -132,36 +129,27 @@ def _verify_sampled(spec: GroupSpec, seed: int,
     ok = not au.any() and not av.any()
     out.append(VerificationResult("exponent_p", ok, B, note=note))
 
-    # commutator against gamma
-    yx = law(spec, U[1], V[1], U[0], V[0])
-    cu, cv = law(spec, *ab, (-yx[0]) % p, (-yx[1]) % p)
-    expected = spec.gamma_of(U[0], U[1])
-    ok = not cu.any() and np.array_equal(cv, expected)
-    out.append(VerificationResult("commutator_is_gamma", ok, B, note=note))
+    cu, cv = commutator((U[0], V[0]), (U[1], V[1]), ab)
+    bad = np.flatnonzero(cu.any(axis=1)
+                         | (cv != spec.gamma_of(U[0], U[1])).any(axis=1))
+    out.append(VerificationResult(
+        "commutator_is_gamma", not len(bad), B, note=note,
+        counterexample=f"(u, w) = ({U[0][bad[0]].tolist()}, "
+        f"{U[1][bad[0]].tolist()})" if len(bad) else None))
 
-    # central elements (0, v) commute with everything sampled; elements with
-    # u outside the radical fail to commute with some basis section
-    rad = radical_subspace(spec)
+    # the first k samples against the sections (e_j, 0): central iff u in rad
     k = min(B, 1000)
-    g = spec.gamma_of(U[0][:k, None], np.eye(n, dtype=np.int64))  # (k, n, m)
-    commuting = U[0][:k][~g.any(axis=(1, 2))]
-    bad = commuting[~rad.contains(commuting)]
+    x = (U[0][:k, None], V[0][:k, None])
+    y = (np.eye(n, dtype=np.int64), np.zeros((n, m), dtype=np.int64))
+    zu, zv = commutator(x, y, law(spec, *x, *y))
+    central = ~zu.any(axis=(1, 2)) & ~zv.any(axis=(1, 2))
+    bad = np.flatnonzero(central != radical_subspace(spec).contains(U[0][:k]))
     out.append(VerificationResult(
         "center_is_radical_plus_V", not len(bad), k, note=note,
-        counterexample=f"u={bad[0].tolist()} commutes with all sections"
-        if len(bad) else None))
+        counterexample=f"u={U[0][bad[0]].tolist()} is "
+        f"{'' if central[bad[0]] else 'not '}central" if len(bad) else None))
 
-    if m:
-        span = Subspace.from_generators(cv, p, m)
-        image = Subspace.from_generators(spec.gamma.T, p, m)
-        ok = span == image
-        out.append(VerificationResult(
-            "derived_equals_im_gamma", ok, B, note=note,
-            counterexample=None if ok else
-            f"sampled commutator span dim {span.dim} != rank gamma {image.dim}"))
-    else:
-        out.append(VerificationResult("derived_equals_im_gamma", True, 0,
-                                      note="gamma = 0: [G,G] = 1"))
+    out.append(_derived(spec, cv, B, note))
     return out
 
 

@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from unramified import groups, structure
+from unramified import groups, obstruction, structure
 from unramified.catalog import builtin
 from unramified.cli import main
 
@@ -172,16 +172,20 @@ def _abelian_law(spec, u1, v1, u2, v2):
         "FAIL  center_is_radical_plus_V  (checked 27)  counterexample: index 3"]),
     (("--builtin", "peyre6", "--samples", "2000"), [
         "FAIL  commutator_is_gamma  (checked 2000)  "
-        "[sampled, seed=0, samples=2000]",
+        "[sampled, seed=0, samples=2000]  "
+        "counterexample: (u, w) = ([2, 1, 1, 0, 0, 0], [0, 1, 2, 2, 1, 0])",
+        "FAIL  center_is_radical_plus_V  (checked 1000)  "
+        "[sampled, seed=0, samples=2000]  "
+        "counterexample: u=[2, 1, 1, 0, 0, 0] is central",
         "FAIL  derived_equals_im_gamma  (checked 2000)  "
         "[sampled, seed=0, samples=2000]  "
-        "counterexample: sampled commutator span dim 0 != rank gamma 6"]),
+        "counterexample: span dim 0 != rank gamma 6"]),
 ])
 def test_verify_group_fails_on_an_abelian_law(monkeypatch, capsys, argv,
                                               failed):
-    """Negative control for both tiers: with the law abelian, the checks
-    that see gamma fail, on the tables (heisenberg3) and on samples
-    (peyre6); the sampled center check reads gamma, not the law."""
+    """Negative control for both tiers: with the law abelian, the
+    commutator, derived-group and center checks all fail, on the tables
+    (heisenberg3) and on samples (peyre6), since both read the law."""
     monkeypatch.setattr(groups, "law", _abelian_law)
     monkeypatch.setattr(structure, "law", _abelian_law)
     code, out, _ = run(capsys, "verify-group", *argv)
@@ -392,6 +396,19 @@ def test_oracle_decomposables_peyre6_degree3_headline(capsys):
                        "peyre6", "--degree", "3")
     assert code == 0
     assert out.strip() == "fast = brute = span{u[1,3,5]}"
+
+
+def test_oracle_decomposables_takes_the_fast_route_from_analyze(monkeypatch,
+                                                                capsys):
+    # analyze computes S^i_dec once per degree; the oracle reuses it
+    calls = []
+    real = obstruction.dec_subgroup
+    monkeypatch.setattr(obstruction, "dec_subgroup",
+                        lambda *a: calls.append(a[1]) or real(*a))
+    code, out, _ = run(capsys, "oracle", "decomposables", "--builtin",
+                       "peyre6", "--degree", "3")
+    assert code == 0 and out.strip() == "fast = brute = span{u[1,3,5]}"
+    assert calls == [2, 3]
 
 
 def test_oracle_cohomology_text_output(capsys):

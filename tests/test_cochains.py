@@ -54,10 +54,17 @@ def test_coboundary_of_constant_is_zero():
     assert not coboundary(spec, np.array(2, dtype=np.int16)).any()
 
 
+# (p, n) of the elementary groups only ssquare_kernel's guard test runs on
+_SSQUARE_ONLY = {"elem81": (3, 4), "elem3125": (5, 5)}
+
+
 def _group(name):
-    """A builtin, or order81: nonabelian of order 3^4 with three lam's."""
+    """A builtin, order81: nonabelian of order 3^4 with three lam's, or one
+    of _SSQUARE_ONLY."""
     if name == "order81":
         return GroupSpec(3, 3, 1, np.array([[1, 0, 1]]), name=name)
+    if name in _SSQUARE_ONLY:
+        return elementary(*_SSQUARE_ONLY[name], name)
     return builtin(name)
 
 
@@ -380,7 +387,8 @@ def test_coboundary_squares_to_zero_at_order_81():
 @pytest.mark.parametrize("name,which", [
     (name, which)
     for name in ("heisenberg3", "heisenberg5", "elem9", "elem27", "order81")
-    for which in IDENTITIES if IDENTITIES[which][0](_group(name))])
+    for which in IDENTITIES if IDENTITIES[which][0](_group(name))]
+    + [(name, "ssquare_kernel") for name in _SSQUARE_ONLY])
 def test_identity_guard_covers_its_peak_allocation(name, which):
     """Each identity with a guard figure, on each group, allocates no more
     than the figure once the group tables are built; tau_agree's covers its
@@ -397,6 +405,18 @@ def test_identity_guard_covers_its_peak_allocation(name, which):
     finally:
         tracemalloc.stop()
     assert peak <= info.value.required
+
+
+def test_ssquare_kernel_figure_stays_below_tau_squares():
+    # verify-lemmas checks tau_squares' guard first, so a guard that refuses
+    # ssquare_kernel has already refused tau_squares, with the same message
+    figure = {which: IDENTITIES[which][0] for which in IDENTITIES}
+    for p in (3, 5, 7, 11):
+        for n in range(16):
+            spec = elementary(p, n, "elem")
+            assert figure["ssquare_kernel"](spec) < figure["tau_squares"](spec)
+    assert list(IDENTITIES).index("tau_squares") < list(IDENTITIES).index(
+        "ssquare_kernel")
 
 
 def test_df_fails_on_one_changed_cell(monkeypatch):

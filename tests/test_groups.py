@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from unramified import groups, structure
 from unramified.catalog import builtin
 from unramified.errors import (
     EvenPrimeError,
@@ -215,6 +216,40 @@ def test_exhaustive_group_structure(name):
 def test_sampled_group_structure_peyre6():
     for r in verify_group_structure(builtin("peyre6"), seed=1, samples=20_000):
         assert r.passed, r.line()
+
+
+# gamma(u1 ^ u2) = v1 on U = F_3^3: the radical is spanned by e3
+_RADICAL_SPEC = GroupSpec(3, 3, 1, [[1, 0, 0]], name="radical3")
+
+
+@pytest.mark.parametrize("spec", [builtin("heisenberg3"),
+                                  builtin("heisenberg5"), builtin("elem27"),
+                                  _RADICAL_SPEC], ids=lambda s: s.name)
+def test_sampled_tier_passes_on_enumerable_groups(monkeypatch, spec):
+    # the sampled checks, forced below the exhaustive bound, pass wherever
+    # the exhaustive ones do, a nontrivial radical included
+    assert all(r.passed for r in verify_group_structure(spec))
+    monkeypatch.setattr(structure, "EXHAUSTIVE_BOUND", 0)
+    results = verify_group_structure(spec, seed=2, samples=3000)
+    assert "sampled" in results[0].note
+    for r in results:
+        assert r.passed, r.line()
+
+
+@pytest.mark.parametrize("bound", [structure.EXHAUSTIVE_BOUND, 0])
+def test_center_check_reads_the_law(monkeypatch, bound):
+    """Negative control for both tiers: a law built from another gamma,
+    with radical e1 + e3 in place of e3, fails the commutator and center
+    checks; the derived group, im gamma = V either way, still passes."""
+    twisted = GroupSpec(3, 3, 1, [[1, 0, 1]])
+    real_law = groups.law
+    monkeypatch.setattr(groups, "law", lambda s, *a: real_law(twisted, *a))
+    monkeypatch.setattr(structure, "law", groups.law)
+    monkeypatch.setattr(structure, "EXHAUSTIVE_BOUND", bound)
+    results = verify_group_structure(_RADICAL_SPEC, samples=2000)
+    failed = [r.identity for r in results if not r.passed]
+    assert failed == ["commutator_is_gamma", "center_is_radical_plus_V"]
+    assert all(r.counterexample for r in results if not r.passed)
 
 
 @pytest.mark.parametrize("seed,p", [(0, 3), (1, 3), (2, 5)])

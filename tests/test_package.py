@@ -94,17 +94,15 @@ def _defined_and_referenced(files):
 
 
 def test_every_function_in_src_is_used_outside_the_tests():
-    # a function or method that only the tests call does not belong in src/;
-    # public names (__all__) and dunders are exempt
+    # a function or method that only the tests call does not belong in src/,
+    # even when __all__ exports it; dunders are exempt
     root = Path(__file__).resolve().parents[1]
     files = [f for f in sorted((root / "src" / "unramified").glob("*.py"))
              if f.name != "__init__.py"] + sorted((root / "bench").glob("*.py"))
     defs, refs = _defined_and_referenced(files)
-    exempt = set(unramified.__all__)
     unused = []
     for path, fn in defs:
-        if fn.name in exempt or (fn.name.startswith("__")
-                                 and fn.name.endswith("__")):
+        if fn.name.startswith("__") and fn.name.endswith("__"):
             continue
         if not any(name == fn.name and not (
                 where == path and fn.lineno <= node.lineno <= fn.end_lineno)
