@@ -70,6 +70,11 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+def _add_no_strict(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--no-strict", dest="strict", action="store_false",
+                   help="run even if gamma is not surjective / has radical")
+
+
 def cmd_builtins(args) -> int:
     if args.json:
         _emit_json({name: BUILTIN_NOTES[name] for name in sorted(BUILTINS)})
@@ -192,16 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help='echoed as the "seed" key of --json; '
                         'analyze samples nothing')
-    p.add_argument("--strict", dest="strict", action="store_true", default=True)
-    p.add_argument("--no-strict", dest="strict", action="store_false",
-                   help="analyze even if gamma is not surjective / has radical")
+    _add_no_strict(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify-group", help="group axioms, exponent, structure")
     _add_spec_args(p)
     p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    p.add_argument("--strict", dest="strict", action="store_true", default=True)
-    p.add_argument("--no-strict", dest="strict", action="store_false")
+    _add_no_strict(p)
     p.add_argument("--samples", type=int, default=100_000,
                    help="sample count above the exhaustive tier")
     p.set_defaults(func=cmd_verify_group)
@@ -228,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fast vs brute-force decomposable subgroup")
     _add_spec_args(p)
     p.add_argument("--degree", type=int, default=3, choices=(2, 3))
-    p.add_argument("--strict", dest="strict", action="store_true", default=True)
-    p.add_argument("--no-strict", dest="strict", action="store_false")
+    _add_no_strict(p)
     p.add_argument("--max-work", type=int,
                    default=obstruction.DEFAULT_BRUTE_WORK,
                    help="membership-test budget for the brute force")

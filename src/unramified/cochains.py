@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -86,7 +85,6 @@ Array = np.ndarray
 DEFAULT_GUARD_BYTES = 1 << 29
 
 
-@lru_cache(maxsize=32)
 def u_projection(spec: GroupSpec) -> GroupSpec:
     """The abelianized carrier U as an m = 0 spec (one code path for taus)."""
     if spec.m == 0:

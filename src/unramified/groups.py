@@ -246,6 +246,7 @@ def spec_from_json_dict(data: dict, name: str | None = None) -> GroupSpec:
         raise SpecError(f"malformed spec: {exc}") from exc
     if n < 0 or m < 0:
         raise SpecError("dimU and dimV must be nonnegative")
+    check_odd_prime(p)          # before any coefficient meets int64
     gamma = np.zeros((m, comb(n, 2)), dtype=np.int64)
     idx = subset_index(n, 2)
     for t, term in enumerate(terms, start=1):

@@ -1,10 +1,16 @@
-"""Exact linear algebra over F_p with canonical subspace representations.
+"""Exact linear algebra over F_p and Z/p^k, with canonical F_p subspaces.
 
 Matrices are numpy ``int64`` arrays holding reduced residues; a subspace of
 F_p^N is always stored as the reduced row-echelon basis of its row space, so
 two equal subspaces have byte-identical basis tables and ``==`` / ``hash``
 are exact.  Only odd primes are accepted: 1/2 = (p+1)/2 is needed everywhere
-downstream.
+downstream.  ``check_odd_prime`` also refuses p >= 2^16, so that every sum
+of products the pipeline forms stays exact in int64: gamma(u ^ w) adds n^2
+terms below p^3 (exact for n <= 181), and a membership test adds dim terms
+below p^2.
+
+One elimination, ``rref_stack``, serves every modulus q = p^k: only units
+pivot, and F_p is the case k = 1, where every nonzero residue is one.
 
 Large arrays are reduced in place by ``reduce_mod``, A - (A // p) * p: numpy
 vectorizes integer floor division by a scalar but not the remainder, so on
@@ -22,7 +28,8 @@ from math import gcd
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvenPrimeError, NotPrimeError
+from .errors import DimensionMismatchError, EvenPrimeError, NotPrimeError, \
+    SpecError
 
 Array = np.ndarray
 
@@ -40,6 +47,9 @@ def is_prime(n: int) -> bool:
 
 def check_odd_prime(p: int) -> int:
     """Validate the scalar modulus; the whole pipeline needs 2 invertible."""
+    if p >= 2 ** 16:
+        raise SpecError(f"p = {p} is too large: exact int64 arithmetic "
+                        "needs p < 2^16")
     if not is_prime(p):
         raise NotPrimeError(f"modulus {p} is not prime")
     if p == 2:
@@ -105,18 +115,19 @@ def _pivot_inverses(a: Array, q: int) -> Array:
 
 def rref_stack(A: Array, p: int, q: int | None = None
                ) -> tuple[Array, Array, Array]:
-    """Gauss-Jordan over F_p on each matrix of a stack of shape (L, m, n).
+    """Gauss-Jordan over Z/q, q = p^k (q = p by default), on each matrix of
+    a stack of shape (L, m, n).
 
-    Returns (R, ranks, pivots): R[l] is the reduced row echelon form of
-    A[l], its ranks[l] nonzero rows first; pivots[l, i] is the pivot column
-    of row i, or -1 for i >= ranks[l].  A pivot updates only the rows that
-    are nonzero in its column, and in them only the columns where its row
-    is nonzero, so sparse matrices stay cheap.
-
-    Over Z/q for q = p^k > p only units pivot, and a column without one is
-    skipped, so rows ranks[l]: end up divisible by p.  A skipped column's
-    multiples of p stay in rows that pivot later: over Z/q a pivot row
-    also updates the columns left of its pivot.
+    Returns (R, ranks, pivots): R[l] is A[l] after row operations, its
+    ranks[l] pivot rows first; pivots[l, i] is the pivot column of row i,
+    or -1 for i >= ranks[l].  Only units pivot: a pivot is scaled to 1 and
+    its column cleared, and a column with no unit below the rank is
+    skipped, so rows ranks[l]: end up divisible by p, which over F_p means
+    zero, and R[l] is then the reduced row echelon form.  Over Z/p^k a
+    skipped column's multiples of p stay in rows that pivot later, so a
+    pivot row updates the columns left of its pivot too.  A pivot updates
+    only the rows that are nonzero in its column, and in them only the
+    columns where its row is nonzero, so sparse matrices stay cheap.
     """
     q = q or p
     A = np.array(A, dtype=np.int64, order="C")
@@ -129,7 +140,7 @@ def rref_stack(A: Array, p: int, q: int | None = None
         lo = int(ranks.min()) if L else m
         if lo == m:
             break
-        cand = A[:, lo:, c] != 0 if q == p else A[:, lo:, c] % p != 0
+        cand = A[:, lo:, c] % p != 0
         if L > 1:
             cand &= np.arange(lo, m) >= ranks[:, None]
         P = np.flatnonzero(cand.any(axis=1))
@@ -139,22 +150,20 @@ def rref_stack(A: Array, p: int, q: int | None = None
         i = lo + cand[P].argmax(axis=1)
         if (i != r).any():
             A[P, r], A[P, i] = A[P, i], A[P, r]
-        c0 = c if q == p else 0
-        piv = A[P, r, c0:]
-        piv = piv * _pivot_inverses(piv[:, c - c0], q)[:, None] % q
-        A[P, r, c0:] = piv
+        piv = A[P, r]
+        piv = piv * _pivot_inverses(piv[:, c], q)[:, None] % q
+        A[P, r] = piv
         hit = A[P, :, c] != 0
         hit[np.arange(P.size), r] = False
         k, j = np.nonzero(hit)
         cols = np.flatnonzero(piv.any(axis=0))
-        at_c = 0 if q == p else int(np.searchsorted(cols, c))
+        at_c = int(np.searchsorted(cols, c))
         step = max(1, _UPDATE_CELLS // cols.size)
         for s in range(0, k.size, step):
             ks = k[s:s + step]
-            at = ((P[ks] * m + j[s:s + step]) * n + c0)[:, None] + cols
+            at = ((P[ks] * m + j[s:s + step]) * n)[:, None] + cols
             block = flat[at]
-            block -= block[:, at_c, None] * (piv[:, cols] if P.size == 1
-                                             else piv[ks[:, None], cols])
+            block -= block[:, at_c, None] * piv[ks[:, None], cols]
             flat[at] = reduce_mod(block, q)
         pivots[P, r] = c
         ranks[P] = r + 1
@@ -227,10 +236,6 @@ class Subspace:
     def zero(cls, p: int, ambient: int) -> "Subspace":
         return cls(p, ambient, np.zeros((0, ambient), dtype=np.int64))
 
-    @classmethod
-    def full(cls, p: int, ambient: int) -> "Subspace":
-        return cls(p, ambient, np.eye(ambient, dtype=np.int64))
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -282,10 +287,7 @@ class Subspace:
 
     def orthogonal(self) -> "Subspace":
         """{x : s . x = 0 for all s in self}, for the identity pairing."""
-        N = self.ambient
-        if self.dim == 0:
-            return Subspace.full(self.p, N)
-        return Subspace.from_generators(kernel_basis(self.basis, self.p), self.p, N)
+        return kernel(self.basis, self.p)
 
 
 def kernel(M, p: int) -> Subspace:

@@ -10,6 +10,8 @@ center checks read one x y (y x)^-1 result; gamma only forms expected values.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .groups import GroupSpec, build_tables, law, radical_subspace
@@ -97,56 +99,48 @@ def _verify_sampled(spec: GroupSpec, seed: int,
     rng = np.random.default_rng(seed)
     p, n, m = spec.p, spec.n, spec.m
     B = samples
-    U = [rng.integers(0, p, size=(B, n)) for _ in range(3)]
-    V = [rng.integers(0, p, size=(B, m)) for _ in range(3)]
+    # three elements (u, v); every U is drawn before any V
+    a, b, c = zip([rng.integers(0, p, size=(B, n)) for _ in range(3)],
+                  [rng.integers(0, p, size=(B, m)) for _ in range(3)])
     out = []
     note = f"sampled, seed={seed}, samples={samples}"
 
-    def commutator(x, y, xy):   # x y (y x)^-1 by the law, given x y
-        yu, yv = law(spec, *y, *x)
-        return law(spec, *xy, -yu % p, -yv % p)
+    # each check forms its own products, so none outlives its check
+    def prod(x, y):
+        return law(spec, *x, *y)
 
-    ab = law(spec, U[0], V[0], U[1], V[1])
-    ab_c = law(spec, *ab, U[2], V[2])
-    bc = law(spec, U[1], V[1], U[2], V[2])
-    a_bc = law(spec, U[0], V[0], *bc)
-    ok = all(np.array_equal(x, y) for x, y in zip(ab_c, a_bc))
+    def commutator(x, y):       # x y (y x)^-1 by the law
+        return prod(prod(x, y), [-t % p for t in prod(y, x)])
+
+    ok = all(map(np.array_equal, prod(prod(a, b), c), prod(a, prod(b, c))))
     out.append(VerificationResult("associativity", ok, B, note=note))
 
-    zero_u = np.zeros((B, n), dtype=np.int64)
-    zero_v = np.zeros((B, m), dtype=np.int64)
-    eu, ev = law(spec, U[0], V[0], zero_u, zero_v)
-    ok = np.array_equal(eu, U[0] % p) and np.array_equal(ev, V[0] % p)
+    ok = all(map(np.array_equal, prod(a, [np.zeros_like(t) for t in a]), a))
     out.append(VerificationResult("identity", ok, B, note=note))
 
-    iu, iv = law(spec, U[0], V[0], (-U[0]) % p, (-V[0]) % p)
-    ok = not iu.any() and not iv.any()
+    ok = not any(x.any() for x in prod(a, [-t % p for t in a]))
     out.append(VerificationResult("inverses", ok, B, note=note))
 
-    au, av = zero_u, zero_v
-    for _ in range(p):
-        au, av = law(spec, au, av, U[0], V[0])
-    ok = not au.any() and not av.any()
+    ok = not any(x.any() for x in reduce(prod, [a] * p))
     out.append(VerificationResult("exponent_p", ok, B, note=note))
 
-    cu, cv = commutator((U[0], V[0]), (U[1], V[1]), ab)
+    cu, cv = commutator(a, b)
     bad = np.flatnonzero(cu.any(axis=1)
-                         | (cv != spec.gamma_of(U[0], U[1])).any(axis=1))
+                         | (cv != spec.gamma_of(a[0], b[0])).any(axis=1))
     out.append(VerificationResult(
         "commutator_is_gamma", not len(bad), B, note=note,
-        counterexample=f"(u, w) = ({U[0][bad[0]].tolist()}, "
-        f"{U[1][bad[0]].tolist()})" if len(bad) else None))
+        counterexample=f"(u, w) = ({a[0][bad[0]].tolist()}, "
+        f"{b[0][bad[0]].tolist()})" if len(bad) else None))
 
     # the first k samples against the sections (e_j, 0): central iff u in rad
     k = min(B, 1000)
-    x = (U[0][:k, None], V[0][:k, None])
-    y = (np.eye(n, dtype=np.int64), np.zeros((n, m), dtype=np.int64))
-    zu, zv = commutator(x, y, law(spec, *x, *y))
+    e = np.eye(n, dtype=np.int64), np.zeros((n, m), dtype=np.int64)
+    zu, zv = commutator((a[0][:k, None], a[1][:k, None]), e)
     central = ~zu.any(axis=(1, 2)) & ~zv.any(axis=(1, 2))
-    bad = np.flatnonzero(central != radical_subspace(spec).contains(U[0][:k]))
+    bad = np.flatnonzero(central != radical_subspace(spec).contains(a[0][:k]))
     out.append(VerificationResult(
         "center_is_radical_plus_V", not len(bad), k, note=note,
-        counterexample=f"u={U[0][bad[0]].tolist()} is "
+        counterexample=f"u={a[0][bad[0]].tolist()} is "
         f"{'' if central[bad[0]] else 'not '}central" if len(bad) else None))
 
     out.append(_derived(spec, cv, B, note))

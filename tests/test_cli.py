@@ -3,7 +3,9 @@
 import argparse
 import json
 import shutil
+import time
 
+import numpy as np
 import pytest
 
 from unramified import groups, obstruction, structure
@@ -102,7 +104,8 @@ def test_broken_invariant_is_typed_and_reported(monkeypatch, capsys):
 
     # S^2 of heisenberg3 is 0, so all of Lambda^2 lies outside it
     monkeypatch.setattr(obstruction, "dec_subgroup",
-                        lambda S, k, n: Subspace.full(S.p, S.ambient))
+                        lambda S, k, n: Subspace.from_generators(
+                            np.eye(S.ambient, dtype=np.int64), S.p, S.ambient))
     with pytest.raises(InternalInconsistencyError):
         obstruction.analyze(builtin("heisenberg3"))
     code, out, err = run(capsys, "analyze", "--builtin", "heisenberg3")
@@ -201,6 +204,20 @@ def test_verify_group_rejects_nonstrict_spec(tmp_path, capsys):
     path.write_text(json.dumps(data))
     code, _, err = run(capsys, "verify-group", "--spec", str(path))
     assert code == 1
+
+
+@pytest.mark.parametrize("p", [2 ** 16 + 1, 10 ** 18 + 3, 10 ** 30])
+def test_spec_prime_too_large_exits_1_at_once(tmp_path, capsys, p):
+    # checked before trial division, and before a coefficient meets int64
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"p": p, "dimU": 3, "dimV": 1,
+                                "gamma": [{"i": 1, "j": 2, "v": [p - 1]}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-group", "--spec", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"invalid spec: p = {p} is too large: "
+                                "exact int64 arithmetic needs p < 2^16"]
 
 
 def test_verify_lemmas_elem9_skips_df_and_reports_tau_gap(capsys):

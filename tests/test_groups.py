@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -68,6 +69,16 @@ def test_even_and_composite_moduli_rejected():
         GroupSpec(2, 2, 1, np.zeros((1, 1), dtype=np.int64))
     with pytest.raises(NotPrimeError):
         GroupSpec(9, 2, 1, np.zeros((1, 1), dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", [2 ** 16 + 1, 10 ** 18 + 3])
+def test_primes_beyond_exact_int64_arithmetic_rejected_at_once(p):
+    # p = 2^16 + 1 is prime; 10^18 + 3 is prime and would take minutes of
+    # trial division, so the bound must come first
+    start = time.perf_counter()
+    with pytest.raises(SpecError, match="too large"):
+        GroupSpec(p, 2, 1, np.zeros((1, 1), dtype=np.int64))
+    assert time.perf_counter() - start < 1
 
 
 def test_peyre6_radical_confirmed_by_exhaustive_enumeration():
@@ -216,6 +227,21 @@ def test_exhaustive_group_structure(name):
 def test_sampled_group_structure_peyre6():
     for r in verify_group_structure(builtin("peyre6"), seed=1, samples=20_000):
         assert r.passed, r.line()
+
+
+def test_sampled_checks_drop_their_products():
+    # each sampled check forms its own products and drops them before the
+    # next, so the peak is the six sample arrays plus one check's products,
+    # not every intermediate at once (about 150 MB here)
+    tracemalloc.start()
+    try:
+        results = verify_group_structure(builtin("peyre6"), seed=1773293560,
+                                         samples=100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak <= 90 * 10 ** 6
 
 
 # gamma(u1 ^ u2) = v1 on U = F_3^3: the radical is spanned by e3

@@ -5,11 +5,17 @@ the tests; random instances are seeded and the seed appears in the test id.
 """
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
-from unramified.errors import DimensionMismatchError, EvenPrimeError, NotPrimeError
+from unramified.errors import (
+    DimensionMismatchError,
+    EvenPrimeError,
+    NotPrimeError,
+    SpecError,
+)
 from unramified.linalg import (
     Subspace,
     check_odd_prime,
@@ -146,6 +152,29 @@ def test_stack_slices_equal_their_own_2d_result_seed(seed, p):
         assert np.array_equal(K[l][K[l].any(axis=1)], kernel_basis(A[l], p))
 
 
+@pytest.mark.parametrize("seed,p", [(0, 3), (1, 5), (2, 16411)])
+def test_stack_columns_with_one_candidate_match_reference_seed(seed, p):
+    """Columns where one slice of the stack holds every candidate pivot,
+    and in half of them one row: the slice pivots alone, at L = 1 and at
+    L > 1.  The last two columns are live in every slice."""
+    rng = np.random.default_rng(seed)
+    L, m, n = 5, 6, 14
+    c = np.arange(n)
+    live = (c % L == np.arange(L)[:, None]) | (c >= n - 2)
+    A = rng.integers(0, p, size=(L, m, n)) * live[:, None, :]
+    for col in range(0, n - 2, 2):
+        keep = rng.integers(0, m)
+        A[:, np.arange(m) != keep, col] = 0
+    for stack in (A, A[:1], A[3:4]):
+        R, ranks, pivots = rref_stack(stack, p)
+        for l, M in enumerate(stack):
+            rows, got = rref_reference(M, p)
+            r = ranks[l]
+            assert pivots[l, :r].tolist() == got
+            assert (pivots[l, r:] == -1).all()
+            assert R[l, :r].tolist() == rows and not R[l, r:].any()
+
+
 @pytest.mark.parametrize("seed,p,k", [(0, 3, 2), (1, 3, 3), (2, 5, 2)])
 def test_rref_over_prime_power_keeps_the_divisors_seed(seed, p, k):
     """Over Z/p^k a column without a unit is skipped, but its multiples of
@@ -181,6 +210,13 @@ def test_scalar_validation():
         check_odd_prime(9)
     with pytest.raises(NotPrimeError):
         check_odd_prime(1)
+    # the largest accepted prime, then the first refused one and a big one
+    assert check_odd_prime(65521) == 65521
+    for p in (65537, 10 ** 18 + 3):
+        start = time.perf_counter()
+        with pytest.raises(SpecError, match="too large"):
+            check_odd_prime(p)
+        assert time.perf_counter() - start < 1
     assert half_mod(3) == 2 and (2 * half_mod(3)) % 3 == 1
     assert half_mod(7) == 4 and (2 * half_mod(7)) % 7 == 1
 
@@ -209,7 +245,7 @@ def test_kernel_rank_nullity_small():
     K = kernel([[1, 1, 1]], 3)
     assert K.dim == 2
     K = kernel(np.zeros((2, 4), dtype=np.int64), 5)
-    assert K == Subspace.full(5, 4)
+    assert K == Subspace.from_generators(np.eye(4, dtype=np.int64), 5, 4)
 
 
 @pytest.mark.parametrize("seed,p", [(0, 3), (1, 3), (2, 5), (3, 5)])
@@ -254,8 +290,9 @@ def test_orthogonal_trivial_cases():
     e1 = Subspace.from_generators([[1, 0, 0]], p, 3)
     assert e1.orthogonal() == Subspace.from_generators(
         [[0, 1, 0], [0, 0, 1]], p, 3)
-    assert Subspace.full(p, 4).orthogonal().dim == 0
-    assert Subspace.zero(p, 4).orthogonal() == Subspace.full(p, 4)
+    full = Subspace.from_generators(np.eye(4, dtype=np.int64), p, 4)
+    assert full.orthogonal().dim == 0
+    assert Subspace.zero(p, 4).orthogonal() == full
 
 
 @pytest.mark.parametrize("seed,p", [(0, 3), (1, 3), (2, 5)])
@@ -305,7 +342,8 @@ def test_modular_lattice_identity_seed(seed):
 
 def test_zero_ambient_edge_cases():
     Z = Subspace.zero(3, 0)
-    assert Z.dim == 0 and Z == Subspace.full(3, 0)
+    assert Z.dim == 0
+    assert Z == Subspace.from_generators(np.eye(0, dtype=np.int64), 3, 0)
     assert Z.orthogonal() == Z
     assert Subspace.from_generators(np.zeros((0, 0), dtype=np.int64), 3, 0).dim == 0
 

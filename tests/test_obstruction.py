@@ -125,7 +125,8 @@ def test_s3_matches_exhaustive_orthogonal_enumeration_seed(seed):
 
 def test_dec_full_bivector_space_is_fixed():
     p, n = 3, 4
-    S = Subspace.full(p, comb(n, 2))
+    N = comb(n, 2)
+    S = Subspace.from_generators(np.eye(N, dtype=np.int64), p, N)
     assert dec_subgroup(S, 2, n) == S
 
 
@@ -203,7 +204,7 @@ def test_brute_force_guard_counts_the_point_side(monkeypatch):
 
 def test_brute_force_guard_counts_the_flag_side(monkeypatch):
     """All of Lambda^2 F_3^4: 364 points, but only 3^3 elements per flag."""
-    S = Subspace.full(3, comb(4, 2))
+    S = Subspace.from_generators(np.eye(6, dtype=np.int64), 3, 6)
     monkeypatch.setattr(obstruction, "_points_in_flags", _refuse)
     lines = (3 ** 4 - 1) // 2
     with pytest.raises(GuardExceededError) as info:
@@ -228,7 +229,7 @@ def test_brute_force_checks_each_flag_dimension(monkeypatch):
     monkeypatch.setattr(obstruction, "wedge_basis_tensor",
                         lambda n, k: np.zeros((n, comb(n, k), comb(n, k + 1)),
                                               dtype=np.int64))
-    S = Subspace.full(3, comb(4, 2))
+    S = Subspace.from_generators(np.eye(6, dtype=np.int64), 3, 6)
     for side in (obstruction._flags_in_subspace, obstruction._points_in_flags):
         with pytest.raises(InternalInconsistencyError):
             side(S, 2, 4)
