@@ -29,7 +29,7 @@ from .errors import (
     UnramifiedError,
 )
 from .exterior import render_multivector
-from .groups import GroupSpec, center_and_derived, load_spec, validate_spec
+from .groups import GroupSpec, load_spec, validate_spec
 from .linalg import Subspace, kernel
 from .obstruction import ObstructionReport, analyze, dec_subgroup, dec_subgroup_bruteforce
 
@@ -43,7 +43,6 @@ __all__ = [
     "Subspace",
     "analyze",
     "builtin",
-    "center_and_derived",
     "dec_subgroup",
     "dec_subgroup_bruteforce",
     "kernel",

@@ -51,16 +51,6 @@ GUARANTEED_ROWS = 20_000       # largest differential assembled without opt-in
 HEAVY_ROWS = 600_000           # hard cap even with --allow-heavy
 
 
-def _plog(value: int, p: int) -> int:
-    e = 0
-    while value % p == 0 and value > 1:
-        value //= p
-        e += 1
-    if value != 1:
-        raise ValueError(f"{value * p ** e} is not a power of {p}")
-    return e
-
-
 def bar_matrix(spec: GroupSpec, n: int, modulus: int) -> tuple[int, int, Array]:
     """Sparse matrix of delta^n: C^n -> C^{n+1} over Z/modulus.
 

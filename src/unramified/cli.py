@@ -10,7 +10,8 @@ starts.  verify-lemmas takes --guard BYTES (or the UNRAMIFIED_GUARD
 environment variable), which bounds the dense cochain tables of every
 identity.  oracle cohomology bounds the rows of its bar differentials,
 and --allow-heavy raises that bound; a heavy run that runs out of memory
-exits 3 too.
+exits 3 too.  Its --modulus is checked to be a power of p small enough for
+exact elimination before any differential is built.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import asdict
 
 from . import bar, cochains, obstruction, structure
 from .catalog import BUILTIN_NOTES, BUILTINS, builtin
+from .divisors import check_modulus
 from .errors import GuardExceededError, SpecError, UnramifiedError
 from .exterior import render_multivector
 from .groups import GroupSpec, load_spec, validate_spec
@@ -129,12 +131,12 @@ def cmd_verify_lemmas(args) -> int:
 def cmd_oracle_cohomology(args) -> int:
     spec = _resolve_spec(args)
     if args.modulus is not None:
-        try:
-            k = bar._plog(args.modulus, spec.p)
-        except ValueError:
-            k = 0
-        if k < 1:
+        k = 1
+        while spec.p ** k < args.modulus:
+            k += 1
+        if spec.p ** k != args.modulus:
             raise SpecError(f"--modulus must be a positive power of p={spec.p}")
+        check_modulus(spec.p, k)
     orders = bar.qz_orders(spec, degmax=args.degree,
                            allow_heavy=args.allow_heavy)
     payload = orders.to_json_dict()

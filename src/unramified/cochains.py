@@ -75,8 +75,8 @@ from math import comb
 import numpy as np
 
 from .errors import GuardExceededError, InternalInconsistencyError
-from .exterior import mult_map_kernel, square_kernel_generators
-from .groups import GroupSpec, GroupTables, antisym_matrix, tables_for
+from .exterior import form_matrices, mult_map_kernel, square_kernel_generators
+from .groups import GroupSpec, GroupTables, tables_for
 from .linalg import Subspace, half_mod, projective_lines, reduce_mod
 from .results import VerificationResult
 
@@ -123,7 +123,7 @@ def f_rho_lambda(spec: GroupSpec, rho, lam) -> Array:
     """f(g1,g2,g3) = (1/2) rho(vpart g1) lam(ubar g2 ^ ubar g3)."""
     t = tables_for(spec)
     rv = t.v_eval(rho)
-    L = t.biform(antisym_matrix(spec.p, spec.n, lam))
+    L = t.biform(form_matrices(lam, spec.n))
     return _outer_mod(half_mod(spec.p) * rv % spec.p, L, spec.p)
 
 
@@ -194,7 +194,7 @@ def verify_dh(spec: GroupSpec) -> VerificationResult:
 
     def cases():
         for rindex, rho in enumerate(np.eye(spec.m, dtype=np.int64)):
-            form = antisym_matrix(p, spec.n, -half_mod(p) * (rho @ spec.gamma))
+            form = -half_mod(p) * np.tensordot(rho, spec.forms, 1) % p
             W = form @ t.udigits.T % p
             yield (f"rho=e{rindex + 1}*, ", h_rho(spec, rho),
                    lambda g1: t.udigits[g1] @ W % p)
@@ -213,9 +213,9 @@ def verify_df(spec: GroupSpec) -> VerificationResult:
 
     def cases():
         for rindex, rho in enumerate(np.eye(spec.m, dtype=np.int64)):
-            G = t.biform(antisym_matrix(p, spec.n, (rho @ spec.gamma) % p))
+            G = t.biform(np.tensordot(rho, spec.forms, 1))
             for lindex, lam in enumerate(np.eye(comb(spec.n, 2), dtype=np.int64)):
-                L = t.biform(antisym_matrix(p, spec.n, lam))
+                L = t.biform(form_matrices(lam, spec.n))
                 cL = _outer_mod(np.arange(p), -pow(4, -1, p) * L % p, p)
                 yield (f"rho=e{rindex + 1}*, lam=basis{lindex}, ",
                        f_rho_lambda(spec, rho, lam), lambda g1: cL[G[g1]])

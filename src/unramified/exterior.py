@@ -57,6 +57,14 @@ def wedge_basis_tensor(n: int, k: int) -> Array:
     return E
 
 
+def form_matrices(coeffs, n: int) -> Array:
+    """Alternating n x n matrices of Lambda^2-functionals: coeffs of shape
+    (..., C(n, 2)) give A of shape (..., n, n) with A[..., i, j] the value
+    on e_{i+1} ^ e_{j+1}, so u . A . w = coeffs . (u ^ w)."""
+    c = np.asarray(coeffs, dtype=np.int64)
+    return np.einsum("...s,jis->...ij", c, wedge_basis_tensor(n, 1))
+
+
 def wedge_by_vector_matrix(p: int, n: int, k: int, v) -> Array:
     """Matrix of (omega -> omega ^ v): Lambda^k -> Lambda^{k+1}, rows = source basis."""
     v = np.asarray(v, dtype=np.int64) % p
@@ -100,10 +108,6 @@ def mult_map_kernel(n: int, p: int) -> Subspace:
 
 # -- text rendering ----------------------------------------------------------
 
-def _balanced(c: int, p: int) -> int:
-    return c if c <= p // 2 else c - p
-
-
 def render_multivector(coeffs, n: int, k: int, p: int, symbol: str = "u") -> str:
     """Canonical text form, e.g. 'u[1,2,3] + u[3,4,5] - u[1,5,6]'.
 
@@ -112,20 +116,11 @@ def render_multivector(coeffs, n: int, k: int, p: int, symbol: str = "u") -> str
     """
     coeffs = np.asarray(coeffs, dtype=np.int64) % p
     terms = []
-    for i, S in enumerate(subsets(n, k)):
-        c = _balanced(int(coeffs[i]), p)
-        if c == 0:
-            continue
-        body = f"{symbol}[{','.join(map(str, S))}]"
-        mag = abs(c)
-        text = body if mag == 1 else f"{mag}{body}"
-        terms.append((c < 0, text))
-    if not terms:
-        return "0"
-    out = []
-    for i, (neg, text) in enumerate(terms):
-        if i == 0:
-            out.append(("-" if neg else "") + text)
-        else:
-            out.append(("- " if neg else "+ ") + text)
-    return " ".join(out)
+    for i in np.flatnonzero(coeffs):
+        c = int(coeffs[i])
+        neg = c > p // 2
+        mag = p - c if neg else c
+        body = f"{symbol}[{','.join(map(str, subsets(n, k)[i]))}]"
+        sign = ("- " if neg else "+ ") if terms else ("-" if neg else "")
+        terms.append(sign + (body if mag == 1 else f"{mag}{body}"))
+    return " ".join(terms) or "0"

@@ -8,11 +8,13 @@ Elements are pairs (u, v); the group law uses the alternating 2-cocycle
 
 whose defining property is the commutator identity
 [ (u1, *), (u2, *) ] = (0, gamma(u1 ^ u2)); it forces exponent p and fixes
-the extension up to isomorphism.  The section s(u) = (u, 0) satisfies
-g * s(pi(g))^-1 = (0, v-part of g).  ``law`` evaluates this product on
-coordinate arrays; the multiplication table and the sampled structure
-checks go through it.  ``tables_for`` caches the tables per spec for the
-bar oracle and the cochain lab.
+the extension up to isomorphism.  A spec stores gamma with its stack of
+alternating forms: forms[k] is the n x n matrix of (u, w) -> gamma(u ^ w)_k,
+read once off the wedge table, and every evaluation of gamma contracts it.
+The section s(u) = (u, 0) satisfies g * s(pi(g))^-1 = (0, v-part of g).
+``law`` evaluates this product on coordinate arrays; the multiplication
+table and the sampled structure checks go through it.  ``tables_for``
+caches the tables per spec for the bar oracle and the cochain lab.
 
 Element enumeration is lexicographic on the concatenated (u, v) digit
 string, so the identity has index 0 and all derived tables are
@@ -34,7 +36,7 @@ from .errors import (
     NotSurjectiveError,
     SpecError,
 )
-from .exterior import subset_index, subsets
+from .exterior import form_matrices, subset_index, subsets
 from .linalg import Subspace, check_odd_prime, half_mod, kernel, rank_mod
 
 Array = np.ndarray
@@ -42,13 +44,15 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """(p, dim U, dim V, gamma) with gamma an m x C(n,2) matrix over F_p."""
+    """(p, dim U, dim V, gamma) with gamma an m x C(n,2) matrix over F_p;
+    forms is gamma's read-only (m, n, n) stack of alternating forms."""
 
     p: int
     n: int
     m: int
     gamma: Array = field(compare=False)
     name: str | None = field(default=None, compare=False)
+    forms: Array = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_odd_prime(self.p)
@@ -58,8 +62,11 @@ class GroupSpec:
         if g.shape != (self.m, comb(self.n, 2)):
             raise SpecError(
                 f"gamma must be {self.m} x {comb(self.n, 2)}, got {g.shape}")
-        g.setflags(write=False)
+        forms = form_matrices(g, self.n) % self.p
+        for a in (g, forms):
+            a.setflags(write=False)
         object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "forms", forms)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupSpec)
@@ -79,24 +86,9 @@ class GroupSpec:
 
     def gamma_of(self, u, w) -> Array:
         """gamma(u ^ w) in V; u, w may be batched with broadcast leading axes."""
-        A = antisym_matrix(self.p, self.n, self.gamma)
         u = np.asarray(u, dtype=np.int64) % self.p
         w = np.asarray(w, dtype=np.int64) % self.p
-        return np.einsum('...i,kij,...j->...k', u, A, w) % self.p
-
-
-def antisym_matrix(p: int, n: int, coeffs) -> Array:
-    """Antisymmetric n x n matrices of Lambda^2-functionals (lex pair coords).
-
-    coeffs of shape (..., C(n, 2)) give matrices A of shape (..., n, n) with
-    u . A . w = coeffs . (u ^ w).
-    """
-    c = np.asarray(coeffs, dtype=np.int64) % p
-    A = np.zeros(c.shape[:-1] + (n, n), dtype=np.int64)
-    i, j = np.triu_indices(n, 1)
-    A[..., i, j] = c
-    A[..., j, i] = -c % p
-    return A
+        return np.einsum('...i,kij,...j->...k', u, self.forms, w) % self.p
 
 
 def law(spec: GroupSpec, u1, v1, u2, v2) -> tuple[Array, Array]:
@@ -110,34 +102,15 @@ def law(spec: GroupSpec, u1, v1, u2, v2) -> tuple[Array, Array]:
 
 def radical_subspace(spec: GroupSpec) -> Subspace:
     """{u in U : gamma(u ^ w) = 0 for all w}; trivial iff Z(G) = [G, G]."""
-    A = antisym_matrix(spec.p, spec.n, spec.gamma)  # (m, n, n)
-    return kernel(A.reshape(spec.m * spec.n, spec.n), spec.p)
-
-
-def center_and_derived(spec: GroupSpec) -> tuple[int, int]:
-    """(dim radical(gamma), rank gamma) = (dim Z(G) - m, dim [G, G])."""
-    return radical_subspace(spec).dim, rank_mod(spec.gamma, spec.p)
+    return kernel(spec.forms.reshape(spec.m * spec.n, spec.n), spec.p)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    p: int
-    n: int
-    m: int
+    """rank gamma = dim [G, G] and dim radical(gamma) = dim Z(G) - m."""
+
     gamma_rank: int
     radical_dim: int
-
-    @property
-    def surjective(self) -> bool:
-        return self.gamma_rank == self.m
-
-    @property
-    def trivial_radical(self) -> bool:
-        return self.radical_dim == 0
-
-    @property
-    def hypotheses_ok(self) -> bool:
-        return self.surjective and self.trivial_radical
 
 
 def validate_spec(spec: GroupSpec, strict: bool = True) -> ValidationReport:
@@ -147,16 +120,15 @@ def validate_spec(spec: GroupSpec, strict: bool = True) -> ValidationReport:
     strict mode raises NotSurjectiveError / NontrivialRadicalError.
     """
     check_odd_prime(spec.p)
-    rad, rank = center_and_derived(spec)
-    report = ValidationReport(spec.p, spec.n, spec.m, rank, rad)
+    rank, rad = rank_mod(spec.gamma, spec.p), radical_subspace(spec).dim
     if strict:
-        if not report.surjective:
+        if rank < spec.m:
             raise NotSurjectiveError(
                 f"gamma has rank {rank} < m = {spec.m}: V != [G, G]")
-        if not report.trivial_radical:
+        if rad:
             raise NontrivialRadicalError(
                 f"gamma has radical of dim {rad} > 0: Z(G) != [G, G]")
-    return report
+    return ValidationReport(rank, rad)
 
 
 # -- index tables ------------------------------------------------------------
@@ -236,13 +208,23 @@ def spec_to_json_dict(spec: GroupSpec) -> dict:
     return {"p": spec.p, "dimU": spec.n, "dimV": spec.m, "gamma": terms}
 
 
+def _integer(x) -> int:
+    """x itself if it is a JSON integer: floats, bools and strings are
+    refused, not truncated or parsed."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
 def spec_from_json_dict(data: dict, name: str | None = None) -> GroupSpec:
     try:
-        p = int(data["p"])
-        n = int(data["dimU"])
-        m = int(data["dimV"])
+        p = _integer(data["p"])
+        n = _integer(data["dimU"])
+        m = _integer(data["dimV"])
         terms = data.get("gamma", [])
-    except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(terms, list):
+            raise TypeError(f"gamma {terms!r} is not a list of terms")
+    except (KeyError, TypeError) as exc:
         raise SpecError(f"malformed spec: {exc}") from exc
     if n < 0 or m < 0:
         raise SpecError("dimU and dimV must be nonnegative")
@@ -251,9 +233,9 @@ def spec_from_json_dict(data: dict, name: str | None = None) -> GroupSpec:
     idx = subset_index(n, 2)
     for t, term in enumerate(terms, start=1):
         try:
-            i, j = int(term["i"]), int(term["j"])
-            v = [int(x) for x in term["v"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            i, j = _integer(term["i"]), _integer(term["j"])
+            v = [_integer(x) for x in term["v"]]
+        except (KeyError, TypeError) as exc:
             raise SpecError(f"gamma term {t}: malformed entry ({exc})") from exc
         if not (1 <= i <= n and 1 <= j <= n):
             raise SpecError(f"gamma term {t}: indices must lie in 1..{n}")

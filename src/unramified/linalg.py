@@ -259,12 +259,6 @@ class Subspace:
     def __hash__(self) -> int:
         return hash((self.p, self.ambient, self.basis.tobytes()))
 
-    def _check_compatible(self, other: "Subspace") -> None:
-        if self.p != other.p or self.ambient != other.ambient:
-            raise DimensionMismatchError(
-                f"ambient mismatch: F_{self.p}^{self.ambient} vs "
-                f"F_{other.p}^{other.ambient}")
-
     def contains(self, vecs) -> Array:
         """Membership of each vector of a stack (..., N): one bool per
         vector, a 0-d bool for one vector."""
@@ -275,15 +269,11 @@ class Subspace:
         return ((v - v[..., self.pivots] @ self.basis) % self.p == 0).all(axis=-1)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
+        if self.p != other.p or self.ambient != other.ambient:
+            raise DimensionMismatchError(
+                f"ambient mismatch: F_{self.p}^{self.ambient} vs "
+                f"F_{other.p}^{other.ambient}")
         return bool(self.contains(other.basis).all())
-
-    # -- lattice operations ------------------------------------------------
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return Subspace.from_generators(
-            np.vstack([self.basis, other.basis]), self.p, self.ambient)
 
     def orthogonal(self) -> "Subspace":
         """{x : s . x = 0 for all s in self}, for the identity pairing."""

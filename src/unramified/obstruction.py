@@ -207,7 +207,9 @@ class ObstructionReport:
 
     @property
     def hypotheses_ok(self) -> bool:
-        return self.validation.hypotheses_ok
+        """V = [G, G] and Z(G) = [G, G]: gamma surjective, radical trivial."""
+        v = self.validation
+        return v.gamma_rank == self.spec.m and v.radical_dim == 0
 
     def verdict_line(self) -> str:
         parts = [

@@ -2,11 +2,11 @@
 
 They live on the test side because no command runs them: seeded random
 strict specs, GL(U) x GL(V) changes of basis for the invariance tests,
-the Zassenhaus intersection of two subspaces, the p-annihilation check
-of the bar oracle, the full-table coboundary that the slices of
-``cochains.coboundary_slice`` are checked against, the coboundary image
-that the tau_agree certificates are checked against, and a dense Smith
-form over Z/p^k.
+the sum and the Zassenhaus intersection of two subspaces, the
+p-annihilation check of the bar oracle, the full-table coboundary that the
+slices of ``cochains.coboundary_slice`` are checked against, the
+coboundary image that the tau_agree certificates are checked against, and
+a dense Smith form over Z/p^k.
 """
 
 import itertools
@@ -17,7 +17,7 @@ import numpy as np
 
 from unramified.bar import mod_exps
 from unramified.cochains import coboundary_slice
-from unramified.groups import GroupSpec, center_and_derived, tables_for
+from unramified.groups import GroupSpec, tables_for, validate_spec
 from unramified.linalg import Subspace, rank_mod, rref_mod
 
 
@@ -31,8 +31,8 @@ def random_strict_spec(rng: np.random.Generator, p: int,
         m = int(rng.integers(1, d2 + 1))
         gamma = rng.integers(0, p, size=(m, d2))
         spec = GroupSpec(p, n, m, gamma)
-        rad, rank = center_and_derived(spec)
-        if rank == m and rad == 0:
+        rep = validate_spec(spec, strict=False)
+        if (rep.radical_dim, rep.gamma_rank) == (0, m):
             return spec
     raise RuntimeError("could not find a strict spec; widen the search")
 
@@ -69,6 +69,12 @@ def change_basis(spec: GroupSpec, rng: np.random.Generator) -> GroupSpec:
     g = random_invertible(rng, spec.n, spec.p)
     h = random_invertible(rng, spec.m, spec.p)
     return moved(spec, g, h)
+
+
+def span_sum(S: Subspace, T: Subspace) -> Subspace:
+    """S + T, spanned by both bases."""
+    return Subspace.from_generators(np.vstack([S.basis, T.basis]), S.p,
+                                    S.ambient)
 
 
 def intersect(S: Subspace, T: Subspace) -> Subspace:

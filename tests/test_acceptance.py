@@ -31,7 +31,8 @@ from unramified.linalg import Subspace
 from unramified.obstruction import analyze, dec_subgroup, dec_subgroup_bruteforce
 from unramified.structure import verify_group_structure
 
-from conftest import change_basis, intersect, p_annihilated, random_strict_spec
+from conftest import (change_basis, intersect, p_annihilated,
+                      random_strict_spec, span_sum)
 from test_exterior import wedge
 
 
@@ -282,7 +283,7 @@ def test_criterion_8_property_suites():
         N = 7
         S = Subspace.from_generators(rng.integers(0, p, size=(3, N)), p, N)
         T = Subspace.from_generators(rng.integers(0, p, size=(3, N)), p, N)
-        if (S + T).dim + intersect(S, T).dim != S.dim + T.dim:
+        if span_sum(S, T).dim + intersect(S, T).dim != S.dim + T.dim:
             bad.append(("lattice", seed))
         if S.orthogonal().orthogonal() != S:
             bad.append(("double-perp", seed))

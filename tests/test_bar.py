@@ -1,6 +1,7 @@
 """Bar-resolution oracle: matrix shapes, d o d = 0, cohomology orders."""
 
 from collections import Counter
+from math import log
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from conftest import p_annihilated, random_strict_spec
 
 
 def order_mod(spec, n, modulus):
-    """|H^n(G, Z/modulus)| read off mod_exps."""
-    exps, _ = mod_exps(spec, n, bar._plog(modulus, spec.p))
+    """|H^n(G, Z/modulus)| read off mod_exps, for modulus a power of p."""
+    k = round(log(modulus, spec.p))
+    assert spec.p ** k == modulus
+    exps, _ = mod_exps(spec, n, k)
     return spec.p ** exps[n - 1]
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from unramified.exterior import (
+    form_matrices,
     mult_map_kernel,
     mult_map_matrix,
     render_multivector,
@@ -266,6 +267,30 @@ def test_kernel_generators_embed_as_scaled_symmetrizer(p):
         emb = tensor4_of_sym2(gens[t], n, p)
         sym = square_symmetrizer_tensor(n, p, u, v, w, x)
         assert np.array_equal(emb, (inv16 * sym) % p), (u, v, w, x)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_form_matrices_of_basis_functionals(n):
+    # the form of e_s is +1 at (i, j) = subsets(n, 2)[s], -1 at (j, i)
+    for s, (i, j) in enumerate(subsets(n, 2)):
+        A = form_matrices(np.eye(comb(n, 2), dtype=np.int64)[s], n)
+        expected = np.zeros((n, n), dtype=np.int64)
+        expected[i - 1, j - 1], expected[j - 1, i - 1] = 1, -1
+        assert np.array_equal(A, expected), (n, s)
+    # a stack of functionals gives the stack of their forms
+    assert form_matrices(np.eye(comb(n, 2), dtype=np.int64), n).shape == \
+        (comb(n, 2), n, n)
+
+
+def test_form_matrices_pair_with_the_wedge():
+    # u . A . w = c . (u ^ w) for random u, w and c
+    p, n = 5, 5
+    rng = np.random.default_rng(7)
+    c = rng.integers(0, p, size=comb(n, 2))
+    for _ in range(20):
+        u, w = rng.integers(0, p, size=(2, n))
+        assert (u @ form_matrices(c, n) @ w - c @ wedge(p, n, u, 1, w, 1)) \
+            % p == 0
 
 
 def test_render_multivector():

@@ -21,7 +21,6 @@ from unramified.errors import (
 from unramified.groups import (
     GroupSpec,
     build_tables,
-    center_and_derived,
     law,
     radical_subspace,
     spec_from_json_dict,
@@ -31,7 +30,7 @@ from unramified.groups import (
 )
 from unramified.structure import verify_group_structure
 
-from conftest import moved, random_invertible, random_strict_spec
+from conftest import change_basis, moved, random_invertible, random_strict_spec
 
 
 def _inverse(spec, u, v):
@@ -48,7 +47,6 @@ def _commutator(spec, g1, g2):
 def test_heisenberg_is_strict():
     rep = validate_spec(builtin("heisenberg3"), strict=True)
     assert rep.gamma_rank == 1 and rep.radical_dim == 0
-    assert rep.hypotheses_ok
 
 
 def test_zero_gamma_not_surjective():
@@ -61,7 +59,7 @@ def test_abelian_radical_rejected_in_strict_mode():
     with pytest.raises(NontrivialRadicalError):
         validate_spec(builtin("elem9"), strict=True)
     rep = validate_spec(builtin("elem9"), strict=False)
-    assert not rep.hypotheses_ok
+    assert (rep.radical_dim, rep.gamma_rank) == (2, 0)
 
 
 def test_even_and_composite_moduli_rejected():
@@ -139,14 +137,48 @@ def test_peyre6_section_products():
                for x, y in zip(quot, _commutator(spec, e1, e2)))
 
 
+def _center_and_derived(spec):
+    """(dim radical(gamma), rank gamma) = (dim Z(G) - m, dim [G, G])."""
+    rep = validate_spec(spec, strict=False)
+    return rep.radical_dim, rep.gamma_rank
+
+
 def test_center_and_derived_cases():
-    assert center_and_derived(builtin("heisenberg3")) == (0, 1)
-    assert center_and_derived(builtin("peyre6")) == (0, 6)
+    assert _center_and_derived(builtin("heisenberg3")) == (0, 1)
+    assert _center_and_derived(builtin("peyre6")) == (0, 6)
     # n = 3 with gamma only involving u1 ^ u2: u3 is radical
     gamma = np.zeros((1, 3), dtype=np.int64)
     gamma[0, 0] = 1  # pair (1,2)
     spec = GroupSpec(3, 3, 1, gamma)
-    assert center_and_derived(spec) == (1, 1)
+    assert _center_and_derived(spec) == (1, 1)
+
+
+def test_forms_are_read_only_and_outside_the_spec_identity():
+    spec = builtin("peyre6")
+    assert spec.forms.shape == (6, 6, 6)
+    with pytest.raises(ValueError):
+        spec.forms[0, 0, 1] = 1
+    assert "forms" not in repr(spec)
+    twin = GroupSpec(spec.p, spec.n, spec.m, spec.gamma.copy())
+    assert twin == spec and hash(twin) == hash(spec)
+    with pytest.raises(TypeError):
+        GroupSpec(3, 2, 1, [[1]], forms=np.zeros((1, 2, 2)))
+
+
+@pytest.mark.parametrize("name", ["heisenberg5", "peyre6"])
+def test_forms_evaluate_gamma_after_a_change_of_basis(name):
+    # u . forms . w = gamma(u ^ w), read off the gamma columns one pair at
+    # a time, also in a random GL(U) x GL(V) basis
+    rng = np.random.default_rng(6)
+    spec = change_basis(builtin(name), rng)
+    p, n = spec.p, spec.n
+    u, w = rng.integers(0, p, size=(2, 30, n))
+    ref = sum(np.multiply.outer(u[:, i] * w[:, j] - u[:, j] * w[:, i],
+                                spec.gamma[:, s])
+              for s, (i, j) in enumerate(itertools.combinations(range(n), 2)))
+    got = np.einsum("bi,kij,bj->bk", u, spec.forms, w) % p
+    assert np.array_equal(got, ref % p)
+    assert np.array_equal(spec.gamma_of(u, w), got)
 
 
 def test_enumeration_counts_and_order():
@@ -210,7 +242,8 @@ def test_change_basis_transforms_gamma_covariantly():
     g = random_invertible(rng, 6, 3)
     h = random_invertible(rng, 6, 3)
     spec2 = moved(spec, g, h)
-    assert validate_spec(spec2).hypotheses_ok
+    rep = validate_spec(spec2, strict=False)
+    assert (rep.radical_dim, rep.gamma_rank) == (0, 6)
     for _ in range(50):
         u = rng.integers(0, 3, size=6)
         w = rng.integers(0, 3, size=6)
@@ -227,6 +260,21 @@ def test_exhaustive_group_structure(name):
 def test_sampled_group_structure_peyre6():
     for r in verify_group_structure(builtin("peyre6"), seed=1, samples=20_000):
         assert r.passed, r.line()
+
+
+def test_sampled_exponent_check_powers_by_squaring(monkeypatch):
+    # g^p by repeated squaring: at p = 65521 the exponent check makes at
+    # most 2 bit_length(p) + 2 law calls, not p - 1
+    spec = GroupSpec(65521, 2, 1, [[1]], name="heisenberg65521")
+    calls = []
+    real_law = structure.law
+    monkeypatch.setattr(structure, "law",
+                        lambda *a: calls.append(1) or real_law(*a))
+    results = verify_group_structure(spec, seed=3, samples=50)
+    assert all(r.passed for r in results)
+    # associativity 4, identity 1, inverses 1, two commutators 3 each
+    others = 4 + 1 + 1 + 2 * 3
+    assert len(calls) - others <= 2 * spec.p.bit_length() + 2
 
 
 def test_sampled_checks_drop_their_products():
@@ -282,8 +330,8 @@ def test_center_check_reads_the_law(monkeypatch, bound):
 def test_random_strict_specs_are_strict_seed(seed, p):
     rng = np.random.default_rng(seed)
     spec = random_strict_spec(rng, p, n_max=5)
-    rep = validate_spec(spec, strict=True)
-    assert rep.hypotheses_ok
+    rep = validate_spec(spec, strict=False)
+    assert (rep.radical_dim, rep.gamma_rank) == (0, spec.m)
 
 
 def _law_reference(spec, u1, v1, u2, v2):

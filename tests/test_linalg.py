@@ -28,7 +28,7 @@ from unramified.linalg import (
     rref_stack,
 )
 
-from conftest import intersect, local_smith_exponents
+from conftest import intersect, local_smith_exponents, span_sum
 
 
 def span_size_by_enumeration(rows, p):
@@ -263,9 +263,9 @@ def test_subspace_sum_and_intersection_trivial():
     p = 3
     e1 = Subspace.from_generators([[1, 0, 0]], p, 3)
     e2 = Subspace.from_generators([[0, 1, 0]], p, 3)
-    assert (e1 + e2).dim == 2
+    assert span_sum(e1, e2).dim == 2
     assert intersect(e1, e2).dim == 0
-    assert (e1 + e1) == e1 and intersect(e1, e1) == e1
+    assert span_sum(e1, e1) == e1 and intersect(e1, e1) == e1
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -282,7 +282,7 @@ def test_intersection_matches_enumeration_seed(seed):
                           [bool(T.contains(v)) for v in elements])
     expected = Subspace.from_generators(hits, p, 6)
     assert got == expected
-    assert (S + T).dim + got.dim == S.dim + T.dim
+    assert span_sum(S, T).dim + got.dim == S.dim + T.dim
 
 
 def test_orthogonal_trivial_cases():
@@ -308,7 +308,9 @@ def test_ambient_mismatch_rejected():
     S = Subspace.from_generators([[1, 0]], 3, 2)
     T = Subspace.from_generators([[1, 0, 0]], 3, 3)
     with pytest.raises(DimensionMismatchError):
-        S + T
+        S.contains_subspace(T)
+    with pytest.raises(DimensionMismatchError):
+        Subspace.from_generators([[1, 0]], 5, 2).contains_subspace(S)
     with pytest.raises(DimensionMismatchError):
         S.contains([1, 0, 0])
     with pytest.raises(DimensionMismatchError):
@@ -337,7 +339,7 @@ def test_modular_lattice_identity_seed(seed):
     rng = np.random.default_rng(seed)
     S = Subspace.from_generators(rng.integers(0, p, size=(3, 6)), p, 6)
     T = Subspace.from_generators(rng.integers(0, p, size=(2, 6)), p, 6)
-    assert (S + T).dim + intersect(S, T).dim == S.dim + T.dim
+    assert span_sum(S, T).dim + intersect(S, T).dim == S.dim + T.dim
 
 
 def test_zero_ambient_edge_cases():
