@@ -11,9 +11,9 @@ has at most n + 2 nonzeros per row (terms whose merged entry is the
 identity drop out).  |H^n(G, Z/q)| = |ker delta^n| / |im delta^{n-1}|, both
 read off the elementary divisors of the two sparse matrices.
 
-Deriving Q/Z orders.  Take q = |G| = p^k, so q kills every positive-degree
-cohomology group.  The exact sequence 0 -> Z -> Z -> Z/q -> 0 (mult. by q)
-then splits into
+Deriving Q/Z orders.  Take q = |G| = p^k (q = p if |G| = 1: every order is
+1), so q kills every positive-degree cohomology group.  The exact sequence
+0 -> Z -> Z -> Z/q -> 0 (multiplication by q) then splits into
 
     0 -> H^i(G, Z) -> H^i(G, Z/q) -> H^{i+1}(G, Z) -> 0   (i >= 1),
 
@@ -62,8 +62,6 @@ def bar_matrix(spec: GroupSpec, n: int, modulus: int) -> tuple[int, int, Array]:
     N = t.size
     M = N - 1
     rows, cols = M ** (n + 1), M ** n
-    if n == 0:
-        return rows, 1, np.zeros((0, 3), dtype=np.int64)  # delta^0 = 0
     # decode all row tuples; digits in 0..M-1 stand for elements 1..M
     ridx = np.arange(rows)
     elems = ridx[:, None] // M ** np.arange(n, -1, -1) % M + 1
@@ -167,7 +165,7 @@ def qz_orders(spec: GroupSpec, degmax: int = 3,
     if not 1 <= degmax <= 3:
         raise ValueError("degmax must be between 1 and 3")
     p = spec.p
-    k = spec.n + spec.m            # p^k = |G|
+    k = max(1, spec.n + spec.m)    # p^k = |G|, or p if |G| = 1
     hk, divs = mod_exps(spec, degmax, k, allow_heavy)
     z_exp = 0                      # |H^1(G, Z)| = 1
     qz_exps = []

@@ -114,12 +114,7 @@ class ValidationReport:
 
 
 def validate_spec(spec: GroupSpec, strict: bool = True) -> ValidationReport:
-    """Check p and, in strict mode, V = [G,G] and Z(G) = [G,G].
-
-    Always raises for p even / composite (already enforced at construction);
-    strict mode raises NotSurjectiveError / NontrivialRadicalError.
-    """
-    check_odd_prime(spec.p)
+    """Rank and radical of gamma; strict mode raises unless V = [G,G] = Z(G)."""
     rank, rad = rank_mod(spec.gamma, spec.p), radical_subspace(spec).dim
     if strict:
         if rank < spec.m:
@@ -255,6 +250,6 @@ def load_spec(path: str) -> GroupSpec:
             data = json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read spec file {path}: {exc.strerror}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # bad JSON/UTF-8, too deep
         raise SpecError(f"spec file is not valid JSON: {exc}") from exc
     return spec_from_json_dict(data, name=path)

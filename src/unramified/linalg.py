@@ -9,8 +9,9 @@ of products the pipeline forms stays exact in int64: gamma(u ^ w) adds n^2
 terms below p^3 (exact for n <= 181), and a membership test adds dim terms
 below p^2.
 
-One elimination, ``rref_stack``, serves every modulus q = p^k: only units
-pivot, and F_p is the case k = 1, where every nonzero residue is one.
+One elimination, ``rref_stack``, serves every modulus q = p^k (only units
+pivot; F_p is k = 1), and each subspace takes one: ``kernel`` reads the rref
+basis of ker M off the elimination of M's columns in reverse order.
 
 Large arrays are reduced in place by ``reduce_mod``, A - (A // p) * p: numpy
 vectorizes integer floor division by a scalar but not the remainder, so on
@@ -215,7 +216,7 @@ class Subspace:
     basis: Array = field(compare=False)
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=np.int64)
+        b = np.ascontiguousarray(self.basis, dtype=np.int64)
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
@@ -281,6 +282,10 @@ class Subspace:
 
 
 def kernel(M, p: int) -> Subspace:
-    """{x : M x = 0} as a canonical subspace."""
+    """{x : M x = 0} as a canonical subspace, from one elimination: with
+    M's n columns reversed, free column f's kernel vector is 1 at f, else
+    nonzero only at pivot columns left of f, and the others are 0 at f.
+    Reversed back, it leads with 1 at n-1-f where the others are 0: these
+    vectors, by increasing leading column, are the rref basis of ker M."""
     A = as_matrix(M)
-    return Subspace.from_generators(kernel_basis(A, p), p, A.shape[1])
+    return Subspace(p, A.shape[1], kernel_basis(A[:, ::-1], p)[::-1, ::-1])

@@ -75,6 +75,8 @@ def dec_subgroup(S: Subspace, k: int, n: int) -> Subspace:
     contraction homotopy identity im(^v) = ker(^v).  Lines are swept in
     batches; each batch is one stacked elimination, and the sweep stops
     after the first batch at which the accumulated span reaches S itself.
+    The span acc (rref, pivots q_j) times S.basis (rref, pivots P_i) is in
+    rref: its row j leads with 1 at P_{q_j}, where every other row is 0.
     """
     if k not in (2, 3):
         raise ValueError("dec_subgroup is defined for degrees 2 and 3")
@@ -97,7 +99,7 @@ def dec_subgroup(S: Subspace, k: int, n: int) -> Subspace:
         if acc.shape[0] == S.dim:
             return S
         size = min(2 * size, cap)
-    return Subspace.from_generators(acc @ S.basis % p, p, S.ambient)
+    return Subspace(p, S.ambient, acc @ S.basis % p)
 
 
 def _flag_bases(p: int, n: int, k: int, count: int):

@@ -57,8 +57,8 @@ def test_bar_matrix_row_sparsity_bound():
 
 
 @pytest.mark.parametrize("name,n,q", [
-    ("elem3", 1, 9), ("elem3", 2, 9), ("elem9", 1, 9), ("elem9", 2, 9),
-    ("heisenberg3", 1, 27),
+    ("elem3", 0, 9), ("elem3", 1, 9), ("elem3", 2, 9), ("elem9", 1, 9),
+    ("elem9", 2, 9), ("heisenberg3", 1, 27),
 ])
 def test_d_composed_with_d_is_zero(name, n, q):
     a = bar_matrix(builtin(name), n, q)

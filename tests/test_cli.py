@@ -88,15 +88,20 @@ _HEIS = {"p": 3, "dimU": 2, "dimV": 1, "gamma": [{"i": 1, "j": 2, "v": [1]}]}
     (["analyze", "--spec", "{tmp}/spec.json"], _HEIS | {"dimV": True}),
     (["analyze", "--spec", "{tmp}/spec.json"], _HEIS | {"p": "3"}),
     (["analyze", "--spec", "{tmp}/spec.json"], _HEIS | {"gamma": 5}),
+    (["analyze", "--spec", "{tmp}/spec.json"], "[" * 200_000 + "]" * 200_000),
 ], ids=["guard-abc", "spec-missing", "spec-is-directory", "negative-dimU",
         "negative-dimV", "usage-error", "guard-not-taken",
         "guard-not-taken-cohomology", "guard-seconds", "seed-not-taken-lemmas",
         "seed-not-taken-cohomology", "seed-not-taken-decomposables",
         "samples-negative", "samples-zero", "float-p", "float-dimU",
-        "float-coefficient", "bool-dimV", "string-p", "gamma-not-a-list"])
+        "float-coefficient", "bool-dimV", "string-p", "gamma-not-a-list",
+        "nested-too-deep"])
 def test_bad_input_exits_1_with_one_stderr_line(tmp_path, capsys, argv, spec):
+    # a spec given as a string is written as it is: json.dumps cannot
+    # build JSON nested too deep to decode
     if spec is not None:
-        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        (tmp_path / "spec.json").write_text(
+            spec if isinstance(spec, str) else json.dumps(spec))
     code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1, err
@@ -292,12 +297,23 @@ def test_verify_lemmas_guard_refuses_before_any_table(monkeypatch, capsys,
     assert len(err.splitlines()) == 1 and err.startswith("guard exceeded")
 
 
-def test_oracle_cohomology_explicit_modulus(capsys):
+def test_oracle_cohomology_explicit_modulus(tmp_path, capsys):
     code, out, _ = run(capsys, "oracle", "cohomology", "--builtin", "elem3",
                        "--degree", "2", "--modulus", "9", "--json")
     assert code == 0
     data = json.loads(out)
     assert data["mod_orders_requested"]["2"] == 3
+    # the trivial group: |G| = 1 has no cohomology in positive degree
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({"p": 3, "dimU": 0, "dimV": 0}))
+    for degree in ("1", "2", "3"):
+        code, out, _ = run(capsys, "oracle", "cohomology", "--spec", str(path),
+                           "--degree", degree, "--modulus", "9", "--json")
+        assert code == 0
+        data = json.loads(out)
+        ones = {str(i): 1 for i in range(1, int(degree) + 1)}
+        assert data["mod_orders"] == data["qz_orders"] == ones
+        assert data["mod_orders_requested"] == ones
 
 
 def test_oracle_cohomology_bad_modulus(capsys):

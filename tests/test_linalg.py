@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from unramified import linalg
 from unramified.errors import (
     DimensionMismatchError,
     EvenPrimeError,
@@ -76,6 +77,16 @@ def kernel_reference(A, p):
     return basis
 
 
+def assert_kernel_is_canonical(A, p):
+    """kernel's one elimination gives, byte for byte, the rref of the
+    reference kernel basis."""
+    basis = kernel_reference(A, p)
+    rows, _ = rref_reference(np.reshape(basis, (len(basis), A.shape[1])), p)
+    expected = np.array(rows, dtype=np.int64).reshape(len(basis), A.shape[1])
+    got = kernel(A, p).basis
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 def random_matrices(rng, p, count, max_dim=8):
     """Seeded matrices of varied shape and density, some with zero rows/cols."""
     out = []
@@ -102,6 +113,7 @@ def test_rref_and_kernel_match_reference_seed(seed, p):
         B = kernel_basis(A, p)
         assert B.shape == (A.shape[1] - len(pivots), A.shape[1])
         assert B.tolist() == kernel_reference(A, p)
+        assert_kernel_is_canonical(A, p)
 
 
 @pytest.mark.parametrize("p", [16411, 2147483647])
@@ -111,6 +123,7 @@ def test_rref_matches_reference_beyond_the_inverse_table(p):
         rows, pivots = rref_reference(A, p)
         R, got_pivots = rref_mod(A, p)
         assert got_pivots == pivots and R.tolist() == rows
+        assert_kernel_is_canonical(A, p)
 
 
 @pytest.mark.parametrize("dtype,p", [
@@ -357,6 +370,22 @@ def test_rref_mod_pivots_are_lex_ordered():
         col = np.zeros(len(pivots), dtype=np.int64)
         col[i] = 1
         assert np.array_equal(R[:, c], col)
+
+
+@pytest.mark.parametrize("seed,p", [(0, 3), (1, 5)])
+def test_kernel_eliminates_once_seed(monkeypatch, seed, p):
+    """kernel's subspace is the canonical form of its one elimination, also
+    through Subspace.orthogonal."""
+    calls = []
+    real = linalg.rref_stack
+    monkeypatch.setattr(linalg, "rref_stack",
+                        lambda *a: calls.append(a) or real(*a))
+    rng = np.random.default_rng(seed)
+    M = rng.integers(0, p, size=(3, 7))
+    S = Subspace(p, 7, rref_reference(M, p)[0])
+    for K in (lambda: kernel(M, p), S.orthogonal):
+        calls.clear()
+        assert K().dim >= 4 and len(calls) == 1
 
 
 def test_kernel_basis_of_wide_matrix():

@@ -11,7 +11,7 @@ from unramified.errors import GuardExceededError, InternalInconsistencyError
 from unramified.exterior import subset_index
 from unramified.groups import GroupSpec
 from unramified.linalg import Subspace
-from unramified import obstruction
+from unramified import linalg, obstruction
 from unramified.obstruction import (
     analyze,
     compute_k2,
@@ -148,6 +148,13 @@ def test_dec_peyre6_degree3_is_u135():
         [trivector(3, 6, (1, 3, 5))], 3, comb(6, 3))
 
 
+def _is_canonical(S: Subspace) -> bool:
+    """S's basis is what one more elimination of it gives, byte for byte."""
+    T = Subspace.from_generators(S.basis, S.p, S.ambient)
+    return S.basis.shape == T.basis.shape and \
+        S.basis.tobytes() == T.basis.tobytes()
+
+
 DEC_CASES = [
     (0, 3, 4, 2, False), (1, 3, 4, 2, False), (2, 3, 4, 3, False),
     (3, 3, 4, 3, False), (4, 5, 3, 2, False), (5, 5, 4, 3, False),
@@ -181,10 +188,42 @@ def test_dec_fast_equals_bruteforce_seed(seed, p, n, k, walker):
     assert fast == brute
     assert obstruction._flags_in_subspace(S, k, n) == fast
     assert obstruction._points_in_flags(S, k, n) == fast
-    assert S.contains_subspace(fast)
+    assert S.contains_subspace(fast) and _is_canonical(fast)
     if walker:
         assert fast != S and fast.contains(last)
         assert (p ** n - 1) // (p - 1) > obstruction._FIRST_BATCH
+
+
+# Seeded strict specs over F_3 with dim U = 6 whose decomposable sweep
+# visits every line and finds 0 != S_dec != S: in degree 2 for seeds 6
+# and 9, in degree 3 for seeds 14 and 202.
+WALK_SEEDS = {6: 2, 9: 2, 14: 3, 202: 3}
+
+
+@pytest.mark.parametrize("seed", sorted(WALK_SEEDS))
+def test_dec_subgroup_needs_no_elimination_after_its_sweep_seed(monkeypatch,
+                                                                seed):
+    """Each batch is one kernel_stack and one fold into the span; the
+    product of the span with the basis of S is returned as it is, and it
+    is canonical, also in a random basis of the same group."""
+    spec = random_strict_spec(np.random.default_rng(seed), 3, 6, 6)
+    k = WALK_SEEDS[seed]
+    events = []
+    real_stack, real_kernels = linalg.rref_stack, obstruction.kernel_stack
+    monkeypatch.setattr(linalg, "rref_stack",
+                        lambda *a: events.append("elim") or real_stack(*a))
+    monkeypatch.setattr(obstruction, "kernel_stack",
+                        lambda *a: events.append("batch") or real_kernels(*a))
+    for s in (spec, change_basis(spec, np.random.default_rng(seed))):
+        rep = analyze(s)
+        walked = rep.deg2 if k == 2 else rep.deg3
+        assert walked.si_dec != walked.si and walked.si_dec.dim
+        for deg in (rep.deg2, rep.deg3):
+            assert _is_canonical(deg.si_dec) and _is_canonical(deg.ki_max)
+        events.clear()
+        assert dec_subgroup(walked.si, k, 6) == walked.si_dec
+        batches = events.count("batch")
+        assert batches > 1 and events == ["batch", "elim", "elim"] * batches
 
 
 def _refuse(*args):
