@@ -163,10 +163,11 @@ def cmd_oracle_decomposables(args) -> int:
     rep = obstruction.analyze(spec, strict=args.strict)
     deg = args.degree
     d = rep.deg2 if deg == 2 else rep.deg3
-    fast = d.si_dec                 # analyze's dec_subgroup(S^deg)
+    fast = d.si_dec                 # analyze's centralizer sweep
+    second = obstruction.dec_subgroup(d.si, deg, spec.n)
     brute = obstruction.dec_subgroup_bruteforce(d.si, deg, spec.n,
                                                 max_work=args.max_work)
-    agree = fast == brute
+    agree = fast == second == brute
     text = [render_multivector(row, spec.n, deg, spec.p)
             for row in fast.basis]
     if args.json:
@@ -179,7 +180,8 @@ def cmd_oracle_decomposables(args) -> int:
         if agree:
             print(f"fast = brute = {span}")
         else:
-            print(f"MISMATCH: fast dim {fast.dim}, brute dim {brute.dim}")
+            print(f"MISMATCH: fast dim {fast.dim}, dec_subgroup dim "
+                  f"{second.dim}, brute dim {brute.dim}")
     return EXIT_OK if agree else EXIT_VERIFY_FAILED
 
 

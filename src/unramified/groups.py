@@ -113,9 +113,14 @@ class ValidationReport:
     radical_dim: int
 
 
-def validate_spec(spec: GroupSpec, strict: bool = True) -> ValidationReport:
-    """Rank and radical of gamma; strict mode raises unless V = [G,G] = Z(G)."""
-    rank, rad = rank_mod(spec.gamma, spec.p), radical_subspace(spec).dim
+def validate_spec(spec: GroupSpec, strict: bool = True,
+                  gamma_rank: int | None = None) -> ValidationReport:
+    """Rank and radical of gamma; strict mode raises unless V = [G,G] = Z(G).
+
+    A caller that has eliminated gamma already passes its rank as
+    gamma_rank, so that gamma is not eliminated again."""
+    rank = rank_mod(spec.gamma, spec.p) if gamma_rank is None else gamma_rank
+    rad = radical_subspace(spec).dim
     if strict:
         if rank < spec.m:
             raise NotSurjectiveError(

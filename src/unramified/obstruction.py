@@ -14,20 +14,60 @@ i in {2, 3}:
     h3_dim = dim K^3_max - dim K^3     (a lower bound for the degree-3
                                         unramified cohomology)
 
-All complements use the identity pairing of the dual wedge bases.  The
-decomposable accumulation iterates over projective lines [v] only: for a
-fixed v the elements of S with factor v form the linear space
-S  intersect  ker(^ v), and every partially decomposable element has some
-factor line, so the union of those intersections spans S_dec.
+All complements use the identity pairing of the dual wedge bases.  Every
+partially decomposable element has a factor line, so S^i_dec is the span,
+over the projective lines [v], of S^i intersect F_v, where
+F_v = {omega ^ v}.
 
-dec_subgroup sweeps the lines in batches: it stacks the matrices of
-x -> x ^ v_l on the basis of S for a batch of lines v_l, takes all their
-left kernels in one stacked elimination (linalg.kernel_stack), and folds
-them into one span in S-basis coordinates.  It stops after the first
-batch at which that span is all of S, and otherwise visits every line.
-dec_subgroup_bruteforce is the independent oracle: it tests exhaustively,
-without ker(^ v), which points of P(S) lie in which flag space
-F_v = {omega ^ v}, from whichever side of that incidence is smaller.
+analyze reads both intersections off the centralizer of v.  Let l be the
+leading coordinate of v (v_l = 1), and let
+
+    C(v) = {w in U : gamma(v ^ w) = 0},   H = {w : w_l = 0},
+    D(v) = C(v) intersect H.
+
+Then
+
+    S^2 intersect F_v = v ^ D(v),
+    S^3 intersect F_v = v ^ {y in Lambda^2 D(v) : gamma(y) = 0}.
+
+Proof.  U = <v> + H, and omega -> v ^ omega is injective on Lambda^(i-1) H,
+so each element of F_v is v ^ y for exactly one y in Lambda^(i-1) H.
+Degree 2: S^2 = ker gamma, and v ^ w lies in it iff w is in C(v), that is,
+for w in H, iff w is in D(v).  Degree 3: K^3 is spanned by the
+(rho o gamma) ^ xi for rho in V* and xi in U*, and <kappa ^ xi, x> is
++-<kappa, xi _| x>, so x lies in S^3 iff gamma(xi _| x) = 0 for every xi.
+For x = v ^ y with y in Lambda^2 H,
+
+    xi _| (v ^ y) = xi(v) y - v ^ (xi _| y).
+
+The condition is linear in xi, and U* is spanned by e_l* (1 at v, 0 on H)
+and the xi with xi(v) = 0, which restrict to all of H*.  For xi = e_l*,
+xi _| y = 0, and the condition is gamma(y) = 0.  For xi(v) = 0 it is
+gamma(v ^ (xi _| y)) = 0, that is xi _| y in C(v); as xi _| y lies in H,
+that is xi _| y in D(v).  This holds for every xi in H* iff y, read as an
+alternating form on H*, vanishes on H* x D(v)^0, that is iff y lies in
+Lambda^2 D(v).  QED.  (Degree 2 is Bogomolov's commuting-pairs
+description of B0 for these groups.)
+
+dec_subgroups sweeps the lines in batches.  Per batch, one stacked
+elimination (linalg.kernel_stack) gives every D(v): the kernel of the
+m x n matrix w -> gamma(v ^ w), a contraction of the spec's forms, with
+the row e_l appended.  Degree 2 folds the wedges v ^ D(v) into a span;
+degree 3 takes a second kernel, of y -> gamma(y) on Lambda^2 D(v), for
+the lines with d = dim D(v) >= 2, grouped by d.  Each degree stops at the
+first batch at which its span is all of S^i, and the sweep stops when
+both have, or after the last line.
+
+dec_subgroup is the second route, for any subspace S of Lambda^k U: it
+stacks the matrices of x -> x ^ v_l on the basis of S for a batch of
+lines v_l and folds their left kernels, {x in S : x ^ v_l = 0}, into one
+span, with the same batches and early exit.  dec_subgroup_bruteforce is
+the independent oracle: it tests exhaustively, without ker(^ v), which
+points of P(S) lie in which flag space F_v, from whichever side of that
+incidence is smaller.
+
+analyze refuses a spec with more than MAX_LINES projective lines before
+any elimination: a sweep that does not exit early visits all of them.
 """
 
 from __future__ import annotations
@@ -48,7 +88,8 @@ from .linalg import Subspace, kernel_stack, projective_lines, rref_mod, \
 Array = np.ndarray
 
 DEFAULT_BRUTE_WORK = 10 ** 8
-# Batches of lines in dec_subgroup: the first is small, as early exits come
+MAX_LINES = 10 ** 6
+# Batches of lines in both sweeps: the first is small, as early exits come
 # after a few dozen lines; later ones double until a batch's stacked
 # matrices would hold more than _BATCH_CELLS entries (a memory bound).
 _FIRST_BATCH = 32
@@ -69,10 +110,11 @@ def compute_k3(spec: GroupSpec, k2: Subspace) -> Subspace:
 
 
 def dec_subgroup(S: Subspace, k: int, n: int) -> Subspace:
-    """Span of the partially decomposable elements of S (degree-k side).
+    """Span of the partially decomposable elements of any S in Lambda^k U.
 
-    Per line [v]: {x in S : x ^ v = 0} = S intersect {omega ^ v}, using the
-    contraction homotopy identity im(^v) = ker(^v).  Lines are swept in
+    The second route, which analyze does not take.  Per line [v]:
+    {x in S : x ^ v = 0} = S intersect {omega ^ v}, using the contraction
+    homotopy identity im(^v) = ker(^v).  Lines are swept in
     batches; each batch is one stacked elimination, and the sweep stops
     after the first batch at which the accumulated span reaches S itself.
     The span acc (rref, pivots q_j) times S.basis (rref, pivots P_i) is in
@@ -94,12 +136,81 @@ def dec_subgroup(S: Subspace, k: int, n: int) -> Subspace:
     while batch := list(itertools.islice(lines, size)):
         # C[l] = (S.basis @ W(v_l))^T; its kernel is {x in S : x ^ v_l = 0}
         C = np.einsum("lj,jit->lti", np.array(batch), SE)
-        K = kernel_stack(C, p).reshape(-1, S.dim)
-        acc, _ = rref_mod(np.vstack([acc, K[K.any(axis=1)]]), p)
+        acc = _fold(acc, kernel_stack(C, p), p)
         if acc.shape[0] == S.dim:
             return S
         size = min(2 * size, cap)
     return Subspace(p, S.ambient, acc @ S.basis % p)
+
+
+def dec_subgroups(spec: GroupSpec, s2: Subspace, s3: Subspace
+                  ) -> tuple[Subspace, Subspace]:
+    """S^2_dec and S^3_dec of S^2 = ker gamma and S^3 = (K^2 ^ U*)^perp,
+    from one sweep over the lines (module docstring).
+
+    Both are folded in S^i-basis coordinates, x[pivots] for x in S^i, so
+    the wedge tables are cut to the pivot columns; as in dec_subgroup, the
+    span acc times S^i.basis is already in rref.
+    """
+    p, n, m = spec.p, spec.n, spec.m
+    targets = (s2, s3)
+    accs = [np.zeros((0, S.dim), dtype=np.int64) for S in targets]
+    todo = [S.dim > 0 for S in targets]
+    if not any(todo):
+        return targets
+    pairs = wedge_basis_tensor(n, 1).transpose(1, 0, 2)   # [i, j]: e_i ^ e_j
+    by_v2 = pairs[:, :, s2.pivots].reshape(n, -1)         # v @ it: w -> v ^ w
+    by_v3 = wedge_basis_tensor(n, 2)[:, :, s3.pivots].reshape(n, -1)
+    pairs = pairs.reshape(n, -1)                          # d @ it: w -> d ^ w
+    # per line: its (m + 1) x n matrix, n x n kernel and n x dim S^2 wedges
+    cap = max(1, _BATCH_CELLS // (n * (m + 1 + n + s2.dim)))
+    lines = projective_lines(p, n)
+    size = min(_FIRST_BATCH, cap)
+    while any(todo) and (batch := list(itertools.islice(lines, size))):
+        V = np.array(batch)
+        M = np.einsum("li,kij->lkj", V, spec.forms)      # w -> gamma(v ^ w)
+        lead = np.eye(n, dtype=np.int64)[(V != 0).argmax(axis=1), None]
+        D = kernel_stack(np.concatenate([M, lead], axis=1), p)
+        if todo[0]:
+            accs[0] = _fold(accs[0], D @ (V @ by_v2).reshape(len(V), n, -1), p)
+        if todo[1]:
+            accs[1] = _fold(accs[1], _cycles_by_line(spec, V, D, pairs, by_v3), p)
+        todo = [acc.shape[0] < S.dim for S, acc in zip(targets, accs)]
+        size = min(2 * size, cap)
+    return tuple(Subspace(p, S.ambient, acc @ S.basis % p)
+                 for S, acc in zip(targets, accs))
+
+
+def _fold(acc: Array, X: Array, p: int) -> Array:
+    """rref of the span of acc's rows and the rows of the stack X."""
+    X = X.reshape(-1, acc.shape[1]) % p
+    return rref_mod(np.vstack([acc, X[X.any(axis=1)]]), p)[0]
+
+
+def _cycles_by_line(spec: GroupSpec, V: Array, D: Array, pairs: Array,
+                    by_v3: Array) -> Array:
+    """v ^ {y in Lambda^2 D(v) : gamma(y) = 0} for each line v of V, in
+    S^3-basis coordinates; D[l] holds a basis of D(v_l) among zero rows.
+
+    Lines are grouped by d = dim D(v), and each group is cut into chunks
+    whose arrays hold about _BATCH_CELLS entries."""
+    p, n = spec.p, spec.n
+    c2 = pairs.shape[1] // n
+    s3 = by_v3.shape[1] // c2
+    dims = D.any(axis=2).sum(axis=1)
+    out = [np.zeros((0, s3), dtype=np.int64)]
+    for d in sorted(set(dims.tolist()) - {0, 1}):
+        a, b = np.triu_indices(d, 1)
+        rows = np.flatnonzero(dims == d)
+        step = max(1, _BATCH_CELLS // (c2 * (d * n + d * d + s3)))
+        for ls in np.array_split(rows, -(-len(rows) // step)):
+            Dd = D[ls][D[ls].any(axis=2)].reshape(len(ls), d, n)
+            wedges = (Dd @ pairs).reshape(len(ls), d, n, c2)
+            Y = (Dd[:, None] @ wedges)[:, a, b] % p      # d_a ^ d_b, a < b
+            Z = kernel_stack((Y @ spec.gamma.T).transpose(0, 2, 1), p)
+            by_v = (V[ls] @ by_v3).reshape(len(ls), c2, -1)  # y -> y ^ v
+            out.append(((Z @ Y % p) @ by_v).reshape(-1, s3))
+    return np.vstack(out)
 
 
 def _flag_bases(p: int, n: int, k: int, count: int):
@@ -230,12 +341,17 @@ class ObstructionReport:
 
 def analyze(spec: GroupSpec, strict: bool = True) -> ObstructionReport:
     """Run the full degree-2 and degree-3 pipeline."""
-    validation = validate_spec(spec, strict=strict)
+    lines = (spec.p ** spec.n - 1) // (spec.p - 1)
+    if lines > MAX_LINES:
+        raise GuardExceededError(
+            f"analyze sweeps {lines} projective lines, over the bound "
+            f"{MAX_LINES}", required=lines)
+    k2 = compute_k2(spec)
+    validation = validate_spec(spec, strict=strict, gamma_rank=k2.dim)
+    kis = (k2, compute_k3(spec, k2))
+    sis = tuple(ki.orthogonal() for ki in kis)
     degrees = []
-    for i in (2, 3):
-        ki = compute_k2(spec) if i == 2 else compute_k3(spec, degrees[0].ki)
-        si = ki.orthogonal()
-        si_dec = dec_subgroup(si, i, spec.n)
+    for i, ki, si, si_dec in zip((2, 3), kis, sis, dec_subgroups(spec, *sis)):
         ki_max = ki if si_dec == si else si_dec.orthogonal()
         if not ki_max.contains_subspace(ki):
             raise InternalInconsistencyError(f"K^{i} not inside K^{i}_max")

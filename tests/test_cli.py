@@ -119,10 +119,13 @@ def test_broken_invariant_is_typed_and_reported(monkeypatch, capsys):
     from unramified.errors import InternalInconsistencyError
     from unramified.linalg import Subspace
 
+    def everything(S):
+        return Subspace.from_generators(np.eye(S.ambient, dtype=np.int64),
+                                        S.p, S.ambient)
+
     # S^2 of heisenberg3 is 0, so all of Lambda^2 lies outside it
-    monkeypatch.setattr(obstruction, "dec_subgroup",
-                        lambda S, k, n: Subspace.from_generators(
-                            np.eye(S.ambient, dtype=np.int64), S.p, S.ambient))
+    monkeypatch.setattr(obstruction, "dec_subgroups",
+                        lambda spec, s2, s3: (everything(s2), everything(s3)))
     with pytest.raises(InternalInconsistencyError):
         obstruction.analyze(builtin("heisenberg3"))
     code, out, err = run(capsys, "analyze", "--builtin", "heisenberg3")
@@ -444,15 +447,64 @@ def test_oracle_decomposables_peyre6_degree3_headline(capsys):
 
 def test_oracle_decomposables_takes_the_fast_route_from_analyze(monkeypatch,
                                                                 capsys):
-    # analyze computes S^i_dec once per degree; the oracle reuses it
-    calls = []
-    real = obstruction.dec_subgroup
+    # analyze sweeps the lines once for both degrees; the oracle reuses its
+    # S^3_dec and runs dec_subgroup only as the second route, in degree 3
+    sweeps, second = [], []
+    real_sweep, real_second = obstruction.dec_subgroups, obstruction.dec_subgroup
+    monkeypatch.setattr(obstruction, "dec_subgroups",
+                        lambda *a: sweeps.append(a[0].n) or real_sweep(*a))
     monkeypatch.setattr(obstruction, "dec_subgroup",
-                        lambda *a: calls.append(a[1]) or real(*a))
+                        lambda *a: second.append(a[1]) or real_second(*a))
     code, out, _ = run(capsys, "oracle", "decomposables", "--builtin",
                        "peyre6", "--degree", "3")
     assert code == 0 and out.strip() == "fast = brute = span{u[1,3,5]}"
-    assert calls == [2, 3]
+    assert sweeps == [6] and second == [3]
+
+
+@pytest.mark.parametrize("route", ["dec_subgroups", "dec_subgroup"])
+def test_oracle_decomposables_fails_when_any_route_differs(monkeypatch,
+                                                           capsys, route):
+    """A wrong S_dec from either fast route is a mismatch, exit 2, even
+    though the other fast route and the brute force agree."""
+    from unramified.linalg import Subspace
+
+    zero = Subspace.zero(3, 20)
+    if route == "dec_subgroups":
+        real = obstruction.dec_subgroups
+        monkeypatch.setattr(obstruction, route,
+                            lambda *a: (real(*a)[0], zero))
+    else:
+        monkeypatch.setattr(obstruction, route, lambda *a: zero)
+    code, out, _ = run(capsys, "oracle", "decomposables", "--builtin",
+                       "peyre6", "--degree", "3")
+    fast, second = (0, 1) if route == "dec_subgroups" else (1, 0)
+    assert code == 2
+    assert out == (f"MISMATCH: fast dim {fast}, dec_subgroup dim {second}, "
+                   "brute dim 1\n")
+    code, out, _ = run(capsys, "oracle", "decomposables", "--builtin",
+                       "peyre6", "--degree", "3", "--json")
+    assert code == 2 and json.loads(out)["agree"] is False
+
+
+def test_analyze_line_guard_refuses_before_any_elimination(monkeypatch,
+                                                           tmp_path, capsys):
+    """p = 65521, dim U = 3: 65521^2 + 65521 + 1 lines, over the bound."""
+    from unramified import linalg
+
+    monkeypatch.setattr(linalg, "rref_stack",
+                        lambda *a: pytest.fail("eliminated"))
+    monkeypatch.setattr(obstruction, "validate_spec",
+                        lambda *a, **k: pytest.fail("validated"))
+    (tmp_path / "big.json").write_text(json.dumps(
+        {"p": 65521, "dimU": 3, "dimV": 1,
+         "gamma": [{"i": 1, "j": 2, "v": [1]}]}))
+    lines = 65521 ** 2 + 65521 + 1
+    for cmd in (["analyze"], ["oracle", "decomposables"]):
+        code, out, err = run(capsys, *cmd, "--spec", str(tmp_path / "big.json"))
+        assert code == 3 and out == ""
+        assert err.splitlines() == [
+            f"guard exceeded: analyze sweeps {lines} projective lines, "
+            f"over the bound {obstruction.MAX_LINES}"]
 
 
 def test_oracle_cohomology_text_output(capsys):

@@ -9,8 +9,8 @@ import pytest
 from unramified.catalog import builtin
 from unramified.errors import GuardExceededError, InternalInconsistencyError
 from unramified.exterior import subset_index
-from unramified.groups import GroupSpec
-from unramified.linalg import Subspace
+from unramified.groups import GroupSpec, validate_spec
+from unramified.linalg import Subspace, rank_mod
 from unramified import linalg, obstruction
 from unramified.obstruction import (
     analyze,
@@ -18,6 +18,7 @@ from unramified.obstruction import (
     compute_k3,
     dec_subgroup,
     dec_subgroup_bruteforce,
+    dec_subgroups,
     projective_lines,
 )
 
@@ -224,6 +225,156 @@ def test_dec_subgroup_needs_no_elimination_after_its_sweep_seed(monkeypatch,
         assert dec_subgroup(walked.si, k, 6) == walked.si_dec
         batches = events.count("batch")
         assert batches > 1 and events == ["batch", "elim", "elim"] * batches
+
+
+# -- the centralizer sweep -----------------------------------------------------
+
+def with_radical(spec: GroupSpec) -> GroupSpec:
+    """spec on U + <e_{n+1}>, where gamma vanishes on every e_i ^ e_{n+1}:
+    a non-strict spec whose radical holds e_{n+1}."""
+    n = spec.n + 1
+    idx = subset_index(n, 2)
+    gamma = np.zeros((spec.m, comb(n, 2)), dtype=np.int64)
+    for pair, s in subset_index(spec.n, 2).items():
+        gamma[:, idx[pair]] = spec.gamma[:, s]
+    return GroupSpec(spec.p, n, spec.m, gamma)
+
+
+# (seed, p, dim U, strict): seeded specs from random_strict_spec, with
+# dim U in [3, 5] (p = 3) or [3, 4] (p = 5) for seeds below 6; the WALK_SEEDS
+# specs; and non-strict ones, with_radical of a dim U in [4, 5] or [4, 4]
+# draw, where 0 != S^2_dec != S^2.
+ROUTE_CASES = [(seed, 3 if seed % 2 == 0 else 5, None, True)
+               for seed in range(6)] \
+    + [(seed, 3, 6, True) for seed in sorted(WALK_SEEDS)] \
+    + [(seed, 3 if seed % 2 == 0 else 5, None, False)
+       for seed in (0, 3, 16, 19)]
+
+
+def _route_spec(seed, p, n, strict):
+    rng = np.random.default_rng(seed)
+    if n is not None:
+        return random_strict_spec(rng, p, n, n)
+    if strict:
+        return random_strict_spec(rng, p, 3, 5 if p == 3 else 4)
+    return with_radical(random_strict_spec(rng, p, 4, 5 if p == 3 else 4))
+
+
+@pytest.mark.parametrize(
+    "seed,p,n,strict", ROUTE_CASES,
+    ids=[f"{c[0]}-{c[1]}" + ("" if c[3] else "-radical") for c in ROUTE_CASES])
+def test_centralizer_sweep_equals_both_other_routes_seed(seed, p, n, strict):
+    spec = _route_spec(seed, p, n, strict)
+    nontrivial = False
+    for s in (spec, change_basis(spec, np.random.default_rng(seed))):
+        rep = analyze(s, strict=strict)
+        assert (rep.validation.radical_dim == 0) == strict
+        for deg in (rep.deg2, rep.deg3):
+            assert dec_subgroups(s, rep.deg2.si, rep.deg3.si)[deg.i - 2] \
+                == deg.si_dec
+            assert dec_subgroup(deg.si, deg.i, s.n) == deg.si_dec
+            assert dec_subgroup_bruteforce(deg.si, deg.i, s.n) == deg.si_dec
+            assert _is_canonical(deg.si_dec)
+            nontrivial |= 0 < deg.si_dec.dim < deg.si.dim
+    assert nontrivial or (n is None and strict)
+
+
+class _Spy:
+    """Records every kernel_stack input shape and every line consumed."""
+
+    def __init__(self, monkeypatch):
+        self.kernels, self.lines = [], 0
+        real_kernels = obstruction.kernel_stack
+        real_lines = obstruction.projective_lines
+
+        def lines(*args):
+            for v in real_lines(*args):
+                self.lines += 1
+                yield v
+
+        monkeypatch.setattr(obstruction, "kernel_stack",
+                            lambda A, p: self.kernels.append(A.shape)
+                            or real_kernels(A, p))
+        monkeypatch.setattr(obstruction, "projective_lines", lines)
+        monkeypatch.setattr(obstruction, "dec_subgroup",
+                            lambda *a: pytest.fail("analyze ran dec_subgroup"))
+
+
+@pytest.mark.parametrize("seed", sorted(WALK_SEEDS))
+def test_one_kernel_serves_both_degrees_per_batch_seed(monkeypatch, seed):
+    """A walker's sweep visits every line, in batches of 32, 64, ...; each
+    batch takes one (lines, m + 1, n) kernel, whose D(v) serve degree 2 and
+    degree 3, and the degree-3 kernels take the lines with dim D(v) >= 2."""
+    spec = random_strict_spec(np.random.default_rng(seed), 3, 6, 6)
+    spy = _Spy(monkeypatch)
+    analyze(spec)
+    centralizers = [s for s in spy.kernels if s[1:] == (spec.m + 1, 6)]
+    batches = [s[0] for s in centralizers]
+    assert spy.lines == sum(batches) == (3 ** 6 - 1) // 2
+    assert batches[:3] == [32, 64, 128] and len(batches) > 3
+    for L, rows, cols in spy.kernels:
+        if (rows, cols) != (spec.m + 1, 6):
+            assert rows == spec.m and cols in (1, 3, 6, 10, 15)
+
+
+def test_early_exit_eliminates_only_the_first_batch(monkeypatch):
+    """S^2_dec = S^2 and S^3_dec = S^3 after 32 lines: no second batch."""
+    spec = random_strict_spec(np.random.default_rng(23), 3, 6, 6)
+    rep = analyze(spec)
+    assert all(d.si_dec == d.si and d.si.dim for d in (rep.deg2, rep.deg3))
+    spy = _Spy(monkeypatch)
+    assert _dims(analyze(spec)) == _dims(rep)
+    assert spy.lines == 32 and spy.kernels[0] == (32, spec.m + 1, 6)
+    assert all(s[0] <= 32 and s[1:] != (spec.m + 1, 6)
+               for s in spy.kernels[1:])
+
+
+def test_h3_27_regression_3_9_6():
+    """The first strict draw of a (3, 9, 6) gamma from default_rng(1):
+    9841 lines, all swept in degree 3."""
+    rng = np.random.default_rng(1)
+    while True:
+        spec = GroupSpec(3, 9, 6, rng.integers(0, 3, (6, 36)))
+        v = validate_spec(spec, strict=False)
+        if (v.gamma_rank, v.radical_dim) == (6, 0):
+            break
+    rep = analyze(spec)
+    assert (rep.b0_dim, rep.h3_dim) == (0, 27)
+    assert rep.deg3.si_dec != rep.deg3.si
+
+
+def test_line_guard_refuses_before_any_elimination(monkeypatch):
+    spec = GroupSpec(65521, 3, 1, [[1, 0, 0]])
+    monkeypatch.setattr(linalg, "rref_stack",
+                        lambda *a: pytest.fail("eliminated"))
+    with pytest.raises(GuardExceededError) as info:
+        analyze(spec, strict=False)
+    assert info.value.required == 65521 ** 2 + 65521 + 1
+    monkeypatch.undo()
+    heis = builtin("heisenberg3")           # 4 lines
+    monkeypatch.setattr(obstruction, "MAX_LINES", 4)
+    assert analyze(heis).b0_dim == 0
+    monkeypatch.setattr(obstruction, "MAX_LINES", 3)
+    with pytest.raises(GuardExceededError):
+        analyze(heis)
+
+
+@pytest.mark.parametrize("seed,strict", [(0, True), (1, True), (2, False)])
+def test_gamma_is_eliminated_once_per_analyze(monkeypatch, seed, strict):
+    """validate_spec takes gamma's rank from the elimination that gives K^2."""
+    spec = random_strict_spec(np.random.default_rng(seed), 3, 4, 5)
+    if not strict:
+        spec = with_radical(spec)
+    rank = rank_mod(spec.gamma, spec.p)
+    seen = []
+    real = linalg.rref_stack
+    monkeypatch.setattr(linalg, "rref_stack",
+                        lambda A, *a: seen.append(np.array(A)) or real(A, *a))
+    rep = analyze(spec, strict=strict)
+    assert rep.validation.gamma_rank == rank
+    assert sum(a.shape == (1,) + spec.gamma.shape
+               and bool((a[0] % spec.p == spec.gamma).all())
+               for a in seen) == 1
 
 
 def _refuse(*args):
