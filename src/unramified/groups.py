@@ -37,7 +37,7 @@ from .errors import (
     SpecError,
 )
 from .exterior import form_matrices, subset_index, subsets
-from .linalg import Subspace, check_odd_prime, half_mod, kernel, rank_mod
+from .linalg import Subspace, check_odd_prime, half_mod, kernel
 
 Array = np.ndarray
 
@@ -107,20 +107,22 @@ def radical_subspace(spec: GroupSpec) -> Subspace:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """rank gamma = dim [G, G] and dim radical(gamma) = dim Z(G) - m."""
+    """gamma's row space, of dim rank gamma = dim [G, G], and
+    dim radical(gamma) = dim Z(G) - m."""
 
-    gamma_rank: int
+    k2: Subspace        # row space of gamma: K^2 of the obstruction pipeline
     radical_dim: int
 
+    @property
+    def gamma_rank(self) -> int:
+        return self.k2.dim
 
-def validate_spec(spec: GroupSpec, strict: bool = True,
-                  gamma_rank: int | None = None) -> ValidationReport:
-    """Rank and radical of gamma; strict mode raises unless V = [G,G] = Z(G).
 
-    A caller that has eliminated gamma already passes its rank as
-    gamma_rank, so that gamma is not eliminated again."""
-    rank = rank_mod(spec.gamma, spec.p) if gamma_rank is None else gamma_rank
-    rad = radical_subspace(spec).dim
+def validate_spec(spec: GroupSpec, strict: bool = True) -> ValidationReport:
+    """Row space and radical of gamma; strict mode raises unless
+    V = [G,G] = Z(G).  This is the one elimination of gamma itself."""
+    k2 = Subspace.from_generators(spec.gamma, spec.p, comb(spec.n, 2))
+    rank, rad = k2.dim, radical_subspace(spec).dim
     if strict:
         if rank < spec.m:
             raise NotSurjectiveError(
@@ -128,7 +130,7 @@ def validate_spec(spec: GroupSpec, strict: bool = True,
         if rad:
             raise NontrivialRadicalError(
                 f"gamma has radical of dim {rad} > 0: Z(G) != [G, G]")
-    return ValidationReport(rank, rad)
+    return ValidationReport(k2, rad)
 
 
 # -- index tables ------------------------------------------------------------

@@ -181,10 +181,6 @@ def rref_mod(A: Array, p: int) -> tuple[Array, list[int]]:
     return R[:r], pivots[:r].tolist()
 
 
-def rank_mod(A: Array, p: int) -> int:
-    return len(rref_mod(A, p)[1])
-
-
 def kernel_stack(A: Array, p: int) -> Array:
     """Kernels over F_p of a stack (L, m, n), as an (L, n, n) stack.
 

@@ -66,8 +66,13 @@ the independent oracle: it tests exhaustively, without ker(^ v), which
 points of P(S) lie in which flag space F_v, from whichever side of that
 incidence is smaller.
 
-analyze refuses a spec with more than MAX_LINES projective lines before
-any elimination: a sweep that does not exit early visits all of them.
+K^2 is the row space of gamma that validate_spec takes, so gamma is
+eliminated once.  Right after it, analyze refuses a spec with
+S^2 = ker gamma nonzero and more than MAX_LINES projective lines, before
+K^3 or the sweep: a sweep that does not exit early visits every line, and
+whether it will exit early is not known in advance.  If S^2 = 0 then
+K^2 = Lambda^2 U*, so K^3 = Lambda^3 U* and S^3 = 0 as well: there is
+nothing to sweep, and the guard does not apply.
 """
 
 from __future__ import annotations
@@ -94,11 +99,6 @@ MAX_LINES = 10 ** 6
 # matrices would hold more than _BATCH_CELLS entries (a memory bound).
 _FIRST_BATCH = 32
 _BATCH_CELLS = 1 << 16
-
-
-def compute_k2(spec: GroupSpec) -> Subspace:
-    """Image of gamma*: row space of gamma, read in Lambda^2 U* coordinates."""
-    return Subspace.from_generators(spec.gamma, spec.p, comb(spec.n, 2))
 
 
 def compute_k3(spec: GroupSpec, k2: Subspace) -> Subspace:
@@ -341,13 +341,13 @@ class ObstructionReport:
 
 def analyze(spec: GroupSpec, strict: bool = True) -> ObstructionReport:
     """Run the full degree-2 and degree-3 pipeline."""
+    validation = validate_spec(spec, strict=strict)
+    k2 = validation.k2             # image of gamma*: the row space of gamma
     lines = (spec.p ** spec.n - 1) // (spec.p - 1)
-    if lines > MAX_LINES:
+    if k2.dim < comb(spec.n, 2) and lines > MAX_LINES:
         raise GuardExceededError(
             f"analyze sweeps {lines} projective lines, over the bound "
             f"{MAX_LINES}", required=lines)
-    k2 = compute_k2(spec)
-    validation = validate_spec(spec, strict=strict, gamma_rank=k2.dim)
     kis = (k2, compute_k3(spec, k2))
     sis = tuple(ki.orthogonal() for ki in kis)
     degrees = []

@@ -1,9 +1,9 @@
 """Helpers shared by the test modules.
 
-They live on the test side because no command runs them: seeded random
-strict specs, GL(U) x GL(V) changes of basis for the invariance tests,
-the sum and the Zassenhaus intersection of two subspaces, the
-p-annihilation check of the bar oracle, the full-table coboundary that the
+They live on the test side because no command runs them: the rank over
+F_p, seeded random strict specs, GL(U) x GL(V) changes of basis for the
+invariance tests, the sum and the Zassenhaus intersection of two
+subspaces, the p-annihilation check of the bar oracle, the full-table coboundary that the
 slices of ``cochains.coboundary_slice`` are checked against, the
 coboundary image that the tau_agree certificates are checked against, and
 a dense Smith form over Z/p^k.
@@ -18,7 +18,12 @@ import numpy as np
 from unramified.bar import mod_exps
 from unramified.cochains import coboundary_slice
 from unramified.groups import GroupSpec, tables_for, validate_spec
-from unramified.linalg import Subspace, rank_mod, rref_mod
+from unramified.linalg import Subspace, rref_mod
+
+
+def rank_mod(A, p: int) -> int:
+    """Rank of A over F_p."""
+    return len(rref_mod(A, p)[1])
 
 
 def random_strict_spec(rng: np.random.Generator, p: int,

@@ -12,9 +12,8 @@ from unramified.catalog import builtin
 from unramified.cli import main
 from unramified.divisors import elementary_divisors
 from unramified.errors import GuardExceededError
-from unramified.linalg import rank_mod
 
-from conftest import p_annihilated, random_strict_spec
+from conftest import p_annihilated, random_strict_spec, rank_mod
 
 
 def order_mod(spec, n, modulus):

@@ -486,18 +486,17 @@ def test_oracle_decomposables_fails_when_any_route_differs(monkeypatch,
     assert code == 2 and json.loads(out)["agree"] is False
 
 
-def test_analyze_line_guard_refuses_before_any_elimination(monkeypatch,
-                                                           tmp_path, capsys):
-    """p = 65521, dim U = 3: 65521^2 + 65521 + 1 lines, over the bound."""
-    from unramified import linalg
-
-    monkeypatch.setattr(linalg, "rref_stack",
-                        lambda *a: pytest.fail("eliminated"))
-    monkeypatch.setattr(obstruction, "validate_spec",
-                        lambda *a, **k: pytest.fail("validated"))
+def test_analyze_line_guard_refuses_before_the_sweep(monkeypatch, tmp_path,
+                                                    capsys):
+    """p = 65521, dim U = 3, S^2 != 0: 65521^2 + 65521 + 1 lines, over the
+    bound."""
+    for name in ("compute_k3", "dec_subgroups"):
+        monkeypatch.setattr(obstruction, name,
+                            lambda *a: pytest.fail("got past the guard"))
     (tmp_path / "big.json").write_text(json.dumps(
-        {"p": 65521, "dimU": 3, "dimV": 1,
-         "gamma": [{"i": 1, "j": 2, "v": [1]}]}))
+        {"p": 65521, "dimU": 3, "dimV": 2,
+         "gamma": [{"i": 1, "j": 2, "v": [1, 0]},
+                   {"i": 1, "j": 3, "v": [0, 1]}]}))
     lines = 65521 ** 2 + 65521 + 1
     for cmd in (["analyze"], ["oracle", "decomposables"]):
         code, out, err = run(capsys, *cmd, "--spec", str(tmp_path / "big.json"))

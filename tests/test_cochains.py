@@ -32,9 +32,10 @@ from unramified.cochains import (
 from unramified.errors import GuardExceededError, InternalInconsistencyError
 from unramified import groups
 from unramified.groups import GroupSpec, spec_from_json_dict, tables_for
-from unramified.linalg import half_mod, projective_lines, rank_mod
+from unramified.linalg import half_mod, projective_lines
 
-from conftest import coboundary, coboundary_by_slices, coboundary_image
+from conftest import coboundary, coboundary_by_slices, coboundary_image, \
+    rank_mod
 
 
 @pytest.mark.parametrize("name,degree,seed", [

@@ -10,11 +10,10 @@ from unramified.catalog import builtin
 from unramified.errors import GuardExceededError, InternalInconsistencyError
 from unramified.exterior import subset_index
 from unramified.groups import GroupSpec, validate_spec
-from unramified.linalg import Subspace, rank_mod
+from unramified.linalg import Subspace
 from unramified import linalg, obstruction
 from unramified.obstruction import (
     analyze,
-    compute_k2,
     compute_k3,
     dec_subgroup,
     dec_subgroup_bruteforce,
@@ -22,7 +21,7 @@ from unramified.obstruction import (
     projective_lines,
 )
 
-from conftest import change_basis, random_strict_spec
+from conftest import change_basis, random_strict_spec, rank_mod
 
 
 def dual_bivector(p, n, *terms):
@@ -32,6 +31,11 @@ def dual_bivector(p, n, *terms):
     for i, j, c in terms:
         out[idx[(i, j)]] = c % p
     return out
+
+
+def k2_of(spec):
+    """K^2, the row space of gamma, as validate_spec takes it."""
+    return validate_spec(spec, strict=False).k2
 
 
 def trivector(p, n, *subsets_):
@@ -46,7 +50,7 @@ def trivector(p, n, *subsets_):
 
 def test_k2_peyre6_matches_listed_generators():
     spec = builtin("peyre6")
-    k2 = compute_k2(spec)
+    k2 = k2_of(spec)
     assert k2.dim == 6
     expected = Subspace.from_generators([
         dual_bivector(3, 6, (1, 2, 1), (4, 5, -1)),
@@ -60,7 +64,7 @@ def test_k2_peyre6_matches_listed_generators():
 
 
 def test_k2_heisenberg_is_everything():
-    k2 = compute_k2(builtin("heisenberg3"))
+    k2 = k2_of(builtin("heisenberg3"))
     assert k2.dim == 1 and k2.ambient == 1
 
 
@@ -72,10 +76,9 @@ def test_k2_functional_consistency_seed(seed):
     while True:
         gamma = rng.integers(0, p, size=(m, comb(n, 2)))
         spec = GroupSpec(p, n, m, gamma)
-        from unramified.linalg import rank_mod
         if rank_mod(gamma, p) == m:
             break
-    k2 = compute_k2(spec)
+    k2 = k2_of(spec)
     assert k2.dim == m
     for rho in np.eye(m, dtype=np.int64):
         dual = (rho @ spec.gamma) % p
@@ -90,13 +93,13 @@ def test_k2_functional_consistency_seed(seed):
 
 def test_k3_heisenberg_is_zero_space_of_zero_ambient():
     spec = builtin("heisenberg3")
-    k3 = compute_k3(spec, compute_k2(spec))
+    k3 = compute_k3(spec, k2_of(spec))
     assert k3.ambient == 0 and k3.dim == 0
 
 
 def test_k3_peyre6_dimension_and_perp():
     spec = builtin("peyre6")
-    k3 = compute_k3(spec, compute_k2(spec))
+    k3 = compute_k3(spec, k2_of(spec))
     assert k3.dim == 18
     s3 = k3.orthogonal()
     expected = Subspace.from_generators([
@@ -112,7 +115,7 @@ def test_s3_matches_exhaustive_orthogonal_enumeration_seed(seed):
     p, n = 3, 4
     rng = np.random.default_rng(seed)
     spec = GroupSpec(p, n, 2, rng.integers(0, p, size=(2, comb(n, 2))))
-    k3 = compute_k3(spec, compute_k2(spec))
+    k3 = compute_k3(spec, k2_of(spec))
     s3 = k3.orthogonal()
     hits = []
     for x in itertools.product(range(p), repeat=comb(n, 3)):
@@ -343,25 +346,42 @@ def test_h3_27_regression_3_9_6():
     assert rep.deg3.si_dec != rep.deg3.si
 
 
-def test_line_guard_refuses_before_any_elimination(monkeypatch):
-    spec = GroupSpec(65521, 3, 1, [[1, 0, 0]])
-    monkeypatch.setattr(linalg, "rref_stack",
-                        lambda *a: pytest.fail("eliminated"))
+def test_line_guard_refuses_before_k3_and_the_sweep(monkeypatch):
+    """p = 65521, dim U = 3: 65521^2 + 65521 + 1 lines and S^2 = <e2 ^ e3>.
+    Every element of Lambda^2 U is decomposable at dim U = 3, so the sweep
+    would stop after its first batch; the guard cannot know that in advance
+    and refuses the spec all the same."""
+    spec = GroupSpec(65521, 3, 2, [[1, 0, 0], [0, 1, 0]])
+    for name in ("compute_k3", "dec_subgroups"):
+        monkeypatch.setattr(obstruction, name,
+                            lambda *a: pytest.fail("got past the guard"))
     with pytest.raises(GuardExceededError) as info:
-        analyze(spec, strict=False)
+        analyze(spec)
     assert info.value.required == 65521 ** 2 + 65521 + 1
     monkeypatch.undo()
-    heis = builtin("heisenberg3")           # 4 lines
-    monkeypatch.setattr(obstruction, "MAX_LINES", 4)
-    assert analyze(heis).b0_dim == 0
-    monkeypatch.setattr(obstruction, "MAX_LINES", 3)
+    spec = GroupSpec(3, 3, 2, [[1, 0, 0], [0, 1, 0]])      # 13 lines
+    monkeypatch.setattr(obstruction, "MAX_LINES", 13)
+    assert analyze(spec).deg2.si.dim == 1
+    monkeypatch.setattr(obstruction, "MAX_LINES", 12)
     with pytest.raises(GuardExceededError):
-        analyze(heis)
+        analyze(spec)
+
+
+def test_line_guard_passes_a_spec_with_nothing_to_sweep(monkeypatch):
+    """The free class-2 group at p = 1009, dim U = 3 (gamma = identity):
+    1,019,091 lines, but S^2 = S^3 = 0, so no line is swept."""
+    spec = GroupSpec(1009, 3, 3, np.eye(3, dtype=np.int64))
+    monkeypatch.setattr(obstruction, "projective_lines",
+                        lambda *a: pytest.fail("swept"))
+    rep = analyze(spec)
+    assert (rep.deg2.si.dim, rep.deg3.si.dim) == (0, 0)
+    assert (rep.b0_dim, rep.h3_dim) == (0, 0)
 
 
 @pytest.mark.parametrize("seed,strict", [(0, True), (1, True), (2, False)])
 def test_gamma_is_eliminated_once_per_analyze(monkeypatch, seed, strict):
-    """validate_spec takes gamma's rank from the elimination that gives K^2."""
+    """K^2 is the row space that validate_spec takes: gamma is eliminated
+    once."""
     spec = random_strict_spec(np.random.default_rng(seed), 3, 4, 5)
     if not strict:
         spec = with_radical(spec)
@@ -652,7 +672,7 @@ def dual_trivector(p, n, *terms):
 def test_k3_peyre6_matches_listed_generator_table():
     # the 18 stated generators of K^3 for the headline example
     spec = builtin("peyre6")
-    k3 = compute_k3(spec, compute_k2(spec))
+    k3 = compute_k3(spec, k2_of(spec))
     g = dual_trivector
     p, n = 3, 6
     expected = Subspace.from_generators([
