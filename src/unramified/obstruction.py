@@ -49,14 +49,41 @@ alternating form on H*, vanishes on H* x D(v)^0, that is iff y lies in
 Lambda^2 D(v).  QED.  (Degree 2 is Bogomolov's commuting-pairs
 description of B0 for these groups.)
 
-dec_subgroups sweeps the lines in batches.  Per batch, one stacked
-elimination (linalg.kernel_stack) gives every D(v): the kernel of the
-m x n matrix w -> gamma(v ^ w), a contraction of the spec's forms, with
-the row e_l appended.  Degree 2 folds the wedges v ^ D(v) into a span;
-degree 3 takes a second kernel, of y -> gamma(y) on Lambda^2 D(v), for
-the lines with d = dim D(v) >= 2, grouped by d.  Each degree stops at the
-first batch at which its span is all of S^i, and the sweep stops when
-both have, or after the last line.
+Not every line is needed.  Let H0 = {x : x_0 = 0}, a hyperplane of U.
+
+Degree 2: S^2_dec is the span over the lines v of H0 of v ^ D(v).  An
+element v ^ w != 0 of S^2 has the plane span(v, w) as its factor space;
+the plane meets H0 in a line v', so span(v, w) = span(v', w') and v ^ w
+is a multiple of v' ^ w', which lies in S^2 intersect F_v'.
+
+Degree 3: S^3_dec is spanned by the S^3 intersect F_v for v in H0 and for
+the lines v outside H0 with d = dim D(v) >= 4.  Take v outside H0 and
+x = v ^ y in S^3, y in Lambda^2 D(v) (above).  If d <= 3, every y in
+Lambda^2 D(v) is decomposable, y = a ^ b, so x = v ^ a ^ b has the
+3-dimensional factor space span(v, a, b) (or is 0), which meets H0 in a
+plane; writing span(v, a, b) = span(v', a', b') with v' in H0 makes x a
+multiple of v' ^ a' ^ b', in S^3 intersect F_v'.  So only an x whose one
+factor line is v, that is an indecomposable v ^ y, needs the line v; that
+needs rank y >= 4, hence d >= 4.
+
+No smaller fixed set of lines serves every spec in degree 2 by this
+argument: the set must meet every plane of U, and by the Bose-Burton
+theorem (Bose and Burton, J. Combin. Theory 1, 1966) the smallest set of
+points of PG(n - 1, p) that meets every line is a hyperplane.
+
+dec_subgroups sweeps the lines in batches: first H0's lines (0, w), for w
+in projective_lines(p, n - 1), then the lines outside H0, which are the
+lead-0 lines, the first p^(n-1) of projective_lines(p, n).  Per batch,
+one stacked elimination (linalg.kernel_stack) gives every D(v): the
+kernel of the m x n matrix w -> gamma(v ^ w), a contraction of the spec's
+forms, with the row e_l appended.  Degree 2 folds the wedges v ^ D(v)
+into a span, on H0's lines only.  Degree 3 takes a second kernel, of
+y -> gamma(y) on Lambda^2 D(v), for the lines of H0 with d >= 2 and the
+lead-0 lines with d >= 4, grouped by d; the first kernel still runs on
+every lead-0 line, to find d.  Each degree stops at the first batch at
+which its span is all of S^i, degree 2 also when H0 runs out, and the
+sweep stops when both have, or after the last line.  The batch size keeps
+doubling from H0's batches into the lead-0 ones.
 
 dec_subgroup is the second route, for any subspace S of Lambda^k U: it
 stacks the matrices of x -> x ^ v_l on the basis of S for a batch of
@@ -69,10 +96,13 @@ incidence is smaller.
 K^2 is the row space of gamma that validate_spec takes, so gamma is
 eliminated once.  Right after it, analyze refuses a spec with
 S^2 = ker gamma nonzero and more than MAX_LINES projective lines, before
-K^3 or the sweep: a sweep that does not exit early visits every line, and
-whether it will exit early is not known in advance.  If S^2 = 0 then
-K^2 = Lambda^2 U*, so K^3 = Lambda^3 U* and S^3 = 0 as well: there is
-nothing to sweep, and the guard does not apply.
+K^3 or the sweep.  The guard counts all (p^n - 1)/(p - 1) lines: a
+degree-3 sweep that does not exit early visits every line (H0's, then
+the lead-0 ones), and neither whether degree 3 has anything to sweep
+(S^3 is known only after K^3) nor whether a sweep will exit early is
+known at that point.  If S^2 = 0 then K^2 = Lambda^2 U*, so
+K^3 = Lambda^3 U* and S^3 = 0 as well: there is nothing to sweep, and the
+guard does not apply.
 """
 
 from __future__ import annotations
@@ -146,7 +176,8 @@ def dec_subgroup(S: Subspace, k: int, n: int) -> Subspace:
 def dec_subgroups(spec: GroupSpec, s2: Subspace, s3: Subspace
                   ) -> tuple[Subspace, Subspace]:
     """S^2_dec and S^3_dec of S^2 = ker gamma and S^3 = (K^2 ^ U*)^perp,
-    from one sweep over the lines (module docstring).
+    from one sweep over H0's lines and then the lead-0 lines (module
+    docstring).
 
     Both are folded in S^i-basis coordinates, x[pivots] for x in S^i, so
     the wedge tables are cut to the pivot columns; as in dec_subgroup, the
@@ -164,19 +195,26 @@ def dec_subgroups(spec: GroupSpec, s2: Subspace, s3: Subspace
     pairs = pairs.reshape(n, -1)                          # d @ it: w -> d ^ w
     # per line: its (m + 1) x n matrix, n x n kernel and n x dim S^2 wedges
     cap = max(1, _BATCH_CELLS // (n * (m + 1 + n + s2.dim)))
-    lines = projective_lines(p, n)
     size = min(_FIRST_BATCH, cap)
-    while any(todo) and (batch := list(itertools.islice(lines, size))):
-        V = np.array(batch)
-        M = np.einsum("li,kij->lkj", V, spec.forms)      # w -> gamma(v ^ w)
-        lead = np.eye(n, dtype=np.int64)[(V != 0).argmax(axis=1), None]
-        D = kernel_stack(np.concatenate([M, lead], axis=1), p)
-        if todo[0]:
-            accs[0] = _fold(accs[0], D @ (V @ by_v2).reshape(len(V), n, -1), p)
-        if todo[1]:
-            accs[1] = _fold(accs[1], _cycles_by_line(spec, V, D, pairs, by_v3), p)
-        todo = [acc.shape[0] < S.dim for S, acc in zip(targets, accs)]
-        size = min(2 * size, cap)
+    # (lines, zeros to prepend, least d for degree 3): H0's lines (0, w),
+    # then the lead-0 lines, the first p^(n-1) of projective_lines(p, n)
+    sweeps = ((projective_lines(p, n - 1), 1, 2),
+              (itertools.islice(projective_lines(p, n), p ** (n - 1)), 0, 4))
+    for lines, pad, min_d in sweeps:
+        while any(todo) and (batch := list(itertools.islice(lines, size))):
+            V = np.pad(np.array(batch), ((0, 0), (pad, 0)))
+            M = np.einsum("li,kij->lkj", V, spec.forms)  # w -> gamma(v ^ w)
+            lead = np.eye(n, dtype=np.int64)[(V != 0).argmax(axis=1), None]
+            D = kernel_stack(np.concatenate([M, lead], axis=1), p)
+            if todo[0]:
+                wedges = D @ (V @ by_v2).reshape(len(V), n, -1)
+                accs[0] = _fold(accs[0], wedges, p)
+            if todo[1]:
+                accs[1] = _fold(accs[1], _cycles_by_line(
+                    spec, V, D, pairs, by_v3, min_d), p)
+            todo = [acc.shape[0] < S.dim for S, acc in zip(targets, accs)]
+            size = min(2 * size, cap)
+        todo[0] = False
     return tuple(Subspace(p, S.ambient, acc @ S.basis % p)
                  for S, acc in zip(targets, accs))
 
@@ -188,18 +226,19 @@ def _fold(acc: Array, X: Array, p: int) -> Array:
 
 
 def _cycles_by_line(spec: GroupSpec, V: Array, D: Array, pairs: Array,
-                    by_v3: Array) -> Array:
-    """v ^ {y in Lambda^2 D(v) : gamma(y) = 0} for each line v of V, in
-    S^3-basis coordinates; D[l] holds a basis of D(v_l) among zero rows.
+                    by_v3: Array, min_d: int) -> Array:
+    """v ^ {y in Lambda^2 D(v) : gamma(y) = 0} for each line v of V with
+    d = dim D(v) >= min_d (>= 2, as Lambda^2 D(v) = 0 below), in S^3-basis
+    coordinates; D[l] holds a basis of D(v_l) among zero rows.
 
-    Lines are grouped by d = dim D(v), and each group is cut into chunks
-    whose arrays hold about _BATCH_CELLS entries."""
+    Lines are grouped by d, and each group is cut into chunks whose arrays
+    hold about _BATCH_CELLS entries."""
     p, n = spec.p, spec.n
     c2 = pairs.shape[1] // n
     s3 = by_v3.shape[1] // c2
     dims = D.any(axis=2).sum(axis=1)
     out = [np.zeros((0, s3), dtype=np.int64)]
-    for d in sorted(set(dims.tolist()) - {0, 1}):
+    for d in sorted(set(dims.tolist()) - set(range(min_d))):
         a, b = np.triu_indices(d, 1)
         rows = np.flatnonzero(dims == d)
         step = max(1, _BATCH_CELLS // (c2 * (d * n + d * d + s3)))

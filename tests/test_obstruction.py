@@ -1,15 +1,18 @@
 """The obstruction pipeline against hand-checkable and enumerated truth."""
 
+import hashlib
 import itertools
+import json
 from math import comb
 
 import numpy as np
 import pytest
 
 from unramified.catalog import builtin
+from unramified.cli import main
 from unramified.errors import GuardExceededError, InternalInconsistencyError
 from unramified.exterior import subset_index
-from unramified.groups import GroupSpec, validate_spec
+from unramified.groups import GroupSpec, spec_to_json_dict, validate_spec
 from unramified.linalg import Subspace
 from unramified import linalg, obstruction
 from unramified.obstruction import (
@@ -198,9 +201,10 @@ def test_dec_fast_equals_bruteforce_seed(seed, p, n, k, walker):
         assert (p ** n - 1) // (p - 1) > obstruction._FIRST_BATCH
 
 
-# Seeded strict specs over F_3 with dim U = 6 whose decomposable sweep
-# visits every line and finds 0 != S_dec != S: in degree 2 for seeds 6
-# and 9, in degree 3 for seeds 14 and 202.
+# Seeded strict specs over F_3 with dim U = 6 with 0 != S_dec != S: in
+# degree 2 for seeds 6 and 9, in degree 3 for seeds 14 and 202.  No sweep
+# exits early on them: dec_subgroup visits all 364 lines, and analyze all
+# 121 lines of H0 = {x_0 = 0} (degree 2) or all 364 (degree 3).
 WALK_SEEDS = {6: 2, 9: 2, 14: 3, 202: 3}
 
 
@@ -251,7 +255,12 @@ ROUTE_CASES = [(seed, 3 if seed % 2 == 0 else 5, None, True)
                for seed in range(6)] \
     + [(seed, 3, 6, True) for seed in sorted(WALK_SEEDS)] \
     + [(seed, 3 if seed % 2 == 0 else 5, None, False)
-       for seed in (0, 3, 16, 19)]
+       for seed in (0, 3, 6, 16, 19)]
+# Non-strict seeds whose spec, after change_basis, has a radical line
+# outside H0 and an S^3_dec that H0's lines do not span: (5, 5, 5) at
+# seed 3 and (3, 5, 4) at seed 6.  Without the lead-0 lines with
+# dim D(v) >= 4, the sweep would read h3 = 1 on both.
+OFF_H0_SEEDS = (3, 6)
 
 
 def _route_spec(seed, p, n, strict):
@@ -266,10 +275,15 @@ def _route_spec(seed, p, n, strict):
 @pytest.mark.parametrize(
     "seed,p,n,strict", ROUTE_CASES,
     ids=[f"{c[0]}-{c[1]}" + ("" if c[3] else "-radical") for c in ROUTE_CASES])
-def test_centralizer_sweep_equals_both_other_routes_seed(seed, p, n, strict):
+def test_centralizer_sweep_equals_both_other_routes_seed(monkeypatch, seed,
+                                                        p, n, strict):
+    """Also checks, against dec_subgroup restricted to H0's lines, that
+    H0 = {x_0 = 0} spans S^2_dec, and that on the OFF_H0_SEEDS specs it
+    does not span S^3_dec."""
     spec = _route_spec(seed, p, n, strict)
     nontrivial = False
-    for s in (spec, change_basis(spec, np.random.default_rng(seed))):
+    for moved, s in enumerate(
+            (spec, change_basis(spec, np.random.default_rng(seed)))):
         rep = analyze(s, strict=strict)
         assert (rep.validation.radical_dim == 0) == strict
         for deg in (rep.deg2, rep.deg3):
@@ -279,14 +293,29 @@ def test_centralizer_sweep_equals_both_other_routes_seed(seed, p, n, strict):
             assert dec_subgroup_bruteforce(deg.si, deg.i, s.n) == deg.si_dec
             assert _is_canonical(deg.si_dec)
             nontrivial |= 0 < deg.si_dec.dim < deg.si.dim
+        assert _h0_span(monkeypatch, rep.deg2.si, 2, s.n) == rep.deg2.si_dec
+        h0_3 = _h0_span(monkeypatch, rep.deg3.si, 3, s.n)
+        assert rep.deg3.si_dec.contains_subspace(h0_3)
+        if not strict and moved and seed in OFF_H0_SEEDS:
+            assert h0_3.dim < rep.deg3.si_dec.dim
     assert nontrivial or (n is None and strict)
 
 
+def _h0_span(monkeypatch, S: Subspace, k: int, n: int) -> Subspace:
+    """dec_subgroup's span over the lines (0, w) of H0 only."""
+    real_lines = obstruction.projective_lines
+    with monkeypatch.context() as m:
+        m.setattr(obstruction, "projective_lines",
+                  lambda p, n: (np.r_[0, w] for w in real_lines(p, n - 1)))
+        return dec_subgroup(S, k, n)
+
+
 class _Spy:
-    """Records every kernel_stack input shape and every line consumed."""
+    """Records every kernel_stack input shape, every (input, kernel) pair
+    and every line consumed."""
 
     def __init__(self, monkeypatch):
-        self.kernels, self.lines = [], 0
+        self.kernels, self.calls, self.lines = [], [], 0
         real_kernels = obstruction.kernel_stack
         real_lines = obstruction.projective_lines
 
@@ -295,9 +324,13 @@ class _Spy:
                 self.lines += 1
                 yield v
 
-        monkeypatch.setattr(obstruction, "kernel_stack",
-                            lambda A, p: self.kernels.append(A.shape)
-                            or real_kernels(A, p))
+        def kernels(A, p):
+            K = real_kernels(A, p)
+            self.kernels.append(A.shape)
+            self.calls.append((A, K))
+            return K
+
+        monkeypatch.setattr(obstruction, "kernel_stack", kernels)
         monkeypatch.setattr(obstruction, "projective_lines", lines)
         monkeypatch.setattr(obstruction, "dec_subgroup",
                             lambda *a: pytest.fail("analyze ran dec_subgroup"))
@@ -305,19 +338,37 @@ class _Spy:
 
 @pytest.mark.parametrize("seed", sorted(WALK_SEEDS))
 def test_one_kernel_serves_both_degrees_per_batch_seed(monkeypatch, seed):
-    """A walker's sweep visits every line, in batches of 32, 64, ...; each
-    batch takes one (lines, m + 1, n) kernel, whose D(v) serve degree 2 and
-    degree 3, and the degree-3 kernels take the lines with dim D(v) >= 2."""
+    """Each batch takes one (lines, m + 1, n) kernel, whose D(v) serve both
+    degrees; its last row is e_l, l = lead(v), so column 0 of that row is
+    1 exactly on the lead-0 lines.  H0's lines come first, in batches of
+    32, 64, ...: a degree-2 walker stops with them, after (3^5 - 1)/2 = 121.
+    A degree-3 walker goes on to the 243 lead-0 lines, and of those only
+    the lines with d = dim D(v) >= 4 reach a second kernel, of shape
+    (lines, m, C(d, 2)); on H0 every line with d >= 2 does."""
     spec = random_strict_spec(np.random.default_rng(seed), 3, 6, 6)
     spy = _Spy(monkeypatch)
     analyze(spec)
-    centralizers = [s for s in spy.kernels if s[1:] == (spec.m + 1, 6)]
-    batches = [s[0] for s in centralizers]
-    assert spy.lines == sum(batches) == (3 ** 6 - 1) // 2
-    assert batches[:3] == [32, 64, 128] and len(batches) > 3
-    for L, rows, cols in spy.kernels:
-        if (rows, cols) != (spec.m + 1, 6):
-            assert rows == spec.m and cols in (1, 3, 6, 10, 15)
+    batches = []            # per centralizer kernel: lead 0?, dims, cycles
+    for A, K in spy.calls:
+        if A.shape[1:] == (spec.m + 1, 6):
+            lead0 = A[:, -1, 0]
+            assert (lead0 == lead0[0]).all()
+            batches.append([bool(lead0[0]), K.any(axis=2).sum(axis=1), 0])
+        else:
+            d = next(d for d in range(7) if comb(d, 2) == A.shape[2])
+            assert A.shape[1] == spec.m and d >= (4 if batches[-1][0] else 2)
+            batches[-1][2] += len(A)
+    assert spy.lines == sum(len(dims) for _, dims, _ in batches)
+    for lead0, dims, cycles in batches:
+        assert cycles == int((dims >= (4 if lead0 else 2)).sum())
+    h0 = [len(dims) for lead0, dims, _ in batches if not lead0]
+    assert h0 == [32, 64, 25] and sum(h0) == (3 ** 5 - 1) // 2
+    if WALK_SEEDS[seed] == 2:
+        assert spy.lines == sum(h0)
+    else:
+        assert spy.lines == (3 ** 6 - 1) // 2
+        assert any(lead0 and ((dims >= 2) & (dims < 4)).any()
+                   for lead0, dims, _ in batches)
 
 
 def test_early_exit_eliminates_only_the_first_batch(monkeypatch):
@@ -332,18 +383,50 @@ def test_early_exit_eliminates_only_the_first_batch(monkeypatch):
                for s in spy.kernels[1:])
 
 
-def test_h3_27_regression_3_9_6():
-    """The first strict draw of a (3, 9, 6) gamma from default_rng(1):
-    9841 lines, all swept in degree 3."""
+def _h3_27_spec() -> GroupSpec:
+    """The first strict draw of a (3, 9, 6) gamma from default_rng(1)."""
     rng = np.random.default_rng(1)
     while True:
         spec = GroupSpec(3, 9, 6, rng.integers(0, 3, (6, 36)))
         v = validate_spec(spec, strict=False)
         if (v.gamma_rank, v.radical_dim) == (6, 0):
-            break
-    rep = analyze(spec)
+            return spec
+
+
+def test_h3_27_regression_3_9_6():
+    """9841 lines, all swept in degree 3 (H0's 3280, then the lead-0
+    lines with dim D(v) >= 4)."""
+    rep = analyze(_h3_27_spec())
     assert (rep.b0_dim, rep.h3_dim) == (0, 27)
     assert rep.deg3.si_dec != rep.deg3.si
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("peyre6",
+     "e01ef43c0a3603f03e36fd581044e836b71cdc0bbfb950ee56557755d59dc1f5"),
+    ("walker6",
+     "ebe478e93e7464a7f4489033d98755783d61e5db622378e311c8efcba56fe8b3"),
+    ("h3_27",
+     "fb803a2fd4ae8c94229077179f1f848ac94f48c31c781cbc9200935313df0599"),
+])
+def test_analyze_json_bytes_are_pinned(tmp_path, monkeypatch, capsys, name,
+                                       digest):
+    """SHA-256 of `analyze --json` stdout, as the all-lines sweep printed
+    it: peyre6, the degree-2 walker of WALK_SEEDS seed 6, and the (3, 9, 6)
+    spec with h3 = 27.  A change of line order or batches must not move a
+    byte.  The report names a spec by its path, so the file is spec.json in
+    the working directory."""
+    if name == "peyre6":
+        argv = ["--builtin", "peyre6"]
+    else:
+        spec = _h3_27_spec() if name == "h3_27" else \
+            random_strict_spec(np.random.default_rng(6), 3, 6, 6)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.json").write_text(json.dumps(spec_to_json_dict(spec)))
+        argv = ["--spec", "spec.json"]
+    assert main(["analyze", *argv, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_line_guard_refuses_before_k3_and_the_sweep(monkeypatch):
