@@ -19,12 +19,8 @@ from .catalog import BUILTINS, builtin
 from .divisors import ElementaryDivisors
 from .errors import (
     DimensionMismatchError,
-    EvenPrimeError,
     GuardExceededError,
     InternalInconsistencyError,
-    NontrivialRadicalError,
-    NotPrimeError,
-    NotSurjectiveError,
     SpecError,
     UnramifiedError,
 )

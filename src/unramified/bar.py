@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divisors import ElementaryDivisors, check_modulus, elementary_divisors
-from .errors import GuardExceededError, InternalInconsistencyError
+from .errors import InternalInconsistencyError, check_bound
 from .groups import GroupSpec, tables_for
 
 Array = np.ndarray
@@ -91,21 +91,6 @@ def bar_matrix(spec: GroupSpec, n: int, modulus: int) -> tuple[int, int, Array]:
         ((uniq // cols)[keep], (uniq % cols)[keep], sums[keep]), axis=1)
 
 
-def _tier_check(spec: GroupSpec, degree: int, allow_heavy: bool) -> None:
-    N = spec.order
-    rows = (N - 1) ** (degree + 1)
-    if rows <= GUARANTEED_ROWS:
-        return
-    if not allow_heavy:
-        raise GuardExceededError(
-            f"degree {degree} at |G| = {N} needs the opt-in heavy tier "
-            f"({rows} rows); pass allow_heavy", required=rows)
-    if rows > HEAVY_ROWS:
-        raise GuardExceededError(
-            f"degree {degree} at |G| = {N} exceeds the heavy cap "
-            f"({rows} > {HEAVY_ROWS} rows)", required=rows)
-
-
 @dataclass(frozen=True)
 class CohomologyOrders:
     """Per-degree |H^n(G, Z/p^k)| and derived |H^n(G, Q/Z)| (as p-exponents)."""
@@ -142,7 +127,11 @@ def mod_exps(spec: GroupSpec, degmax: int, k: int, allow_heavy: bool = False
 
     |H^i| = |ker delta^i| / |im delta^{i-1}|, and delta^0 = 0.
     """
-    _tier_check(spec, degmax, allow_heavy)   # rows grow with the degree
+    N = spec.order
+    check_bound(f"degree {degmax} at |G| = {N}"
+                f"{'' if allow_heavy else ' without allow_heavy'}: bar rows",
+                (N - 1) ** (degmax + 1),    # rows grow with the degree
+                HEAVY_ROWS if allow_heavy else GUARANTEED_ROWS)
     check_modulus(spec.p, k)
     q = spec.p ** k
     divs = tuple(elementary_divisors(*bar_matrix(spec, i, q), spec.p, k)

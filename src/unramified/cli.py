@@ -5,13 +5,21 @@ broken internal invariant, 2 verification failure (a counterexample was
 found), 3 resource guard exceeded; codes 1 and 3 come with one line on
 stderr.
 
-Every resource guard is checked once, from the input, before any work
-starts.  verify-lemmas takes --guard BYTES (or the UNRAMIFIED_GUARD
-environment variable), which bounds the dense cochain tables of every
-identity.  oracle cohomology bounds the rows of its bar differentials,
-and --allow-heavy raises that bound; a heavy run that runs out of memory
-exits 3 too.  Its --modulus is checked to be a power of p small enough for
-exact elimination before any differential is built.
+Every resource guard is one errors.check_bound, made once, from the
+input, before the work it bounds starts; a refusal prints
+"guard exceeded: <what> needs <required> > <bound>".
+- analyze (and oracle decomposables, which runs it) bounds the projective
+  lines it sweeps and the cells of the K^3 generator matrix.
+- oracle decomposables checks the brute-force work (--max-work) before
+  dec_subgroup or the brute force runs.
+- verify-lemmas takes --guard BYTES (or the UNRAMIFIED_GUARD environment
+  variable), which bounds the dense cochain tables of every identity;
+  every identity is checked before the first runs.
+- oracle cohomology bounds the rows of its bar differentials, and
+  --allow-heavy raises that bound; a heavy run that runs out of memory
+  exits 3 too.  Its --modulus is checked to be a power of p small enough
+  for exact float64 elimination before any differential is built.
+- Group tables are bounded in bytes wherever they are built.
 """
 
 from __future__ import annotations
@@ -164,9 +172,10 @@ def cmd_oracle_decomposables(args) -> int:
     deg = args.degree
     d = rep.deg2 if deg == 2 else rep.deg3
     fast = d.si_dec                 # analyze's centralizer sweep
-    second = obstruction.dec_subgroup(d.si, deg, spec.n)
+    # the brute force first: its work guard refuses before either route runs
     brute = obstruction.dec_subgroup_bruteforce(d.si, deg, spec.n,
                                                 max_work=args.max_work)
+    second = obstruction.dec_subgroup(d.si, deg, spec.n)
     agree = fast == second == brute
     text = [render_multivector(row, spec.n, deg, spec.p)
             for row in fast.basis]

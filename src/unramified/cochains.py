@@ -74,7 +74,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import GuardExceededError, InternalInconsistencyError
+from .errors import InternalInconsistencyError, check_bound
 from .exterior import form_matrices, mult_map_kernel, square_kernel_generators
 from .groups import GroupSpec, GroupTables, tables_for
 from .linalg import Subspace, half_mod, projective_lines, reduce_mod
@@ -352,11 +352,8 @@ def check_identity_guard(spec: GroupSpec, which: str, guard_bytes: int) -> None:
     table would exceed guard_bytes; no check is made once the work starts."""
     if which not in IDENTITIES:
         raise ValueError(f"unknown identity {which!r}")
-    need = IDENTITIES[which][0](spec)
-    if need > guard_bytes:
-        raise GuardExceededError(
-            f"identity {which} needs {need} bytes > guard {guard_bytes}",
-            required=need)
+    check_bound(f"identity {which}: table bytes", IDENTITIES[which][0](spec),
+                guard_bytes)
 
 
 def verify_identity(spec: GroupSpec, which: str,

@@ -28,7 +28,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import GuardExceededError, InternalInconsistencyError
+from .errors import InternalInconsistencyError, check_bound
 from .linalg import reduce_mod, rref_stack
 
 # Cells of a row block in the free columns (or one row).  A block adds at
@@ -124,10 +124,10 @@ def _residual(r, c, v, Tf, pos, p: int, q: int):
 
 
 def check_modulus(p: int, k: int) -> None:
-    """Refuse Z/p^k where a float64 product of T could round."""
-    if isqrt(_BLOCK_CELLS) * (p ** k - 1) ** 2 >= 1 << 53:
-        raise GuardExceededError(
-            f"modulus {p}^{k} is too large for exact float64 products")
+    """Refuse Z/p^k where a float64 product of T could round: a block's
+    dot products sum isqrt(_BLOCK_CELLS) terms below (p^k - 1)^2."""
+    check_bound(f"modulus {p}^{k}: float64 dot-product magnitude",
+                isqrt(_BLOCK_CELLS) * (p ** k - 1) ** 2, (1 << 53) - 1)
 
 
 def elementary_divisors(rows: int, cols: int, entries, p: int,

@@ -8,23 +8,9 @@ class UnramifiedError(Exception):
 
 
 class SpecError(UnramifiedError):
-    """A group specification is structurally invalid (CLI exit code 1)."""
-
-
-class NotPrimeError(SpecError):
-    pass
-
-
-class EvenPrimeError(SpecError):
-    pass
-
-
-class NotSurjectiveError(SpecError):
-    """gamma does not surject onto V, so V != [G, G]."""
-
-
-class NontrivialRadicalError(SpecError):
-    """gamma has a nonzero radical, so Z(G) != [G, G]."""
+    """A group specification is invalid (CLI exit code 1): malformed, p not
+    an odd prime below 2^16, or, in strict mode, gamma not surjective or
+    with a nonzero radical."""
 
 
 class DimensionMismatchError(UnramifiedError):
@@ -44,3 +30,11 @@ class GuardExceededError(UnramifiedError):
 
 class InternalInconsistencyError(UnramifiedError):
     """Two routes that must agree did not; aborts rather than reporting junk."""
+
+
+def check_bound(what: str, required: int, bound: int) -> None:
+    """The one resource guard: refuse when required exceeds bound, before
+    the work that required measures starts."""
+    if required > bound:
+        raise GuardExceededError(f"{what} needs {required} > {bound}",
+                                 required=required)

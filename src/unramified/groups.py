@@ -24,18 +24,14 @@ deterministic.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .errors import (
-    GuardExceededError,
-    NontrivialRadicalError,
-    NotSurjectiveError,
-    SpecError,
-)
+from .errors import SpecError, check_bound
 from .exterior import form_matrices, subset_index, subsets
 from .linalg import Subspace, check_odd_prime, half_mod, kernel
 
@@ -125,10 +121,10 @@ def validate_spec(spec: GroupSpec, strict: bool = True) -> ValidationReport:
     rank, rad = k2.dim, radical_subspace(spec).dim
     if strict:
         if rank < spec.m:
-            raise NotSurjectiveError(
+            raise SpecError(
                 f"gamma has rank {rank} < m = {spec.m}: V != [G, G]")
         if rad:
-            raise NontrivialRadicalError(
+            raise SpecError(
                 f"gamma has radical of dim {rad} > 0: Z(G) != [G, G]")
     return ValidationReport(k2, rad)
 
@@ -174,9 +170,8 @@ def table_bytes(N: int) -> int:
 
 def build_tables(spec: GroupSpec) -> GroupTables:
     N = spec.order
-    if table_bytes(N) > table_bytes(1 << 13):
-        raise GuardExceededError(f"tables for |G| = {N} exceed the bound",
-                                 required=table_bytes(N))
+    check_bound(f"group tables at |G| = {N}: bytes", table_bytes(N),
+                table_bytes(1 << 13))
     p, n, m = spec.p, spec.n, spec.m
     digits = np.zeros((N, n + m), dtype=np.int64)
     idx = np.arange(N)
@@ -259,4 +254,4 @@ def load_spec(path: str) -> GroupSpec:
         raise SpecError(f"cannot read spec file {path}: {exc.strerror}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON/UTF-8, too deep
         raise SpecError(f"spec file is not valid JSON: {exc}") from exc
-    return spec_from_json_dict(data, name=path)
+    return spec_from_json_dict(data, name=os.path.basename(path))

@@ -29,8 +29,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvenPrimeError, NotPrimeError, \
-    SpecError
+from .errors import DimensionMismatchError, SpecError
 
 Array = np.ndarray
 
@@ -52,9 +51,9 @@ def check_odd_prime(p: int) -> int:
         raise SpecError(f"p = {p} is too large: exact int64 arithmetic "
                         "needs p < 2^16")
     if not is_prime(p):
-        raise NotPrimeError(f"modulus {p} is not prime")
+        raise SpecError(f"modulus {p} is not prime")
     if p == 2:
-        raise EvenPrimeError("p = 2 is not supported; 1/2 must exist mod p")
+        raise SpecError("p = 2 is not supported; 1/2 must exist mod p")
     return p
 
 

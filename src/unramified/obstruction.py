@@ -94,15 +94,20 @@ points of P(S) lie in which flag space F_v, from whichever side of that
 incidence is smaller.
 
 K^2 is the row space of gamma that validate_spec takes, so gamma is
-eliminated once.  Right after it, analyze refuses a spec with
-S^2 = ker gamma nonzero and more than MAX_LINES projective lines, before
-K^3 or the sweep.  The guard counts all (p^n - 1)/(p - 1) lines: a
-degree-3 sweep that does not exit early visits every line (H0's, then
-the lead-0 ones), and neither whether degree 3 has anything to sweep
-(S^3 is known only after K^3) nor whether a sweep will exit early is
-known at that point.  If S^2 = 0 then K^2 = Lambda^2 U*, so
-K^3 = Lambda^3 U* and S^3 = 0 as well: there is nothing to sweep, and the
-guard does not apply.
+eliminated once.  Right after it, before K^3 or the sweep, analyze makes
+two checks (errors.check_bound):
+- the line guard refuses a spec with S^2 = ker gamma nonzero and more
+  than MAX_LINES projective lines.  It counts all (p^n - 1)/(p - 1) lines:
+  a degree-3 sweep that does not exit early visits every line (H0's, then
+  the lead-0 ones), and neither whether degree 3 has anything to sweep
+  (S^3 is known only after K^3) nor whether a sweep will exit early is
+  known at that point.  If S^2 = 0 then K^2 = Lambda^2 U*, so
+  K^3 = Lambda^3 U* and S^3 = 0 as well: there is nothing to sweep, and
+  the line guard does not apply;
+- the K^3 guard bounds the cells of compute_k3's generator matrix by
+  MAX_K3_CELLS, which bounds the one elimination that the line guard
+  leaves open when S^2 = 0.
+dec_subgroup_bruteforce checks its own work bound before any array.
 """
 
 from __future__ import annotations
@@ -113,7 +118,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import GuardExceededError, InternalInconsistencyError, SpecError
+from .errors import InternalInconsistencyError, SpecError, check_bound
 from .exterior import render_multivector, wedge_basis_tensor
 from .groups import GroupSpec, ValidationReport, spec_to_json_dict, \
     validate_spec
@@ -124,6 +129,10 @@ Array = np.ndarray
 
 DEFAULT_BRUTE_WORK = 10 ** 8
 MAX_LINES = 10 ** 6
+# compute_k3's (dim K^2 * n) x C(n, 3) generator matrix.  The most a spec
+# under MAX_LINES can need is 77 * 13 * 286 = 286,286 (p = 3, n = 13); with
+# S^2 = 0 this admits the free class-2 group at p = 3 up to n = 17.
+MAX_K3_CELLS = 1 << 21
 # Batches of lines in both sweeps: the first is small, as early exits come
 # after a few dozen lines; later ones double until a batch's stacked
 # matrices would hold more than _BATCH_CELLS entries (a memory bound).
@@ -311,10 +320,8 @@ def dec_subgroup_bruteforce(S: Subspace, k: int, n: int,
     if S.dim == 0 or n == 0:
         return Subspace.zero(p, S.ambient)
     flags, points = p ** comb(n - 1, k - 1), (p ** S.dim - 1) // (p - 1)
-    work = (p ** n - 1) // (p - 1) * min(flags, points)
-    if work > max_work:
-        raise GuardExceededError(
-            f"brute-force work {work} exceeds bound {max_work}", required=work)
+    check_bound("brute force: membership tests",
+                (p ** n - 1) // (p - 1) * min(flags, points), max_work)
     side = _points_in_flags if points < flags else _flags_in_subspace
     return side(S, k, n)
 
@@ -380,13 +387,14 @@ class ObstructionReport:
 
 def analyze(spec: GroupSpec, strict: bool = True) -> ObstructionReport:
     """Run the full degree-2 and degree-3 pipeline."""
+    p, n = spec.p, spec.n
     validation = validate_spec(spec, strict=strict)
     k2 = validation.k2             # image of gamma*: the row space of gamma
-    lines = (spec.p ** spec.n - 1) // (spec.p - 1)
-    if k2.dim < comb(spec.n, 2) and lines > MAX_LINES:
-        raise GuardExceededError(
-            f"analyze sweeps {lines} projective lines, over the bound "
-            f"{MAX_LINES}", required=lines)
+    if k2.dim < comb(n, 2):        # else S^2 = S^3 = 0: no line is swept
+        check_bound("analyze: projective lines", (p ** n - 1) // (p - 1),
+                    MAX_LINES)
+    check_bound("analyze: K^3 generator cells", k2.dim * n * comb(n, 3),
+                MAX_K3_CELLS)
     kis = (k2, compute_k3(spec, k2))
     sis = tuple(ki.orthogonal() for ki in kis)
     degrees = []

@@ -4,13 +4,17 @@ import argparse
 import json
 import shutil
 import time
+from math import comb
 
 import numpy as np
 import pytest
 
-from unramified import groups, obstruction, structure
+from unramified import bar, cochains, groups, obstruction, structure
 from unramified.catalog import builtin
 from unramified.cli import main
+from unramified.errors import GuardExceededError
+from unramified.groups import spec_to_json_dict
+from unramified.linalg import is_prime
 
 
 def run(capsys, *argv):
@@ -341,8 +345,9 @@ def test_oracle_cohomology_modulus_bound(monkeypatch, capsys, e):
     code, out, err = run(capsys, "oracle", "cohomology", "--builtin", "elem9",
                          "--degree", "2", "--modulus", str(3 ** e))
     assert code == 3 and out == ""
-    assert err.splitlines() == [f"guard exceeded: modulus 3^{e} is too "
-                                "large for exact float64 products"]
+    assert err.splitlines() == [
+        f"guard exceeded: modulus 3^{e}: float64 dot-product magnitude needs "
+        f"{256 * (3 ** e - 1) ** 2} > {2 ** 53 - 1}"]
 
 
 def test_oracle_decomposables_peyre6_degree2(capsys):
@@ -502,8 +507,121 @@ def test_analyze_line_guard_refuses_before_the_sweep(monkeypatch, tmp_path,
         code, out, err = run(capsys, *cmd, "--spec", str(tmp_path / "big.json"))
         assert code == 3 and out == ""
         assert err.splitlines() == [
-            f"guard exceeded: analyze sweeps {lines} projective lines, "
-            f"over the bound {obstruction.MAX_LINES}"]
+            f"guard exceeded: analyze: projective lines needs {lines} > "
+            f"{obstruction.MAX_LINES}"]
+
+
+def _free_class2_spec(p, n):
+    """gamma = identity on Lambda^2 U: S^2 = S^3 = 0, so no line is swept."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return {"p": p, "dimU": n, "dimV": len(pairs),
+            "gamma": [{"i": i, "j": j, "v": [int(t == s) for t in
+                                             range(len(pairs))]}
+                      for s, (i, j) in enumerate(pairs)]}
+
+
+_LINE_SPEC = {"p": 65521, "dimU": 3, "dimV": 2,
+              "gamma": [{"i": 1, "j": 2, "v": [1, 0]},
+                        {"i": 1, "j": 3, "v": [0, 1]}]}
+
+# (argv, spec file or None, work that must not start, what, required, bound)
+GUARDS = {
+    "analyze lines": (
+        ["analyze"], _LINE_SPEC, [(obstruction, "compute_k3"),
+                                  (obstruction, "dec_subgroups")],
+        "analyze: projective lines", 65521 ** 2 + 65521 + 1,
+        obstruction.MAX_LINES),
+    "analyze K^3 cells": (
+        ["analyze"], _free_class2_spec(3, 18), [(obstruction, "compute_k3"),
+                                                (obstruction, "dec_subgroups")],
+        "analyze: K^3 generator cells", 153 * 18 * 816,
+        obstruction.MAX_K3_CELLS),
+    "oracle decomposables brute force": (
+        ["oracle", "decomposables", "--builtin", "peyre6", "--degree", "3",
+         "--max-work", "1000"], None,
+        [(obstruction, "dec_subgroup"), (obstruction, "_points_in_flags"),
+         (obstruction, "_flags_in_subspace")],
+        "brute force: membership tests", 364 * 4, 1000),
+    "verify-lemmas identity bytes": (
+        ["verify-lemmas", "--builtin", "heisenberg3", "--guard", "1000"], None,
+        [(cochains, "tables_for")],
+        "identity dh: table bytes", (8 * 2 + 24) * 27 + 2 ** 16, 1000),
+    "group table bytes": (
+        ["verify-lemmas", "--builtin", "peyre6", "--guard", "1e30"], None,
+        [(groups, "law")], "group tables at |G| = 531441: bytes",
+        8 * 3 ** 24 + (24 << 20), 8 * 2 ** 26 + (24 << 20)),
+    "oracle cohomology modulus": (
+        ["oracle", "cohomology", "--builtin", "elem9", "--degree", "2",
+         "--modulus", str(3 ** 15)], None, [(bar, "bar_matrix")],
+        "modulus 3^15: float64 dot-product magnitude",
+        256 * (3 ** 15 - 1) ** 2, 2 ** 53 - 1),
+    "oracle cohomology rows": (
+        ["oracle", "cohomology", "--builtin", "heisenberg3", "--degree", "3"],
+        None, [(bar, "bar_matrix")],
+        "degree 3 at |G| = 27 without allow_heavy: bar rows", 26 ** 4,
+        bar.GUARANTEED_ROWS),
+    "oracle cohomology heavy rows": (
+        ["oracle", "cohomology", "--degree", "3", "--allow-heavy"],
+        {"p": 3, "dimU": 4, "dimV": 0}, [(bar, "bar_matrix")],
+        "degree 3 at |G| = 81: bar rows", 80 ** 4, bar.HEAVY_ROWS),
+}
+
+
+@pytest.mark.parametrize("case", GUARDS)
+def test_every_guard_refuses_before_its_work(monkeypatch, tmp_path, capsys,
+                                             case):
+    """Every guard goes through errors.check_bound: exit 3, one stderr line
+    "guard exceeded: <what> needs <required> > <bound>", the exception's
+    required set, and the work it bounds never started."""
+    argv, spec, work, what, required, bound = GUARDS[case]
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv = [*argv, "--spec", str(tmp_path / "spec.json")]
+    for module, name in work:
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail(
+            f"{name} ran before the guard refused"))
+    seen = []
+    real = GuardExceededError.__init__
+    monkeypatch.setattr(GuardExceededError, "__init__", lambda self, *a, **k:
+                        seen.append(k.get("required")) or real(self, *a, **k))
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.splitlines() == [f"guard exceeded: {what} needs {required} > "
+                                f"{bound}"]
+    assert seen == [required]
+
+
+def test_k3_guard_admits_what_the_line_guard_admits():
+    """The line guard admits dim U = n while (p^n - 1)/(p - 1) <= MAX_LINES,
+    with dim K^2 <= C(n, 2) - 1 as S^2 != 0: at most 77 * 13 * 286 cells,
+    at p = 3, n = 13.  With S^2 = 0 the K^3 guard alone admits the free
+    class-2 group at p = 3 up to n = 17."""
+    most = 0
+    for p in filter(is_prime, range(3, 2 ** 16, 2)):
+        n = 1
+        while (p ** (n + 1) - 1) // (p - 1) <= obstruction.MAX_LINES:
+            n += 1
+        most = max(most, (comb(n, 2) - 1) * n * comb(n, 3))
+    assert most == 77 * 13 * 286 <= obstruction.MAX_K3_CELLS
+    assert 136 * 17 * 680 <= obstruction.MAX_K3_CELLS < 153 * 18 * 816
+
+
+def test_spec_name_does_not_depend_on_the_working_directory(monkeypatch,
+                                                            tmp_path, capsys):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "spec.json").write_text(
+        json.dumps(spec_to_json_dict(builtin("heisenberg3"))))
+    outs = []
+    for cwd, path in ((tmp_path, "sub/spec.json"),
+                      (tmp_path / "sub", "spec.json")):
+        monkeypatch.chdir(cwd)
+        for fmt in ([], ["--json"]):
+            code, out, _ = run(capsys, "analyze", "--spec", path, *fmt)
+            assert code == 0
+            outs.append(out)
+    assert outs[:2] == outs[2:]
+    assert "group: spec.json " in outs[0]
+    assert json.loads(outs[1])["name"] == "spec.json"
 
 
 def test_oracle_cohomology_text_output(capsys):

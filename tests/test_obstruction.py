@@ -414,8 +414,8 @@ def test_analyze_json_bytes_are_pinned(tmp_path, monkeypatch, capsys, name,
     """SHA-256 of `analyze --json` stdout, as the all-lines sweep printed
     it: peyre6, the degree-2 walker of WALK_SEEDS seed 6, and the (3, 9, 6)
     spec with h3 = 27.  A change of line order or batches must not move a
-    byte.  The report names a spec by its path, so the file is spec.json in
-    the working directory."""
+    byte.  The report names a spec by its file's base name, so the file is
+    spec.json."""
     if name == "peyre6":
         argv = ["--builtin", "peyre6"]
     else:

@@ -109,3 +109,12 @@ def test_every_function_in_src_is_used_outside_the_tests():
                 for where, node, name in refs):
             unused.append(f"{path.relative_to(root)}:{fn.lineno} {fn.name}")
     assert unused == []
+
+
+def test_only_check_bound_raises_the_guard_error():
+    # every resource guard goes through errors.check_bound, so that each
+    # refusal has one message format and sets required
+    root = Path(__file__).resolve().parents[1] / "src" / "unramified"
+    raisers = [f.name for f in sorted(root.glob("*.py"))
+               if "raise GuardExceededError(" in f.read_text(encoding="utf-8")]
+    assert raisers == ["errors.py"]
