@@ -19,6 +19,7 @@ input, before the work it bounds starts; a refusal prints
   --allow-heavy raises that bound; a heavy run that runs out of memory
   exits 3 too.  Its --modulus is checked to be a power of p small enough
   for exact float64 elimination before any differential is built.
+- verify-group bounds the bytes of its sampled tier before the first draw.
 - Group tables are bounded in bytes wherever they are built.
 """
 
@@ -31,7 +32,7 @@ import sys
 from dataclasses import asdict
 
 from . import bar, cochains, obstruction, structure
-from .catalog import BUILTIN_NOTES, BUILTINS, builtin
+from .catalog import BUILTINS, builtin
 from .divisors import check_modulus
 from .errors import GuardExceededError, SpecError, UnramifiedError
 from .exterior import render_multivector
@@ -51,20 +52,17 @@ def parse_guard(text: str | None) -> int:
     if not text:
         return cochains.DEFAULT_GUARD_BYTES
     try:
-        return int(float(text))
+        if (guard := int(float(text))) < 0:
+            raise ValueError("negative")
     except (ValueError, OverflowError) as exc:
-        raise UnramifiedError(f"--guard must be BYTES, got {text!r}") from exc
+        raise UnramifiedError(f"--guard must be BYTES >= 0, got {text!r}") from exc
+    return guard
 
 
 def _resolve_spec(args) -> GroupSpec:
     if bool(args.builtin) == bool(args.spec):
         raise SpecError("exactly one of --builtin NAME or --spec PATH is required")
-    if args.builtin:
-        try:
-            return builtin(args.builtin)
-        except KeyError as exc:
-            raise SpecError(str(exc)) from exc
-    return load_spec(args.spec)
+    return builtin(args.builtin) if args.builtin else load_spec(args.spec)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,10 +85,10 @@ def _add_no_strict(p: argparse.ArgumentParser) -> None:
 
 def cmd_builtins(args) -> int:
     if args.json:
-        _emit_json({name: BUILTIN_NOTES[name] for name in sorted(BUILTINS)})
+        _emit_json({name: note for name, (_, note) in sorted(BUILTINS.items())})
     else:
-        for name in sorted(BUILTINS):
-            print(f"{name:12s} {BUILTIN_NOTES[name]}")
+        for name, (_, note) in sorted(BUILTINS.items()):
+            print(f"{name:12s} {note}")
     return EXIT_OK
 
 
@@ -107,6 +105,8 @@ def cmd_analyze(args) -> int:
 def cmd_verify_group(args) -> int:
     if args.samples < 1:
         raise UnramifiedError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise UnramifiedError(f"--seed must be >= 0, got {args.seed}")
     spec = _resolve_spec(args)
     validate_spec(spec, strict=args.strict)
     results = structure.verify_group_structure(spec, seed=args.seed,
@@ -167,6 +167,8 @@ def cmd_oracle_cohomology(args) -> int:
 
 
 def cmd_oracle_decomposables(args) -> int:
+    if args.max_work < 0:
+        raise UnramifiedError(f"--max-work must be >= 0, got {args.max_work}")
     spec = _resolve_spec(args)
     rep = obstruction.analyze(spec, strict=args.strict)
     deg = args.degree

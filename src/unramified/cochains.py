@@ -74,6 +74,7 @@ from math import comb
 
 import numpy as np
 
+from .catalog import elementary
 from .errors import InternalInconsistencyError, check_bound
 from .exterior import form_matrices, mult_map_kernel, square_kernel_generators
 from .groups import GroupSpec, GroupTables, tables_for
@@ -89,9 +90,7 @@ def u_projection(spec: GroupSpec) -> GroupSpec:
     """The abelianized carrier U as an m = 0 spec (one code path for taus)."""
     if spec.m == 0:
         return spec
-    return GroupSpec(spec.p, spec.n, 0,
-                     np.zeros((0, comb(spec.n, 2)), dtype=np.int64),
-                     name=(spec.name or "spec") + "-U")
+    return elementary(spec.p, spec.n, (spec.name or "spec") + "-U")
 
 
 def coboundary_slice(F: Array, mul: Array, g1: int, out: Array) -> Array:

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_bound
 from .groups import GroupSpec, build_tables, law, radical_subspace
 from .linalg import Subspace
 from .results import VerificationResult
 
 EXHAUSTIVE_BOUND = 3 ** 5
+MAX_SAMPLE_BYTES = 1 << 29
 
 
 def _derived(spec: GroupSpec, values, checked, note="") -> VerificationResult:
@@ -94,9 +96,14 @@ def _verify_exhaustive(spec: GroupSpec) -> list[VerificationResult]:
 
 def _verify_sampled(spec: GroupSpec, seed: int,
                     samples: int) -> list[VerificationResult]:
-    rng = np.random.default_rng(seed)
     p, n, m = spec.p, spec.n, spec.m
-    B = samples
+    B, k = samples, min(samples, 1000)
+    # traced peak: 6 + bit_length(p) int64 (n + m)-vectors a sample, as power
+    # keeps one a bit of p, and the center check's k x n commutators
+    check_bound("verify-group: sample bytes",
+                8 * (n + m) * ((6 + p.bit_length()) * B + 5 * k * n),
+                MAX_SAMPLE_BYTES)
+    rng = np.random.default_rng(seed)
     # three elements (u, v); every U is drawn before any V
     a, b, c = zip([rng.integers(0, p, size=(B, n)) for _ in range(3)],
                   [rng.integers(0, p, size=(B, m)) for _ in range(3)])
@@ -137,7 +144,6 @@ def _verify_sampled(spec: GroupSpec, seed: int,
         f"{b[0][bad[0]].tolist()})" if len(bad) else None))
 
     # the first k samples against the sections (e_j, 0): central iff u in rad
-    k = min(B, 1000)
     e = np.eye(n, dtype=np.int64), np.zeros((n, m), dtype=np.int64)
     zu, zv = commutator((a[0][:k, None], a[1][:k, None]), e)
     central = ~zu.any(axis=(1, 2)) & ~zv.any(axis=(1, 2))

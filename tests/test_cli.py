@@ -85,6 +85,11 @@ _HEIS = {"p": 3, "dimU": 2, "dimV": 1, "gamma": [{"i": 1, "j": 2, "v": [1]}]}
     (["oracle", "decomposables", "--builtin", "peyre6", "--seed", "1"], None),
     (["verify-group", "--builtin", "peyre6", "--samples", "-1"], None),
     (["verify-group", "--builtin", "peyre6", "--samples", "0"], None),
+    (["verify-group", "--builtin", "peyre6", "--seed", "-1", "--samples",
+      "10"], None),
+    (["verify-lemmas", "--builtin", "elem3", "--guard", "-5"], None),
+    (["oracle", "decomposables", "--builtin", "peyre6", "--max-work", "-1"],
+     None),
     (["analyze", "--spec", "{tmp}/spec.json"], _HEIS | {"p": 3.9}),
     (["analyze", "--spec", "{tmp}/spec.json"], _HEIS | {"dimU": 2.5}),
     (["analyze", "--spec", "{tmp}/spec.json"],
@@ -97,7 +102,8 @@ _HEIS = {"p": 3, "dimU": 2, "dimV": 1, "gamma": [{"i": 1, "j": 2, "v": [1]}]}
         "negative-dimV", "usage-error", "guard-not-taken",
         "guard-not-taken-cohomology", "guard-seconds", "seed-not-taken-lemmas",
         "seed-not-taken-cohomology", "seed-not-taken-decomposables",
-        "samples-negative", "samples-zero", "float-p", "float-dimU",
+        "samples-negative", "samples-zero", "seed-negative", "guard-negative",
+        "max-work-negative", "float-p", "float-dimU",
         "float-coefficient", "bool-dimV", "string-p", "gamma-not-a-list",
         "nested-too-deep"])
 def test_bad_input_exits_1_with_one_stderr_line(tmp_path, capsys, argv, spec):
@@ -564,6 +570,10 @@ GUARDS = {
         ["oracle", "cohomology", "--degree", "3", "--allow-heavy"],
         {"p": 3, "dimU": 4, "dimV": 0}, [(bar, "bar_matrix")],
         "degree 3 at |G| = 81: bar rows", 80 ** 4, bar.HEAVY_ROWS),
+    "verify-group sample bytes": (
+        ["verify-group", "--builtin", "peyre6", "--samples", "10000000"], None,
+        [(np.random, "default_rng")], "verify-group: sample bytes",
+        8 * 12 * (8 * 10 ** 7 + 5 * 1000 * 6), structure.MAX_SAMPLE_BYTES),
 }
 
 

@@ -1,5 +1,6 @@
 """Group construction: validation, the group law and its tables, spec JSON."""
 
+import hashlib
 import itertools
 import json
 import time
@@ -213,6 +214,29 @@ def test_spec_json_round_trip():
     assert spec_from_json_dict(json.loads(text)) == spec
 
 
+# name -> SHA-256 of its sorted spec JSON, taken from the coefficient-pair
+# construction the spec JSON table replaced
+_BUILTIN_DIGESTS = {
+    "peyre6": "17669e90e5a30ac8686e0f732fcfec46977cba10dc65f60efa1ee934d1b6bb1a",
+    "heisenberg3":
+        "e7e5628d42988743fbdb33f4c183bcb7e0956aa754a6c9163e77659a7bfea84a",
+    "heisenberg5":
+        "91de01c1f9d5ec0387e77211642127aaea0babebe67a7c4d5a30c317415bc3fb",
+    "elem3": "8319a4c4836a36faae3941974a09d4bdbf0759c9239ff214f8ae6860f0871c4a",
+    "elem9": "01aa79eaa74837c2a1726a9c15cc94877e0198238179dde0597c82518f320707",
+    "elem27": "55244a073283438ba6f78e9efa0e2c1cb408eafca7c9197543a5da1c0291a2d9",
+    "elem25": "6e7f8f31a243193ecde5973de6e3693982033e2a68acb1358dd8d36a00264925",
+}
+
+
+@pytest.mark.parametrize("name", _BUILTIN_DIGESTS)
+def test_builtin_is_pinned(name):
+    spec = builtin(name)
+    text = json.dumps(spec_to_json_dict(spec), sort_keys=True)
+    assert spec.name == name
+    assert hashlib.sha256(text.encode()).hexdigest() == _BUILTIN_DIGESTS[name]
+
+
 def test_spec_json_error_messages():
     base = {"p": 3, "dimU": 3, "dimV": 1}
     good = [{"i": 1, "j": 2, "v": [1]}, {"i": 1, "j": 3, "v": [1]},
@@ -254,6 +278,27 @@ def test_exhaustive_group_structure(name):
 def test_sampled_group_structure_peyre6():
     for r in verify_group_structure(builtin("peyre6"), seed=1, samples=20_000):
         assert r.passed, r.line()
+
+
+@pytest.mark.parametrize("p,n,m,samples", [
+    (3, 6, 6, 20_000), (65521, 3, 2, 10_000), (3, 14, 14, 1_000)])
+def test_sample_bytes_bound_the_traced_peak(monkeypatch, p, n, m, samples):
+    """The sample-bytes figure, read off its refusal, bounds the sampled
+    tier's traced peak: per sample at large counts and at a large p, and
+    the center check's commutators at small ones."""
+    gamma = np.random.default_rng(0).integers(0, p, (m, n * (n - 1) // 2))
+    spec = GroupSpec(p, n, m, gamma)
+    monkeypatch.setattr(structure, "MAX_SAMPLE_BYTES", 0)
+    with pytest.raises(GuardExceededError) as info:
+        verify_group_structure(spec, samples=samples)
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        verify_group_structure(spec, samples=samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= info.value.required
 
 
 def test_sampled_exponent_check_powers_by_squaring(monkeypatch):

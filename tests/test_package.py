@@ -118,3 +118,12 @@ def test_only_check_bound_raises_the_guard_error():
     raisers = [f.name for f in sorted(root.glob("*.py"))
                if "raise GuardExceededError(" in f.read_text(encoding="utf-8")]
     assert raisers == ["errors.py"]
+
+
+def test_only_groups_constructs_a_spec():
+    # builtins and the m = 0 projection go through spec_from_json_dict, so
+    # every spec meets the validation a spec file meets
+    root = Path(__file__).resolve().parents[1] / "src" / "unramified"
+    builders = [f.name for f in sorted(root.glob("*.py"))
+                if "GroupSpec(" in f.read_text(encoding="utf-8")]
+    assert builders == ["groups.py"]
