@@ -43,7 +43,7 @@ import numpy as np
 
 from .divisors import ElementaryDivisors, check_modulus, elementary_divisors
 from .errors import InternalInconsistencyError, check_bound
-from .groups import GroupSpec, tables_for
+from .groups import GroupSpec, build_tables
 
 Array = np.ndarray
 
@@ -58,7 +58,7 @@ def bar_matrix(spec: GroupSpec, n: int, modulus: int) -> tuple[int, int, Array]:
     (row, col, value) rows sorted by (row, col), values nonzero mod modulus;
     rows = (N-1)^{n+1}, cols = (N-1)^n in the normalized complex.
     """
-    t = tables_for(spec)
+    t = build_tables(spec)
     N = t.size
     M = N - 1
     rows, cols = M ** (n + 1), M ** n

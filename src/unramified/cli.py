@@ -20,6 +20,7 @@ input, before the work it bounds starts; a refusal prints
   exits 3 too.  Its --modulus is checked to be a power of p small enough
   for exact float64 elimination before any differential is built.
 - verify-group bounds the bytes of its sampled tier before the first draw.
+- Every command bounds a spec's arrays before the loader allocates them.
 - Group tables are bounded in bytes wherever they are built.
 """
 
@@ -46,6 +47,14 @@ EXIT_GUARD = 3
 
 def _emit_json(data: dict) -> None:
     print(json.dumps(data, sort_keys=True, separators=(",", ":")))
+
+
+def _emit_results(args, results, **extra) -> None:
+    if args.json:
+        _emit_json({"results": [asdict(r) for r in results], **extra})
+    else:
+        for r in results:
+            print(r.line())
 
 
 def parse_guard(text: str | None) -> int:
@@ -111,12 +120,7 @@ def cmd_verify_group(args) -> int:
     validate_spec(spec, strict=args.strict)
     results = structure.verify_group_structure(spec, seed=args.seed,
                                                samples=args.samples)
-    if args.json:
-        _emit_json({"results": [asdict(r) for r in results],
-                    "seed": args.seed})
-    else:
-        for r in results:
-            print(r.line())
+    _emit_results(args, results, seed=args.seed)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
@@ -127,11 +131,7 @@ def cmd_verify_lemmas(args) -> int:
         cochains.check_identity_guard(spec, which, gbytes)
     results = [cochains.verify_identity(spec, which, guard_bytes=gbytes)
                for which in cochains.IDENTITIES]
-    if args.json:
-        _emit_json({"results": [asdict(r) for r in results]})
-    else:
-        for r in results:
-            print(r.line())
+    _emit_results(args, results)
     return EXIT_OK if all(r.passed or r.skipped for r in results) \
         else EXIT_VERIFY_FAILED
 

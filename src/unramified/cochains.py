@@ -77,7 +77,7 @@ import numpy as np
 from .catalog import elementary
 from .errors import InternalInconsistencyError, check_bound
 from .exterior import form_matrices, mult_map_kernel, square_kernel_generators
-from .groups import GroupSpec, GroupTables, tables_for
+from .groups import GroupSpec, GroupTables, build_tables
 from .linalg import Subspace, half_mod, projective_lines, reduce_mod
 from .results import VerificationResult
 
@@ -88,8 +88,6 @@ DEFAULT_GUARD_BYTES = 1 << 29
 
 def u_projection(spec: GroupSpec) -> GroupSpec:
     """The abelianized carrier U as an m = 0 spec (one code path for taus)."""
-    if spec.m == 0:
-        return spec
     return elementary(spec.p, spec.n, (spec.name or "spec") + "-U")
 
 
@@ -113,28 +111,25 @@ def _outer_mod(a: Array, B: Array, p: int) -> Array:
 
 # -- named cochains -----------------------------------------------------------
 
-def h_rho(spec: GroupSpec, rho) -> Array:
+def h_rho(t: GroupTables, rho) -> Array:
     """h(g) = rho(vpart(g)); equals rho(g s(ubar g)^{-1}) for s(u) = (u, 0)."""
-    return tables_for(spec).v_eval(rho).astype(np.int16)
+    return t.v_eval(rho).astype(np.int16)
 
 
-def f_rho_lambda(spec: GroupSpec, rho, lam) -> Array:
+def f_rho_lambda(t: GroupTables, rho, lam) -> Array:
     """f(g1,g2,g3) = (1/2) rho(vpart g1) lam(ubar g2 ^ ubar g3)."""
-    t = tables_for(spec)
-    rv = t.v_eval(rho)
-    L = t.biform(form_matrices(lam, spec.n))
-    return _outer_mod(half_mod(spec.p) * rv % spec.p, L, spec.p)
+    p = t.spec.p
+    L = t.biform(form_matrices(lam, t.spec.n))
+    return _outer_mod(half_mod(p) * t.v_eval(rho) % p, L, p)
 
 
-def tau23(spec: GroupSpec, u, v, w, x) -> Array:
-    t = tables_for(spec)
+def tau23(t: GroupTables, u, v, w, x) -> Array:
     U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
-    return _outer_mod(U, np.multiply.outer(V * W, X), spec.p)
+    return _outer_mod(U, np.multiply.outer(V * W, X), t.spec.p)
 
 
-def tau13(spec: GroupSpec, u, v, w, x) -> Array:
-    t = tables_for(spec)
-    p = spec.p
+def tau13(t: GroupTables, u, v, w, x) -> Array:
+    p = t.spec.p
     U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
     vals = _outer_mod(U, np.multiply.outer(V * W, X), p)
     vals += _outer_mod(U * W % p, np.multiply.outer(V, X), p)
@@ -142,13 +137,13 @@ def tau13(spec: GroupSpec, u, v, w, x) -> Array:
     return reduce_mod(vals, p)
 
 
-def mu_slices(spec: GroupSpec, u, v, w, x):
+def mu_slices(t: GroupTables, u, v, w, x):
     """g1 -> mu[u,v,w,x](g1, .) = u(g1) v(g2) w(g3) x(g4), an int16 |U|^3
     table gathered from the p rows c w (x) x."""
-    t = tables_for(spec)
+    p = t.spec.p
     U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
-    rows = _outer_mod(np.arange(spec.p), np.multiply.outer(W, X), spec.p)
-    return lambda g1: rows[U[g1] * V % spec.p]
+    rows = _outer_mod(np.arange(p), np.multiply.outer(W, X), p)
+    return lambda g1: rows[U[g1] * V % p]
 
 
 # -- verification -------------------------------------------------------------
@@ -188,14 +183,14 @@ def verify_dh(spec: GroupSpec) -> VerificationResult:
     if spec.m == 0:
         return VerificationResult("dh", True, 0, note="skipped: requires m >= 1",
                                   skipped=True)
-    t = tables_for(spec)
+    t = build_tables(spec)
     p = spec.p
 
     def cases():
         for rindex, rho in enumerate(np.eye(spec.m, dtype=np.int64)):
             form = -half_mod(p) * np.tensordot(rho, spec.forms, 1) % p
             W = form @ t.udigits.T % p
-            yield (f"rho=e{rindex + 1}*, ", h_rho(spec, rho),
+            yield (f"rho=e{rindex + 1}*, ", h_rho(t, rho),
                    lambda g1: t.udigits[g1] @ W % p)
     return _check("dh", t, cases())
 
@@ -207,7 +202,7 @@ def verify_df(spec: GroupSpec) -> VerificationResult:
     if spec.m == 0:
         return VerificationResult("df", True, 0, note="skipped: requires m >= 1",
                                   skipped=True)
-    t = tables_for(spec)
+    t = build_tables(spec)
     p = spec.p
 
     def cases():
@@ -217,24 +212,24 @@ def verify_df(spec: GroupSpec) -> VerificationResult:
                 L = t.biform(form_matrices(lam, spec.n))
                 cL = _outer_mod(np.arange(p), -pow(4, -1, p) * L % p, p)
                 yield (f"rho=e{rindex + 1}*, lam=basis{lindex}, ",
-                       f_rho_lambda(spec, rho, lam), lambda g1: cL[G[g1]])
+                       f_rho_lambda(t, rho, lam), lambda g1: cL[G[g1]])
     return _check("df", t, cases())
 
 
 def verify_tau_squares(spec: GroupSpec) -> VerificationResult:
     """delta tau23[t] = mu[t + (23)t] and delta tau13[t] = mu[t + (13)t]."""
-    us = u_projection(spec)
-    basis = [tuple(e) for e in np.eye(us.n, dtype=np.int64).tolist()]
+    t = build_tables(u_projection(spec))
+    basis = [tuple(e) for e in np.eye(spec.n, dtype=np.int64).tolist()]
 
     def cases():
         for a, b, c, d in itertools.product(basis, repeat=4):
-            base = mu_slices(us, a, b, c, d)
+            base = mu_slices(t, a, b, c, d)
             for name, tau, swapped in (("tau23", tau23, (a, c, b, d)),
                                        ("tau13", tau13, (c, b, a, d))):
-                other = mu_slices(us, *swapped)
+                other = mu_slices(t, *swapped)
                 yield (f"{name} square at (u,v,w,x)={(a, b, c, d)}, ",
-                       tau(us, a, b, c, d), lambda g1: base(g1) + other(g1))
-    return _check("tau_squares", tables_for(us), cases())
+                       tau(t, a, b, c, d), lambda g1: base(g1) + other(g1))
+    return _check("tau_squares", t, cases())
 
 
 def _bar_cycle(t: GroupTables, u, v) -> list[tuple[int, int, int, int]]:
@@ -251,13 +246,13 @@ def _bar_cycle(t: GroupTables, u, v) -> list[tuple[int, int, int, int]]:
             for z in ((1, x, xi, y), (-1, x, y, xi), (1, y, x, xi))]
 
 
-def tau_agree_certified(us: GroupSpec, u, v) -> bool:
+def tau_agree_certified(t: GroupTables, u, v) -> bool:
     """Is (1/2)(tau13 - tau23) on u x u x u x v a coboundary?  True by the
     witness k, False by the bar cycle z (module docstring), each checked;
     a pair that neither certifies raises."""
-    p, t = us.p, tables_for(us)
-    diff = tau13(us, u, u, u, v)
-    diff -= tau23(us, u, u, u, v)
+    p = t.spec.p
+    diff = tau13(t, u, u, u, v)
+    diff -= tau23(t, u, u, u, v)
     diff = _outer_mod(reduce_mod(diff, p), half_mod(p), p)
     if p > 3:
         k = np.multiply.outer(-pow(6, -1, p) * t.u_eval(u) ** 3 % p,
@@ -285,13 +280,12 @@ def verify_tau_agree(spec: GroupSpec) -> VerificationResult:
     True for p >= 5, false for p = 3 (see module docstring); each verdict
     is a checked certificate.
     """
-    us = u_projection(spec)
-    p, n = us.p, us.n
+    t = build_tables(u_projection(spec))
     checked = 0
-    for u in projective_lines(p, n):
-        for v in np.eye(n, dtype=np.int64):
+    for u in projective_lines(spec.p, spec.n):
+        for v in np.eye(spec.n, dtype=np.int64):
             checked += 1
-            if not tau_agree_certified(us, u, v):
+            if not tau_agree_certified(t, u, v):
                 uu = ",".join(map(str, u))
                 vv = ",".join(map(str, v))
                 return VerificationResult(

@@ -60,9 +60,14 @@ def wedge_basis_tensor(n: int, k: int) -> Array:
 def form_matrices(coeffs, n: int) -> Array:
     """Alternating n x n matrices of Lambda^2-functionals: coeffs of shape
     (..., C(n, 2)) give A of shape (..., n, n) with A[..., i, j] the value
-    on e_{i+1} ^ e_{j+1}, so u . A . w = coeffs . (u ^ w)."""
+    on e_{i+1} ^ e_{j+1}, so u . A . w = coeffs . (u ^ w): scattered onto
+    i < j in np.triu_indices order (lex), negated onto (j, i)."""
     c = np.asarray(coeffs, dtype=np.int64)
-    return np.einsum("...s,jis->...ij", c, wedge_basis_tensor(n, 1))
+    A = np.zeros(c.shape[:-1] + (n, n), dtype=np.int64)
+    i, j = np.triu_indices(n, 1)
+    A[..., i, j] = c
+    A[..., j, i] = -c
+    return A
 
 
 def wedge_by_vector_matrix(p: int, n: int, k: int, v) -> Array:

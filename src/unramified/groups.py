@@ -10,11 +10,11 @@ whose defining property is the commutator identity
 [ (u1, *), (u2, *) ] = (0, gamma(u1 ^ u2)); it forces exponent p and fixes
 the extension up to isomorphism.  A spec stores gamma with its stack of
 alternating forms: forms[k] is the n x n matrix of (u, w) -> gamma(u ^ w)_k,
-read once off the wedge table, and every evaluation of gamma contracts it.
+scattered once from gamma's columns; every evaluation of gamma contracts it.
 The section s(u) = (u, 0) satisfies g * s(pi(g))^-1 = (0, v-part of g).
 ``law`` evaluates this product on coordinate arrays; the multiplication
-table and the sampled structure checks go through it.  ``tables_for``
-caches the tables per spec for the bar oracle and the cochain lab.
+table and the sampled structure checks go through it.  ``build_tables`` is
+the one source of group tables, and each command builds and owns its own.
 
 Element enumeration is lexicographic on the concatenated (u, v) digit
 string, so the identity has index 0 and all derived tables are
@@ -26,16 +26,16 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from .errors import SpecError, check_bound
-from .exterior import form_matrices, subset_index, subsets
+from .exterior import form_matrices, subsets
 from .linalg import Subspace, check_odd_prime, half_mod, kernel
 
 Array = np.ndarray
+MAX_SPEC_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,8 @@ class GroupSpec:
         if g.shape != (self.m, comb(self.n, 2)):
             raise SpecError(
                 f"gamma must be {self.m} x {comb(self.n, 2)}, got {g.shape}")
-        forms = form_matrices(g, self.n) % self.p
+        forms = form_matrices(g, self.n)
+        forms %= self.p
         for a in (g, forms):
             a.setflags(write=False)
         object.__setattr__(self, "gamma", g)
@@ -144,12 +145,10 @@ class GroupTables:
 
     def u_eval(self, functional) -> Array:
         """Values of a U-functional (coeff vector) at every element."""
-        c = np.asarray(functional, dtype=np.int64) % self.spec.p
-        return (self.udigits @ c) % self.spec.p
+        return self.udigits @ np.asarray(functional, np.int64) % self.spec.p
 
     def v_eval(self, functional) -> Array:
-        c = np.asarray(functional, dtype=np.int64) % self.spec.p
-        return (self.vdigits @ c) % self.spec.p
+        return self.vdigits @ np.asarray(functional, np.int64) % self.spec.p
 
     def biform(self, form2: Array) -> Array:
         """B[g, h] = (2-form on U)(ubar_g ^ ubar_h) for all pairs."""
@@ -189,11 +188,6 @@ def build_tables(spec: GroupSpec) -> GroupTables:
     return GroupTables(spec, N, multab, invtab, ud, vd)
 
 
-@lru_cache(maxsize=32)
-def tables_for(spec: GroupSpec) -> GroupTables:
-    return build_tables(spec)
-
-
 # -- spec JSON ---------------------------------------------------------------
 
 def spec_to_json_dict(spec: GroupSpec) -> dict:
@@ -226,8 +220,13 @@ def spec_from_json_dict(data: dict, name: str | None = None) -> GroupSpec:
     if n < 0 or m < 0:
         raise SpecError("dimU and dimV must be nonnegative")
     check_odd_prime(p)          # before any coefficient meets int64
+    # the traced peak: gamma, its reduced copy and the negated coefficients
+    # (m x C(n, 2) each), the m x n x n forms, the last term's m coefficients,
+    # and the pairs of np.triu_indices with their n x n mask
+    check_bound(f"spec arrays at dimU = {n}, dimV = {m}: bytes",
+                8 * m * (3 * comb(n, 2) + n * n + 1) + 16 * comb(n, 2)
+                + 2 * n * n + (1 << 16), MAX_SPEC_BYTES)
     gamma = np.zeros((m, comb(n, 2)), dtype=np.int64)
-    idx = subset_index(n, 2)
     for t, term in enumerate(terms, start=1):
         try:
             i, j = _integer(term["i"]), _integer(term["j"])
@@ -242,7 +241,8 @@ def spec_from_json_dict(data: dict, name: str | None = None) -> GroupSpec:
             raise SpecError(f"gamma term {t}: v must have length {m}")
         if any(x < 0 or x >= p for x in v):
             raise SpecError(f"gamma term {t}: coefficients must lie in [0, {p - 1}]")
-        gamma[:, idx[(i, j)]] = (gamma[:, idx[(i, j)]] + v) % p
+        s = (i - 1) * (2 * n - i) // 2 + j - i - 1    # (i, j) in lex order
+        gamma[:, s] = (gamma[:, s] + v) % p
     return GroupSpec(p, n, m, gamma, name=name)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from unramified.bar import mod_exps
 from unramified.cochains import coboundary_slice
-from unramified.groups import GroupSpec, tables_for, validate_spec
+from unramified.groups import GroupSpec, build_tables, validate_spec
 from unramified.linalg import Subspace, rref_mod
 
 
@@ -106,7 +106,7 @@ def coboundary(spec: GroupSpec, F: np.ndarray, rows=None) -> np.ndarray:
     rows = np.arange(N) if rows is None else np.asarray(rows)
     if d == 0:
         return np.zeros(len(rows), dtype=np.int16)
-    mul = tables_for(spec).mul
+    mul = build_tables(spec).mul
     out = np.broadcast_to(F, (len(rows),) + F.shape).astype(np.int16)
     for i in range(1, d + 2):
         if i == 1:
@@ -121,7 +121,7 @@ def coboundary(spec: GroupSpec, F: np.ndarray, rows=None) -> np.ndarray:
 
 def coboundary_by_slices(spec: GroupSpec, F: np.ndarray, rows=None) -> np.ndarray:
     """The same rows stacked from cochains.coboundary_slice."""
-    mul = tables_for(spec).mul
+    mul = build_tables(spec).mul
     rows = range(spec.order) if rows is None else rows
     return np.stack([coboundary_slice(F, mul, g, np.empty_like(F))
                      for g in rows]) % spec.p

@@ -9,7 +9,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from unramified import bar, cochains, groups, obstruction, structure
+from unramified import bar, cochains, exterior, groups, obstruction, structure
 from unramified.catalog import builtin
 from unramified.cli import main
 from unramified.errors import GuardExceededError
@@ -297,13 +297,10 @@ def test_out_of_memory_exits_3_with_one_line(monkeypatch, capsys):
 def test_verify_lemmas_guard_refuses_before_any_table(monkeypatch, capsys,
                                                       name, guard):
     # each identity's guard is checked before the first identity runs
-    from unramified import groups
-
     def no_tables(*args):
         raise AssertionError("a group table was built before the guard refused")
 
-    groups.tables_for.cache_clear()
-    monkeypatch.setattr(groups, "build_tables", no_tables)
+    monkeypatch.setattr(cochains, "build_tables", no_tables)
     code, out, err = run(capsys, "verify-lemmas", "--builtin", name,
                          "--guard", guard)
     assert code == 3 and out == ""
@@ -550,7 +547,7 @@ GUARDS = {
         "brute force: membership tests", 364 * 4, 1000),
     "verify-lemmas identity bytes": (
         ["verify-lemmas", "--builtin", "heisenberg3", "--guard", "1000"], None,
-        [(cochains, "tables_for")],
+        [(cochains, "build_tables")],
         "identity dh: table bytes", (8 * 2 + 24) * 27 + 2 ** 16, 1000),
     "group table bytes": (
         ["verify-lemmas", "--builtin", "peyre6", "--guard", "1e30"], None,
@@ -570,6 +567,17 @@ GUARDS = {
         ["oracle", "cohomology", "--degree", "3", "--allow-heavy"],
         {"p": 3, "dimU": 4, "dimV": 0}, [(bar, "bar_matrix")],
         "degree 3 at |G| = 81: bar rows", 80 ** 4, bar.HEAVY_ROWS),
+    "spec arrays, wide U": (
+        ["analyze"], {"p": 3, "dimU": 3000, "dimV": 0},
+        [(exterior, "subset_index"), (groups, "form_matrices")],
+        "spec arrays at dimU = 3000, dimV = 0: bytes",
+        16 * comb(3000, 2) + 2 * 3000 ** 2 + 2 ** 16, groups.MAX_SPEC_BYTES),
+    "spec arrays, wide V": (
+        ["analyze", "--no-strict"], {"p": 3, "dimU": 3, "dimV": 3_000_000},
+        [(exterior, "subset_index"), (groups, "form_matrices")],
+        "spec arrays at dimU = 3, dimV = 3000000: bytes",
+        8 * 3_000_000 * (3 * 3 + 9 + 1) + 16 * 3 + 2 * 9 + 2 ** 16,
+        groups.MAX_SPEC_BYTES),
     "verify-group sample bytes": (
         ["verify-group", "--builtin", "peyre6", "--samples", "10000000"], None,
         [(np.random, "default_rng")], "verify-group: sample bytes",
@@ -599,6 +607,18 @@ def test_every_guard_refuses_before_its_work(monkeypatch, tmp_path, capsys,
     assert err.splitlines() == [f"guard exceeded: {what} needs {required} > "
                                 f"{bound}"]
     assert seen == [required]
+
+
+def test_verify_group_runs_on_a_wide_spec(tmp_path, capsys):
+    # dim U = 80 loads below the spec-bytes bound and samples below the
+    # sample-bytes bound at 100 samples
+    (tmp_path / "wide.json").write_text(json.dumps(
+        {"p": 3, "dimU": 80, "dimV": 1,
+         "gamma": [{"i": 1, "j": 2, "v": [1]}]}))
+    code, out, _ = run(capsys, "verify-group", "--spec",
+                       str(tmp_path / "wide.json"), "--no-strict",
+                       "--samples", "100")
+    assert code == 0 and out.count("PASS ") == 7
 
 
 def test_k3_guard_admits_what_the_line_guard_admits():

@@ -30,8 +30,7 @@ from unramified.cochains import (
     verify_identity,
 )
 from unramified.errors import GuardExceededError, InternalInconsistencyError
-from unramified import groups
-from unramified.groups import GroupSpec, spec_from_json_dict, tables_for
+from unramified.groups import GroupSpec, build_tables, spec_from_json_dict
 from unramified.linalg import half_mod, projective_lines
 
 from conftest import coboundary, coboundary_by_slices, coboundary_image, \
@@ -102,8 +101,7 @@ def test_identity_guard_refuses_before_any_table(monkeypatch, name, which,
     def no_tables(*args):
         raise AssertionError("a group table was built before the guard refused")
 
-    tables_for.cache_clear()
-    monkeypatch.setattr(groups, "build_tables", no_tables)
+    monkeypatch.setattr(cochains, "build_tables", no_tables)
     with pytest.raises(GuardExceededError):
         verify_identity(builtin(name), which, guard_bytes=guard)
 
@@ -117,8 +115,8 @@ def _index(t, u, v):
 
 def test_h_rho_values():
     spec = builtin("heisenberg3")
-    t = tables_for(spec)
-    h = h_rho(spec, [1])
+    t = build_tables(spec)
+    h = h_rho(t, [1])
     assert h.shape == (27,) and h.dtype == np.int16
     for v in range(3):
         assert h[_index(t, (0, 0), (v,))] == v
@@ -129,8 +127,8 @@ def test_h_rho_values():
 def test_f_rho_lambda_spot_value():
     # f(s(e1)(0,v1), s(e1), s(e2)) = (1/2) * 1 * 1 = 1/2
     spec = builtin("heisenberg3")
-    t = tables_for(spec)
-    f = f_rho_lambda(spec, [1], [1])
+    t = build_tables(spec)
+    f = f_rho_lambda(t, [1], [1])
     assert f.shape == (27,) * 3 and f.dtype == np.int16
     g1 = t.mul[_index(t, (1, 0), (0,)), _index(t, (0, 0), (1,))]
     assert g1 == _index(t, (1, 0), (1,))
@@ -141,9 +139,9 @@ def test_f_rho_lambda_spot_value():
 def test_tau23_spot_values():
     # (u,v,w,x) = (e1*, e1*, e1*, e2*): value is u(g1) u(g2)^2 x(g3)
     spec = builtin("elem9")
-    c = tau23(spec, [1, 0], [1, 0], [1, 0], [0, 1])
+    t = build_tables(spec)
+    c = tau23(t, [1, 0], [1, 0], [1, 0], [0, 1])
     assert c.shape == (9,) * 3 and c.dtype == np.int16
-    t = tables_for(spec)
     for g1 in range(9):
         for g2 in range(9):
             for g3 in range(9):
@@ -184,8 +182,8 @@ def test_tau_squares_counterexample_prints_plain_ints(monkeypatch):
     depend on numpy's repr."""
     real = cochains.mu_slices
 
-    def broken(spec, u, v, w, x):
-        slices = real(spec, u, v, w, x)
+    def broken(t, u, v, w, x):
+        slices = real(t, u, v, w, x)
 
         def at(g1):
             vals = slices(g1)
@@ -209,14 +207,14 @@ def test_tau13_printed_minus_variant_fails_its_square():
     spec = builtin("elem9")
     p = 3
     u, v, w, x = [1, 0], [0, 1], [1, 0], [0, 1]
-    plus = tau13(spec, u, v, w, x)
+    t = build_tables(spec)
+    plus = tau13(t, u, v, w, x)
     assert plus.shape == (9,) * 3 and plus.dtype == np.int16
     assert plus.min() >= 0 and plus.max() < p   # the sum is reduced
-    t = tables_for(spec)
     U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
     # the middle term u(g1) w(g1) v(g2) x(g3) of the lifting
     middle = np.einsum('a,b,c->abc', (U * W) % p, V, X) % p
-    mu, swapped = mu_slices(spec, u, v, w, x), mu_slices(spec, w, v, u, x)
+    mu, swapped = mu_slices(t, u, v, w, x), mu_slices(t, w, v, u, x)
     rhs = np.stack([mu(g1) + swapped(g1) for g1 in range(spec.order)]) % p
     assert np.array_equal(coboundary(spec, plus), rhs)
     minus_variant = ((plus - 2 * middle) % p).astype(np.int16)  # +1 -> -1
@@ -246,13 +244,14 @@ def test_tau_agree_certificates_match_the_elimination(name):
     the bar cycle, sum_i [x|x^i|x] (v a multiple of u) and the shuffle
     product with [y]."""
     us = u_projection(builtin(name))
+    t = build_tables(us)
     p, half = us.p, half_mod(us.p)
     image = coboundary_image(us)
     verdicts, forms = set(), set()
     for u in projective_lines(p, us.n):
         for v in np.eye(us.n, dtype=np.int64):
-            diff = half * (tau13(us, u, u, u, v) - tau23(us, u, u, u, v)) % p
-            ok = cochains.tau_agree_certified(us, u, v)
+            diff = half * (tau13(t, u, u, u, v) - tau23(t, u, u, u, v)) % p
+            ok = cochains.tau_agree_certified(t, u, v)
             assert ok == image.contains(diff.reshape(-1)), (u, v)
             verdicts.add(ok)
             forms.add(rank_mod(np.array([u, v]), p))
@@ -267,8 +266,8 @@ def test_tau_agree_raises_on_one_changed_cell_off_the_cycle(monkeypatch,
     certificate holds: the verifier raises, and does not pass."""
     real = cochains.tau13
 
-    def broken(spec, u, v, w, x):
-        vals = real(spec, u, v, w, x)
+    def broken(t, u, v, w, x):
+        vals = real(t, u, v, w, x)
         vals[0, 0, 0] += 1
         return vals
 
@@ -314,9 +313,9 @@ def test_tau_difference_has_the_predicted_form():
     p = 3
     half = half_mod(p)
     u, v = [1, 0], [0, 1]
-    diff = (half * (tau13(spec, u, u, u, v).astype(np.int64)
-                    - tau23(spec, u, u, u, v))) % p
-    t = tables_for(spec)
+    t = build_tables(spec)
+    diff = (half * (tau13(t, u, u, u, v).astype(np.int64)
+                    - tau23(t, u, u, u, v))) % p
     a = t.u_eval(u)
     vv = t.u_eval(v)
     expected = (half * (np.einsum('i,j,k->ijk', a, (a * a) % p, vv)
@@ -354,10 +353,10 @@ def test_df_depends_only_on_gamma_dual_of_rho():
     # f's whose difference has vanishing coboundary
     gamma = np.array([[1], [1]], dtype=np.int64)  # gamma(u1^u2) = v1 + v2
     spec = GroupSpec(3, 2, 2, gamma)
-    f1 = f_rho_lambda(spec, [1, 0], [1])
-    f2 = f_rho_lambda(spec, [0, 1], [1])
+    t = build_tables(spec)
+    f1 = f_rho_lambda(t, [1, 0], [1])
+    f2 = f_rho_lambda(t, [0, 1], [1])
     F = f1 - f2
-    t = tables_for(spec)
     N = spec.order
     rng = np.random.default_rng(0)
     mulT = t.mul
@@ -390,15 +389,15 @@ def test_coboundary_squares_to_zero_at_order_81():
     for name in ("heisenberg3", "heisenberg5", "elem9", "elem27", "order81")
     for which in IDENTITIES if IDENTITIES[which][0](_group(name))]
     + [(name, "ssquare_kernel") for name in _SSQUARE_ONLY])
-def test_identity_guard_covers_its_peak_allocation(name, which):
+def test_identity_guard_covers_its_peak_allocation(monkeypatch, name, which):
     """Each identity with a guard figure, on each group, allocates no more
     than the figure once the group tables are built; tau_agree's covers its
     certificates too, and order81's df the step from one lam to the next."""
     spec = _group(name)
     with pytest.raises(GuardExceededError) as info:
         cochains.check_identity_guard(spec, which, 0)
-    tables_for(spec)
-    tables_for(u_projection(spec))
+    built = {s: build_tables(s) for s in (spec, u_projection(spec))}
+    monkeypatch.setattr(cochains, "build_tables", built.__getitem__)
     tracemalloc.start()
     try:
         verify_identity(spec, which)
@@ -426,8 +425,8 @@ def test_df_fails_on_one_changed_cell(monkeypatch):
     spec = builtin("heisenberg3")
     real = cochains.f_rho_lambda
 
-    def broken(spec, rho, lam):
-        vals = real(spec, rho, lam)
+    def broken(t, rho, lam):
+        vals = real(t, rho, lam)
         vals[5, 3, 7] += 1
         return vals
 
@@ -446,8 +445,8 @@ def test_dh_fails_on_one_changed_cell(monkeypatch):
     spec = builtin("heisenberg3")
     real = cochains.h_rho
 
-    def broken(spec, rho):
-        vals = real(spec, rho)
+    def broken(t, rho):
+        vals = real(t, rho)
         vals[5] += 1
         return vals
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from unramified import groups, structure
+from unramified import exterior, groups, structure
 from unramified.catalog import builtin
 from unramified.errors import GuardExceededError, SpecError
 from unramified.groups import (
@@ -295,6 +295,44 @@ def test_sample_bytes_bound_the_traced_peak(monkeypatch, p, n, m, samples):
     tracemalloc.start()
     try:
         verify_group_structure(spec, samples=samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= info.value.required
+
+
+def test_loading_a_wide_spec_builds_no_wedge_table(monkeypatch):
+    # the forms are scattered from gamma's columns: loading dim U = 80 stays
+    # O(m n^2), not the 161 MB (n, n, C(n, 2)) wedge table
+    monkeypatch.setattr(exterior, "wedge_basis_tensor",
+                        lambda *a: pytest.fail("a wedge table was built"))
+    tracemalloc.start()
+    try:
+        spec = spec_from_json_dict({"p": 3, "dimU": 80, "dimV": 1, "gamma": [
+            {"i": 1, "j": 2, "v": [1]}]})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10 ** 6
+    assert spec.forms[0, 0, 1] == 1 and spec.forms[0, 1, 0] == 2
+    assert np.count_nonzero(spec.forms) == 2
+
+
+@pytest.mark.parametrize("n,m", [(80, 1), (40, 780), (3, 100_000), (1000, 0)])
+def test_spec_bytes_bound_the_traced_peak(monkeypatch, n, m):
+    """The spec-bytes figure, read off its refusal, bounds the loader's
+    traced peak with a term for each of the first m pairs (i, j)."""
+    pairs = itertools.islice(itertools.combinations(range(1, n + 1), 2), m)
+    data = {"p": 3, "dimU": n, "dimV": m,
+            "gamma": [{"i": i, "j": j, "v": [int(t == s) for t in range(m)]}
+                      for s, (i, j) in enumerate(pairs)]}
+    monkeypatch.setattr(groups, "MAX_SPEC_BYTES", 0)
+    with pytest.raises(GuardExceededError) as info:
+        spec_from_json_dict(data)
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        spec_from_json_dict(data)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

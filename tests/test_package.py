@@ -127,3 +127,29 @@ def test_only_groups_constructs_a_spec():
     builders = [f.name for f in sorted(root.glob("*.py"))
                 if "GroupSpec(" in f.read_text(encoding="utf-8")]
     assert builders == ["groups.py"]
+
+
+def test_every_lru_cache_is_keyed_by_ints():
+    # a cache keyed by an input would hold arrays whose size no guard has
+    # seen, past the command that built them; group tables are built and
+    # owned per command, and only shape-keyed tables are cached
+    root = Path(__file__).resolve().parents[1] / "src" / "unramified"
+    cached, bad = [], []
+    for path in sorted(root.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            calls = [d.func if isinstance(d, ast.Call) else d
+                     for d in fn.decorator_list]
+            if not {"lru_cache", "cache"} & {
+                    getattr(f, "attr", None) or getattr(f, "id", None)
+                    for f in calls}:
+                continue
+            cached.append(fn.name)
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs
+            if a.vararg or a.kwarg or not all(
+                    isinstance(x.annotation, ast.Name)
+                    and x.annotation.id == "int" for x in params):
+                bad.append(f"{path.name}:{fn.lineno} {fn.name}")
+    assert cached and bad == []
