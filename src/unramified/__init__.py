@@ -24,7 +24,7 @@ from .errors import (
     SpecError,
     UnramifiedError,
 )
-from .exterior import render_multivector
+from .exterior import render_basis
 from .groups import GroupSpec, load_spec, validate_spec
 from .linalg import Subspace, kernel
 from .obstruction import ObstructionReport, analyze, dec_subgroup, dec_subgroup_bruteforce
@@ -43,6 +43,6 @@ __all__ = [
     "dec_subgroup_bruteforce",
     "kernel",
     "load_spec",
-    "render_multivector",
+    "render_basis",
     "validate_spec",
 ]

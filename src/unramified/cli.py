@@ -36,7 +36,7 @@ from . import bar, cochains, obstruction, structure
 from .catalog import BUILTINS, builtin
 from .divisors import check_modulus
 from .errors import GuardExceededError, SpecError, UnramifiedError
-from .exterior import render_multivector
+from .exterior import render_basis
 from .groups import GroupSpec, load_spec, validate_spec
 
 EXIT_OK = 0
@@ -58,6 +58,9 @@ def _emit_results(args, results, **extra) -> None:
 
 
 def parse_guard(text: str | None) -> int:
+    """--guard's BYTES; without it, UNRAMIFIED_GUARD's, read at call time."""
+    if text is None:
+        text = os.environ.get("UNRAMIFIED_GUARD")
     if not text:
         return cochains.DEFAULT_GUARD_BYTES
     try:
@@ -179,13 +182,11 @@ def cmd_oracle_decomposables(args) -> int:
                                                 max_work=args.max_work)
     second = obstruction.dec_subgroup(d.si, deg, spec.n)
     agree = fast == second == brute
-    text = [render_multivector(row, spec.n, deg, spec.p)
-            for row in fast.basis]
+    text = render_basis(fast.basis, spec.n, deg, spec.p)
     if args.json:
         _emit_json({"degree": deg, "agree": agree,
                     "fast_dim": fast.dim, "brute_dim": brute.dim,
-                    "basis": [[int(x) for x in row] for row in fast.basis],
-                    "text": text})
+                    "basis": fast.basis.tolist(), "text": text})
     else:
         span = "span{" + ", ".join(text) + "}" if text else "0"
         if agree:
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemmas", help="cochain identity suite")
     _add_spec_args(p)
-    p.add_argument("--guard", default=os.environ.get("UNRAMIFIED_GUARD"),
+    p.add_argument("--guard", default=None,
                    help="BYTES; bounds the dense tables")
     p.set_defaults(func=cmd_verify_lemmas)
 
@@ -254,9 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         code = args.func(args)
     except GuardExceededError as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)

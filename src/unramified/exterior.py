@@ -113,19 +113,23 @@ def mult_map_kernel(n: int, p: int) -> Subspace:
 
 # -- text rendering ----------------------------------------------------------
 
-def render_multivector(coeffs, n: int, k: int, p: int, symbol: str = "u") -> str:
-    """Canonical text form, e.g. 'u[1,2,3] + u[3,4,5] - u[1,5,6]'.
+def render_basis(basis, n: int, k: int, p: int, symbol: str = "u"
+                 ) -> list[str]:
+    """Canonical text form of each row of basis, a stack (rows, C(n, k)),
+    e.g. 'u[1,2,3] + u[3,4,5] - u[1,5,6]'; a row of zeros is '0'.
 
     Coefficients are balanced to (-p/2, p/2]; unit coefficients are omitted.
-    Basis terms appear in lex order of their index subsets.
+    Basis terms appear in lex order of their index subsets.  The labels are
+    built once per call, and the nonzero entries read as Python ints once.
     """
-    coeffs = np.asarray(coeffs, dtype=np.int64) % p
-    terms = []
-    for i in np.flatnonzero(coeffs):
-        c = int(coeffs[i])
-        neg = c > p // 2
-        mag = p - c if neg else c
-        body = f"{symbol}[{','.join(map(str, subsets(n, k)[i]))}]"
-        sign = ("- " if neg else "+ ") if terms else ("-" if neg else "")
-        terms.append(sign + (body if mag == 1 else f"{mag}{body}"))
-    return " ".join(terms) or "0"
+    B = np.asarray(basis, dtype=np.int64) % p
+    labels = [f"{symbol}[{','.join(map(str, s))}]" for s in subsets(n, k)]
+    terms = [[] for _ in range(len(B))]
+    rows, cols = np.nonzero(B)          # row by row, columns increasing
+    for r, c, x in zip(rows.tolist(), cols.tolist(), B[rows, cols].tolist()):
+        neg = x > p // 2
+        mag = p - x if neg else x
+        sign = ("- " if neg else "+ ") if terms[r] else ("-" if neg else "")
+        terms[r].append(sign + (labels[c] if mag == 1
+                                else f"{mag}{labels[c]}"))
+    return [" ".join(t) or "0" for t in terms]

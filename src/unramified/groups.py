@@ -32,10 +32,12 @@ import numpy as np
 
 from .errors import SpecError, check_bound
 from .exterior import form_matrices, subsets
-from .linalg import Subspace, check_odd_prime, half_mod, kernel
+from .linalg import Subspace, check_odd_prime, half_mod, kernel, \
+    kernel_basis
 
 Array = np.ndarray
 MAX_SPEC_BYTES = 1 << 26
+_GAMMA_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,27 @@ class GroupSpec:
         return half_mod(self.p)
 
     def gamma_of(self, u, w) -> Array:
-        """gamma(u ^ w) in V; u, w may be batched with broadcast leading axes."""
-        u = np.asarray(u, dtype=np.int64) % self.p
-        w = np.asarray(w, dtype=np.int64) % self.p
-        return np.einsum('...i,kij,...j->...k', u, self.forms, w) % self.p
+        """gamma(u ^ w) in V; u, w may be batched with broadcast leading axes.
+
+        A block of u meets the forms in one matmul, (..., n) x (n, m n), and
+        then w; blocks run along the first leading axis, so that u's product
+        holds about _GAMMA_BLOCK cells at a time."""
+        p, n, m = self.p, self.n, self.m
+        u = np.asarray(u, dtype=np.int64) % p
+        w = np.asarray(w, dtype=np.int64) % p
+        if u.ndim == w.ndim == 1:
+            return self.gamma_of(u[None], w)[0]
+        forms = self.forms.transpose(1, 0, 2).reshape(n, m * n)
+        out = np.empty(np.broadcast_shapes(u.shape, w.shape)[:-1] + (m,),
+                       dtype=np.int64)
+        step = max(1, _GAMMA_BLOCK // (out[:1].size * n or 1))
+        for i in range(0, len(out), step):
+            ub, wb = (x if x.ndim < out.ndim or len(x) == 1 else x[i:i + step]
+                      for x in (u, w))
+            uf = (ub @ forms).reshape(ub.shape[:-1] + (m, n))
+            out[i:i + step] = (uf @ wb[..., None])[..., 0]
+        out %= p
+        return out
 
 
 def law(spec: GroupSpec, u1, v1, u2, v2) -> tuple[Array, Array]:
@@ -117,9 +136,11 @@ class ValidationReport:
 
 def validate_spec(spec: GroupSpec, strict: bool = True) -> ValidationReport:
     """Row space and radical of gamma; strict mode raises unless
-    V = [G,G] = Z(G).  This is the one elimination of gamma itself."""
+    V = [G,G] = Z(G).  This is the one elimination of gamma itself; the
+    radical's dim needs only a kernel basis, not its canonical form."""
     k2 = Subspace.from_generators(spec.gamma, spec.p, comb(spec.n, 2))
-    rank, rad = k2.dim, radical_subspace(spec).dim
+    rank, rad = k2.dim, len(kernel_basis(
+        spec.forms.reshape(spec.m * spec.n, spec.n), spec.p))
     if strict:
         if rank < spec.m:
             raise SpecError(

@@ -10,8 +10,9 @@ terms below p^3 (exact for n <= 181), and a membership test adds dim terms
 below p^2.
 
 One elimination, ``rref_stack``, serves every modulus q = p^k (only units
-pivot; F_p is k = 1), and each subspace takes one: ``kernel`` reads the rref
-basis of ker M off the elimination of M's columns in reverse order.
+pivot; F_p is k = 1).  ``subspaces`` gives the canonical subspaces of many
+row spaces and kernels from one stacked elimination; ``from_generators`` and
+``kernel`` are its one-matrix cases.
 
 Large arrays are reduced in place by ``reduce_mod``, A - (A // p) * p: numpy
 vectorizes integer floor division by a scalar but not the remainder, so on
@@ -180,20 +181,24 @@ def rref_mod(A: Array, p: int) -> tuple[Array, list[int]]:
     return R[:r], pivots[:r].tolist()
 
 
-def kernel_stack(A: Array, p: int) -> Array:
-    """Kernels over F_p of a stack (L, m, n), as an (L, n, n) stack.
-
-    Slice l is (I - R')^T mod p, where R'[c] is the row of rref(A[l]) with
-    pivot in column c (zero for free c); its nonzero rows, one per free
-    column in increasing order, are a basis of {x : A[l] x = 0}.
-    """
-    R, _, pivots = rref_stack(A, p)
+def _kernels(R: Array, pivots: Array, p: int) -> Array:
+    """(I - R')^T mod p for each slice of rref_stack's (R, pivots), where
+    R'[c] is the row with pivot in column c (zero for free c): row f is
+    the kernel vector of free column f, and a pivot column's row is 0."""
     L, _, n = R.shape
     K = np.zeros((L, n, n), dtype=np.int64)
     ls, rs = np.nonzero(pivots >= 0)
     K[ls, pivots[ls, rs]] = -R[ls, rs]
     K[:, np.arange(n), np.arange(n)] += 1
     return reduce_mod(K, p).transpose(0, 2, 1)
+
+
+def kernel_stack(A: Array, p: int) -> Array:
+    """Kernels over F_p of a stack (L, m, n), as an (L, n, n) stack whose
+    nonzero rows in slice l, one per free column in increasing order, are
+    a basis of {x : A[l] x = 0}."""
+    R, _, pivots = rref_stack(A, p)
+    return _kernels(R, pivots, p)
 
 
 def kernel_basis(A: Array, p: int) -> Array:
@@ -220,13 +225,10 @@ class Subspace:
     @classmethod
     def from_generators(cls, gens, p: int, ambient: int) -> "Subspace":
         M = as_matrix(gens, ambient)
-        if M.shape[0] == 0:
-            return cls.zero(p, ambient)
         if M.shape[1] != ambient:
             raise DimensionMismatchError(
                 f"generators live in dim {M.shape[1]}, expected {ambient}")
-        R, _ = rref_mod(M, p)
-        return cls(p, ambient, R)
+        return subspaces(p, spans=(M,))[0]
 
     @classmethod
     def zero(cls, p: int, ambient: int) -> "Subspace":
@@ -277,10 +279,36 @@ class Subspace:
 
 
 def kernel(M, p: int) -> Subspace:
-    """{x : M x = 0} as a canonical subspace, from one elimination: with
-    M's n columns reversed, free column f's kernel vector is 1 at f, else
-    nonzero only at pivot columns left of f, and the others are 0 at f.
-    Reversed back, it leads with 1 at n-1-f where the others are 0: these
-    vectors, by increasing leading column, are the rref basis of ker M."""
-    A = as_matrix(M)
-    return Subspace(p, A.shape[1], kernel_basis(A[:, ::-1], p)[::-1, ::-1])
+    """{x : M x = 0} as a canonical subspace."""
+    return subspaces(p, kernels=(M,))[0]
+
+
+def subspaces(p: int, spans=(), kernels=()) -> tuple[Subspace, ...]:
+    """The canonical subspace of each row space in spans, then of each
+    kernel {x : M x = 0} in kernels, from one stacked elimination.
+
+    Each matrix is padded with zero rows and columns to the stack's shape,
+    which changes no rref and no pivot.  A kernel is read off the
+    elimination of its c columns in reverse order: free column f's kernel
+    vector is 1 at f, else nonzero only at pivot columns left of f, and the
+    others are 0 at f.  Reversed back, it leads with 1 at c-1-f where the
+    others are 0: these vectors, by increasing leading column, are the rref
+    basis of ker M.  The padding columns, right of the c, are free, and
+    their vectors e_f are cut."""
+    s = len(spans)
+    mats = [as_matrix(M) for M in spans] \
+        + [as_matrix(M)[:, ::-1] for M in kernels]
+    if not mats:
+        return ()
+    rows = max(M.shape[0] for M in mats)
+    cols = max(M.shape[1] for M in mats)
+    R, ranks, pivots = rref_stack(
+        [M if M.shape == (rows, cols) else
+         np.pad(M, ((0, rows - M.shape[0]), (0, cols - M.shape[1])))
+         for M in mats], p)
+    out = [Subspace(p, M.shape[1], R[l, :r, :M.shape[1]].copy())
+           for l, (M, r) in enumerate(zip(mats[:s], ranks.tolist()))]
+    for k, M in zip(_kernels(R[s:], pivots[s:], p), mats[s:]):
+        k = k[:M.shape[1], :M.shape[1]]
+        out.append(Subspace(p, M.shape[1], k[k.any(axis=1)][::-1, ::-1]))
+    return tuple(out)

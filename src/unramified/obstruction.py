@@ -94,8 +94,11 @@ points of P(S) lie in which flag space F_v, from whichever side of that
 incidence is smaller.
 
 K^2 is the row space of gamma that validate_spec takes, so gamma is
-eliminated once.  Right after it, before K^3 or the sweep, analyze makes
-two checks (errors.check_bound):
+eliminated once.  K^3, S^2 = ker K^2 and S^3 = ker K^3 then come from one
+stacked elimination (compute_k3, linalg.subspaces), and each batch of the
+sweep folds both degrees' new elements into their spans with one more.
+Right after validate_spec, before K^3 or the sweep, analyze makes two
+checks (errors.check_bound):
 - the line guard refuses a spec with S^2 = ker gamma nonzero and more
   than MAX_LINES projective lines.  It counts all (p^n - 1)/(p - 1) lines:
   a degree-3 sweep that does not exit early visits every line (H0's, then
@@ -119,11 +122,11 @@ from math import comb
 import numpy as np
 
 from .errors import InternalInconsistencyError, SpecError, check_bound
-from .exterior import render_multivector, wedge_basis_tensor
+from .exterior import render_basis, wedge_basis_tensor
 from .groups import GroupSpec, ValidationReport, spec_to_json_dict, \
     validate_spec
 from .linalg import Subspace, kernel_stack, projective_lines, rref_mod, \
-    rref_stack
+    rref_stack, subspaces
 
 Array = np.ndarray
 
@@ -132,6 +135,8 @@ MAX_LINES = 10 ** 6
 # compute_k3's (dim K^2 * n) x C(n, 3) generator matrix.  The most a spec
 # under MAX_LINES can need is 77 * 13 * 286 = 286,286 (p = 3, n = 13); with
 # S^2 = 0 this admits the free class-2 group at p = 3 up to n = 17.
+# compute_k3's one elimination holds three slices of at most this many cells
+# each (K^2's basis is padded to the matrix's shape, to 4 * 6 * 6 at n <= 4).
 MAX_K3_CELLS = 1 << 21
 # Batches of lines in both sweeps: the first is small, as early exits come
 # after a few dozen lines; later ones double until a batch's stacked
@@ -140,12 +145,13 @@ _FIRST_BATCH = 32
 _BATCH_CELLS = 1 << 16
 
 
-def compute_k3(spec: GroupSpec, k2: Subspace) -> Subspace:
-    """K^2 ^ U* = span{kappa ^ e_j* : kappa in basis(K^2), 1 <= j <= n}."""
-    p, n = spec.p, spec.n
-    gens = np.einsum("rs,jst->rjt", k2.basis, wedge_basis_tensor(n, 2))
-    return Subspace.from_generators(
-        gens.reshape(k2.dim * n, comb(n, 3)) % p, p, comb(n, 3))
+def compute_k3(spec: GroupSpec, k2: Subspace
+               ) -> tuple[Subspace, Subspace, Subspace]:
+    """K^3 = K^2 ^ U* = span{kappa ^ e_j* : kappa in basis(K^2), 1 <= j <= n},
+    S^2 = ker K^2 and S^3 = ker K^3, from one stacked elimination."""
+    gens = np.einsum("rs,jst->rjt", k2.basis, wedge_basis_tensor(spec.n, 2))
+    gens = gens.reshape(k2.dim * spec.n, comb(spec.n, 3))
+    return subspaces(spec.p, spans=(gens,), kernels=(k2.basis, gens))
 
 
 def dec_subgroup(S: Subspace, k: int, n: int) -> Subspace:
@@ -175,7 +181,7 @@ def dec_subgroup(S: Subspace, k: int, n: int) -> Subspace:
     while batch := list(itertools.islice(lines, size)):
         # C[l] = (S.basis @ W(v_l))^T; its kernel is {x in S : x ^ v_l = 0}
         C = np.einsum("lj,jit->lti", np.array(batch), SE)
-        acc = _fold(acc, kernel_stack(C, p), p)
+        (acc,) = _fold(p, [(acc, kernel_stack(C, p))])
         if acc.shape[0] == S.dim:
             return S
         size = min(2 * size, cap)
@@ -189,8 +195,9 @@ def dec_subgroups(spec: GroupSpec, s2: Subspace, s3: Subspace
     docstring).
 
     Both are folded in S^i-basis coordinates, x[pivots] for x in S^i, so
-    the wedge tables are cut to the pivot columns; as in dec_subgroup, the
-    span acc times S^i.basis is already in rref.
+    the wedge tables are cut to the pivot columns, and a batch folds both
+    with one elimination; as in dec_subgroup, the span acc times S^i.basis
+    is already in rref.
     """
     p, n, m = spec.p, spec.n, spec.m
     targets = (s2, s3)
@@ -215,12 +222,15 @@ def dec_subgroups(spec: GroupSpec, s2: Subspace, s3: Subspace
             M = np.einsum("li,kij->lkj", V, spec.forms)  # w -> gamma(v ^ w)
             lead = np.eye(n, dtype=np.int64)[(V != 0).argmax(axis=1), None]
             D = kernel_stack(np.concatenate([M, lead], axis=1), p)
+            new = []
             if todo[0]:
-                wedges = D @ (V @ by_v2).reshape(len(V), n, -1)
-                accs[0] = _fold(accs[0], wedges, p)
+                new.append((0, D @ (V @ by_v2).reshape(len(V), n, -1)))
             if todo[1]:
-                accs[1] = _fold(accs[1], _cycles_by_line(
-                    spec, V, D, pairs, by_v3, min_d), p)
+                new.append((1, _cycles_by_line(spec, V, D, pairs, by_v3,
+                                               min_d)))
+            for (i, _), acc in zip(new, _fold(p, [(accs[i], X)
+                                                  for i, X in new])):
+                accs[i] = acc
             todo = [acc.shape[0] < S.dim for S, acc in zip(targets, accs)]
             size = min(2 * size, cap)
         todo[0] = False
@@ -228,10 +238,14 @@ def dec_subgroups(spec: GroupSpec, s2: Subspace, s3: Subspace
                  for S, acc in zip(targets, accs))
 
 
-def _fold(acc: Array, X: Array, p: int) -> Array:
-    """rref of the span of acc's rows and the rows of the stack X."""
-    X = X.reshape(-1, acc.shape[1]) % p
-    return rref_mod(np.vstack([acc, X[X.any(axis=1)]]), p)[0]
+def _fold(p: int, pairs) -> list[Array]:
+    """For each (acc, X) of pairs, the rref of the span of acc's rows and
+    the rows of the stack X; all from one stacked elimination."""
+    spans = []
+    for acc, X in pairs:
+        X = X.reshape(-1, acc.shape[1]) % p
+        spans.append(np.vstack([acc, X[X.any(axis=1)]]))
+    return [S.basis for S in subspaces(p, spans=spans)]
 
 
 def _cycles_by_line(spec: GroupSpec, V: Array, D: Array, pairs: Array,
@@ -395,8 +409,8 @@ def analyze(spec: GroupSpec, strict: bool = True) -> ObstructionReport:
                     MAX_LINES)
     check_bound("analyze: K^3 generator cells", k2.dim * n * comb(n, 3),
                 MAX_K3_CELLS)
-    kis = (k2, compute_k3(spec, k2))
-    sis = tuple(ki.orthogonal() for ki in kis)
+    k3, s2, s3 = compute_k3(spec, k2)
+    kis, sis = (k2, k3), (s2, s3)
     degrees = []
     for i, ki, si, si_dec in zip((2, 3), kis, sis, dec_subgroups(spec, *sis)):
         ki_max = ki if si_dec == si else si_dec.orthogonal()
@@ -413,9 +427,8 @@ def analyze(spec: GroupSpec, strict: bool = True) -> ObstructionReport:
 def _subspace_json(S: Subspace, n: int, k: int, symbol: str) -> dict:
     return {
         "dim": S.dim,
-        "basis": [[int(x) for x in row] for row in S.basis],
-        "text": [render_multivector(row, n, k, S.p, symbol=symbol)
-                 for row in S.basis],
+        "basis": S.basis.tolist(),
+        "text": render_basis(S.basis, n, k, S.p, symbol=symbol),
     }
 
 
@@ -466,12 +479,9 @@ def report_text(rep: ObstructionReport) -> str:
         lines.append(f"dim K^{i} = {d.ki.dim}; dim S^{i} = {d.si.dim}; "
                      f"dim S^{i}_dec = {d.si_dec.dim}; "
                      f"dim K^{i}_max = {d.ki_max.dim}")
-        for row in d.si.basis:
-            lines.append(f"  S^{i} basis: "
-                         + render_multivector(row, n, i, spec.p))
-        for row in d.si_dec.basis:
-            lines.append(f"  S^{i}_dec basis: "
-                         + render_multivector(row, n, i, spec.p))
+        for name, S in ((f"S^{i}", d.si), (f"S^{i}_dec", d.si_dec)):
+            lines += [f"  {name} basis: {text}"
+                      for text in render_basis(S.basis, n, i, spec.p)]
     lines.append(f"b0_dim = {rep.b0_dim}; h3_dim = {rep.h3_dim}")
     lines.append("verdict: " + rep.verdict_line())
     return "\n".join(lines)

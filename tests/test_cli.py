@@ -391,6 +391,43 @@ def test_guard_env_var_is_honored(monkeypatch, capsys):
     assert parse_guard(args.guard) > 10 ** 8
 
 
+def test_guard_env_var_is_read_when_the_command_runs(monkeypatch, capsys):
+    """The parser is built when unramified.cli is imported, before the
+    variable is set: the guard still sees it, and the default is back once
+    it is unset."""
+    monkeypatch.setenv("UNRAMIFIED_GUARD", "1000")
+    code, out, err = run(capsys, "verify-lemmas", "--builtin", "heisenberg3")
+    assert code == 3 and out == ""
+    assert err.splitlines() == [
+        "guard exceeded: identity dh: table bytes needs "
+        f"{(8 * 2 + 24) * 27 + 2 ** 16} > 1000"]
+    monkeypatch.delenv("UNRAMIFIED_GUARD")
+    code, out, err = run(capsys, "verify-lemmas", "--builtin", "heisenberg3")
+    assert code != 3 and err == "" and "dh" in out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_analyze_runs_below_dim_u_4(tmp_path, capsys, n):
+    """dim U <= 3, with V = 0 and with gamma the identity on Lambda^2 U:
+    C(n, 3) = 0 below 3, and every element of Lambda^2 U and Lambda^3 U is
+    decomposable, so S^i_dec = S^i and b0 = h3 = 0."""
+    pairs = comb(n, 2)
+    for spec in ({"p": 3, "dimU": n, "dimV": 0}, _free_class2_spec(3, n)):
+        m = spec["dimV"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, _ = run(capsys, "analyze", "--spec", str(path),
+                           "--no-strict", "--json")
+        assert code == 0
+        data = json.loads(out)
+        k3 = int(n == 3 and m > 0)
+        assert [data[key]["dim"] for key in ("k2", "s2", "s2_dec", "k2_max",
+                                             "k3", "s3", "s3_dec", "k3_max")] \
+            == [m, pairs - m, pairs - m, m, k3, comb(n, 3) - k3,
+                comb(n, 3) - k3, k3]
+        assert (data["b0_dim"], data["h3_dim"]) == (0, 0)
+
+
 def test_parse_guard_formats():
     from unramified.cli import parse_guard
     from unramified.errors import UnramifiedError

@@ -10,7 +10,7 @@ from unramified.exterior import (
     form_matrices,
     mult_map_kernel,
     mult_map_matrix,
-    render_multivector,
+    render_basis,
     square_kernel_generators,
     subset_index,
     subsets,
@@ -297,14 +297,24 @@ def test_render_multivector():
     p, n = 3, 6
     t = (basis(n, 3, (1, 2, 3)) + basis(n, 3, (3, 4, 5))
          + 2 * basis(n, 3, (1, 5, 6)))
+
+    def render(coeffs, n, k, p, **kw):      # the one-row case
+        return render_basis([coeffs], n, k, p, **kw)[0]
+
     # terms print in lex order of the index subsets, coefficients balanced
-    assert render_multivector(t, n, 3, p) == \
-        "u[1,2,3] - u[1,5,6] + u[3,4,5]"
-    assert render_multivector(np.zeros(comb(n, 3)), n, 3, p) == "0"
-    assert render_multivector(2 * basis(3, 1, (2,)), 3, 1, 5) == "2u[2]"
-    assert render_multivector(3 * basis(3, 1, (2,)), 3, 1, 5) == "-2u[2]"
-    assert render_multivector(
-        2 * basis(n, 2, (1, 2)), n, 2, p, symbol="u*") == "-u*[1,2]"
+    assert render(t, n, 3, p) == "u[1,2,3] - u[1,5,6] + u[3,4,5]"
+    assert render(np.zeros(comb(n, 3)), n, 3, p) == "0"
+    assert render(2 * basis(3, 1, (2,)), 3, 1, 5) == "2u[2]"
+    assert render(3 * basis(3, 1, (2,)), 3, 1, 5) == "-2u[2]"
+    assert render(2 * basis(n, 2, (1, 2)), n, 2, p, symbol="u*") == "-u*[1,2]"
+    # a whole basis renders row by row, a zero row as "0", none as []
+    rows = np.array([t, np.zeros(comb(n, 3)), 2 * t, -basis(n, 3, (4, 5, 6))])
+    assert render_basis(rows, n, 3, p) == [
+        "u[1,2,3] - u[1,5,6] + u[3,4,5]", "0",
+        "-u[1,2,3] + u[1,5,6] - u[3,4,5]", "-u[4,5,6]"]
+    assert render_basis(np.zeros((0, comb(n, 3))), n, 3, p) == []
+    assert render_basis([[0, 3, 1, 4]], 4, 1, 7, symbol="u*") == \
+        ["3u*[2] + u*[3] - 3u*[4]"]
 
 
 def test_unsorted_wedge_canonicalizes_with_even_permutation_sign():
@@ -313,4 +323,4 @@ def test_unsorted_wedge_canonicalizes_with_even_permutation_sign():
     e = np.eye(n, dtype=np.int64)
     w = wedge(p, n, wedge(p, n, e[4], 1, e[5], 1), 2, e[0], 1)
     assert np.array_equal(w, basis(n, 3, (1, 5, 6)))
-    assert render_multivector(w, n, 3, p) == "u[1,5,6]"
+    assert render_basis([w], n, 3, p) == ["u[1,5,6]"]

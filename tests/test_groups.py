@@ -176,6 +176,38 @@ def test_forms_evaluate_gamma_after_a_change_of_basis(name):
     assert np.array_equal(spec.gamma_of(u, w), got)
 
 
+def _gamma_by_definition(spec, u, w):
+    """gamma(u ^ w)_k = u . forms[k] . w, summed in Python ints, for each
+    pair of the broadcast of u and w."""
+    u, w = np.broadcast_arrays(np.asarray(u), np.asarray(w))
+    out = np.zeros(u.shape[:-1] + (spec.m,), dtype=np.int64)
+    for at in np.ndindex(u.shape[:-1]):
+        x, y = u[at].tolist(), w[at].tolist()
+        for k, form in enumerate(spec.forms.tolist()):
+            out[at + (k,)] = sum(a * f * b for a, row in zip(x, form)
+                                 for f, b in zip(row, y)) % spec.p
+    return out
+
+
+@pytest.mark.parametrize("p,n,m,block", [
+    (3, 6, 6, None), (5, 5, 3, 7), (65521, 7, 4, None), (65521, 5, 2, 11),
+    (7, 4, 0, None), (3, 0, 2, 5)])
+def test_gamma_of_is_its_definition(monkeypatch, p, n, m, block):
+    """On single vectors, batches and broadcast pairs, unreduced inputs
+    included, and with blocks so small that a call runs many of them."""
+    if block is not None:
+        monkeypatch.setattr(groups, "_GAMMA_BLOCK", block)
+    rng = np.random.default_rng(p + n)
+    spec = GroupSpec(p, n, m, rng.integers(0, p, (m, n * (n - 1) // 2)))
+    x = lambda *shape: rng.integers(-p, 2 * p, shape + (n,))
+    for u, w in [(x(), x()), (x(), x(9)), (x(9), x()), (x(13), x(13)),
+                 (x(6, 1), x(1, 5)), (x(4, 1), x(3)), (x(2, 3, 1), x(3, 4)),
+                 (x(0), x(0)), (x(3, 1), np.eye(n, dtype=np.int64))]:
+        got = spec.gamma_of(u, w)
+        assert got.shape == np.broadcast_shapes(u.shape, w.shape)[:-1] + (m,)
+        assert np.array_equal(got, _gamma_by_definition(spec, u, w))
+
+
 def test_enumeration_counts_and_order():
     # lex on the (u, v) digit string, so the identity has index 0
     for name in ("heisenberg3", "elem9"):

@@ -22,9 +22,10 @@ from unramified.linalg import (
     reduce_mod,
     rref_mod,
     rref_stack,
+    subspaces,
 )
 
-from conftest import intersect, local_smith_exponents, span_sum
+from conftest import intersect, local_smith_exponents, rank_mod, span_sum
 
 
 def span_size_by_enumeration(rows, p):
@@ -381,6 +382,75 @@ def test_kernel_eliminates_once_seed(monkeypatch, seed, p):
     for K in (lambda: kernel(M, p), S.orthogonal):
         calls.clear()
         assert K().dim >= 4 and len(calls) == 1
+
+
+def _check_span(S, M, p):
+    """S is the canonical row space of M: rank_mod says the spans agree,
+    and the textbook rref says byte for byte how it is written."""
+    rank = rank_mod(M, p) if M.size else 0
+    assert (S.p, S.ambient, S.dim) == (p, M.shape[1], rank)
+    if rank:
+        assert rank_mod(np.vstack([S.basis, M]), p) == rank
+    rows, _ = rref_reference(M, p)
+    assert S.basis.tolist() == rows
+
+
+def _check_kernel(K, M, p):
+    """K is ker M: each row is killed by M, the rows are independent and
+    as many as the nullity, and K is written as the rref of the textbook
+    kernel vectors."""
+    rank = rank_mod(M, p) if M.size else 0
+    assert (K.p, K.ambient, K.dim) == (p, M.shape[1], M.shape[1] - rank)
+    assert not (M @ K.basis.T % p).any()
+    if K.dim:
+        assert rank_mod(K.basis, p) == K.dim
+        basis = np.reshape(kernel_reference(M, p), (K.dim, M.shape[1]))
+        assert K.basis.tolist() == rref_reference(basis, p)[0]
+
+
+# matrices no stack pads away: no rows, no columns, neither, and 1 x 1
+_EDGES = [np.zeros((0, 4), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+          np.zeros((0, 0), dtype=np.int64), np.array([[2]])]
+
+
+@pytest.mark.parametrize("seed,p", [(s, p) for p in (3, 5, 7) for s in (0, 1, 2)])
+def test_subspaces_match_rank_and_kernel_references_seed(monkeypatch, seed, p):
+    """Random lists of mixed shapes, with the edge shapes mixed in: each
+    row space and each kernel from the one elimination of their padded
+    stack equals what the references say."""
+    calls = []
+    real = linalg.rref_stack
+    monkeypatch.setattr(linalg, "rref_stack",
+                        lambda *a: calls.append(np.shape(a[0])) or real(*a))
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        mats = random_matrices(rng, p, int(rng.integers(1, 6)), max_dim=9)
+        mats += [_EDGES[i] for i in rng.permutation(4)[:rng.integers(0, 3)]]
+        mats = [mats[i] for i in rng.permutation(len(mats))]
+        cut = int(rng.integers(0, len(mats) + 1))
+        spans, kernels = mats[:cut], mats[cut:]
+        calls.clear()
+        out = subspaces(p, spans=spans, kernels=kernels)
+        assert len(calls) == 1 and calls[0][0] == len(mats)
+        assert len(out) == len(mats)
+        for S, M in zip(out, spans):
+            _check_span(S, M, p)
+        for K, M in zip(out[cut:], kernels):
+            _check_kernel(K, M, p)
+    assert subspaces(p) == ()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_subspaces_of_the_edge_shapes_alone(p):
+    """A 0-row matrix spans 0 and has the whole space as kernel; a 0-column
+    matrix, such as a C(n, 3) = 0 table at n < 3, lives in F^0."""
+    out = subspaces(p, spans=_EDGES, kernels=_EDGES)
+    for S, M in zip(out, _EDGES):
+        _check_span(S, M, p)
+    for K, M in zip(out[len(_EDGES):], _EDGES):
+        _check_kernel(K, M, p)
+    assert out[4] == Subspace.from_generators(np.eye(4, dtype=np.int64), p, 4)
+    assert [S.ambient for S in out] == [4, 0, 0, 1] * 2
 
 
 def test_kernel_basis_of_wide_matrix():

@@ -96,15 +96,16 @@ def test_k2_functional_consistency_seed(seed):
 
 def test_k3_heisenberg_is_zero_space_of_zero_ambient():
     spec = builtin("heisenberg3")
-    k3 = compute_k3(spec, k2_of(spec))
+    k3, s2, s3 = compute_k3(spec, k2_of(spec))
     assert k3.ambient == 0 and k3.dim == 0
+    assert s3 == k3 and s2 == k2_of(spec).orthogonal() and s2.dim == 0
 
 
 def test_k3_peyre6_dimension_and_perp():
     spec = builtin("peyre6")
-    k3 = compute_k3(spec, k2_of(spec))
+    k3, _, s3 = compute_k3(spec, k2_of(spec))
     assert k3.dim == 18
-    s3 = k3.orthogonal()
+    assert s3 == k3.orthogonal()
     expected = Subspace.from_generators([
         trivector(3, 6, (1, 2, 3), (3, 4, 5), (1, 5, 6)),
         trivector(3, 6, (1, 3, 5)),
@@ -118,8 +119,8 @@ def test_s3_matches_exhaustive_orthogonal_enumeration_seed(seed):
     p, n = 3, 4
     rng = np.random.default_rng(seed)
     spec = GroupSpec(p, n, 2, rng.integers(0, p, size=(2, comb(n, 2))))
-    k3 = compute_k3(spec, k2_of(spec))
-    s3 = k3.orthogonal()
+    k3, s2, s3 = compute_k3(spec, k2_of(spec))
+    assert s2 == k2_of(spec).orthogonal()
     hits = []
     for x in itertools.product(range(p), repeat=comb(n, 3)):
         xv = np.array(x, dtype=np.int64)
@@ -381,6 +382,37 @@ def test_early_exit_eliminates_only_the_first_batch(monkeypatch):
     assert spy.lines == 32 and spy.kernels[0] == (32, spec.m + 1, 6)
     assert all(s[0] <= 32 and s[1:] != (spec.m + 1, 6)
                for s in spy.kernels[1:])
+
+
+def test_analyze_stacks_its_independent_eliminations(monkeypatch):
+    """Every rref_stack of one analyze of the early-exit spec above:
+    validate_spec's two (gamma's row space, the radical), one stack for K^3,
+    S^2 = ker K^2 and S^3 = ker K^3, and for the one batch of 32 lines its
+    centralizer kernel, one kernel per group of lines with equal
+    d = dim D(v) >= 2, and one fold of both degrees.  A change that splits
+    a stack back into its eliminations adds calls."""
+    spec = random_strict_spec(np.random.default_rng(23), 3, 6, 6)
+    p, n, m = spec.p, spec.n, spec.m
+    seen = []
+    real = linalg.rref_stack
+    monkeypatch.setattr(linalg, "rref_stack",
+                        lambda A, *a: seen.append(np.shape(A)) or real(A, *a))
+    rep = analyze(spec)
+    monkeypatch.undo()
+    assert all(d.si_dec == d.si and d.si.dim for d in (rep.deg2, rep.deg3))
+    dims = []                       # d = dim D(v) on H0's first 32 lines
+    for w in itertools.islice(projective_lines(p, n - 1), 32):
+        v = np.r_[0, w]
+        M = spec.gamma_of(v, np.eye(n, dtype=np.int64)).T
+        lead = np.eye(n, dtype=np.int64)[[int(np.flatnonzero(v)[0])]]
+        dims.append(n - rank_mod(np.vstack([M, lead]), p))
+    groups = sorted({d for d in dims if d >= 2})
+    k2 = rep.deg2.ki.dim
+    assert seen[:4] == [(1, m, comb(n, 2)), (1, m * n, n),
+                        (3, k2 * n, comb(n, 3)), (32, m + 1, n)]
+    assert [(A[1], A[2]) for A in seen[4:-1]] == \
+        [(m, comb(d, 2)) for d in groups]
+    assert len(seen) == 5 + len(groups) and seen[-1][0] == 2
 
 
 def _h3_27_spec() -> GroupSpec:
@@ -755,7 +787,7 @@ def dual_trivector(p, n, *terms):
 def test_k3_peyre6_matches_listed_generator_table():
     # the 18 stated generators of K^3 for the headline example
     spec = builtin("peyre6")
-    k3 = compute_k3(spec, k2_of(spec))
+    k3 = compute_k3(spec, k2_of(spec))[0]
     g = dual_trivector
     p, n = 3, 6
     expected = Subspace.from_generators([
