@@ -10,7 +10,10 @@ whose defining property is the commutator identity
 [ (u1, *), (u2, *) ] = (0, gamma(u1 ^ u2)); it forces exponent p and fixes
 the extension up to isomorphism.  A spec stores gamma with its stack of
 alternating forms: forms[k] is the n x n matrix of (u, w) -> gamma(u ^ w)_k,
-scattered once from gamma's columns; every evaluation of gamma contracts it.
+scattered once from gamma's columns; every evaluation of gamma contracts it,
+with u in one float64 product and then with w in int64.  Each sum has n
+terms below p^2: exact in float64 while n < 2^21, which the spec-arrays
+guard of spec_from_json_dict keeps for every p < 2^16.
 The section s(u) = (u, 0) satisfies g * s(pi(g))^-1 = (0, v-part of g).
 ``law`` evaluates this product on coordinate arrays; the multiplication
 table and the sampled structure checks go through it.  ``build_tables`` is
@@ -33,7 +36,7 @@ import numpy as np
 from .errors import SpecError, check_bound
 from .exterior import form_matrices, subsets
 from .linalg import Subspace, check_odd_prime, half_mod, kernel, \
-    kernel_basis
+    kernel_basis, reduce_mod
 
 Array = np.ndarray
 MAX_SPEC_BYTES = 1 << 26
@@ -86,32 +89,38 @@ class GroupSpec:
     def gamma_of(self, u, w) -> Array:
         """gamma(u ^ w) in V; u, w may be batched with broadcast leading axes.
 
-        A block of u meets the forms in one matmul, (..., n) x (n, m n), and
-        then w; blocks run along the first leading axis, so that u's product
-        holds about _GAMMA_BLOCK cells at a time."""
+        A block of u meets the forms in one float64 matmul, (..., n) x
+        (n, m n): each sum has n terms below p^2, exact while n (p - 1)^2 <
+        2^53, which the spec-arrays guard keeps (it refuses n >= 2^21).
+        Reduced in int64, the product then meets w: n terms below p^2.
+        Blocks run along the first leading axis, so that u's product holds
+        about _GAMMA_BLOCK cells at a time."""
         p, n, m = self.p, self.n, self.m
-        u = np.asarray(u, dtype=np.int64) % p
-        w = np.asarray(w, dtype=np.int64) % p
+        u = reduce_mod(np.array(u, dtype=np.int64), p)
+        w = reduce_mod(np.array(w, dtype=np.int64), p)
         if u.ndim == w.ndim == 1:
             return self.gamma_of(u[None], w)[0]
         forms = self.forms.transpose(1, 0, 2).reshape(n, m * n)
+        forms = forms.astype(np.float64)
         out = np.empty(np.broadcast_shapes(u.shape, w.shape)[:-1] + (m,),
                        dtype=np.int64)
         step = max(1, _GAMMA_BLOCK // (out[:1].size * n or 1))
         for i in range(0, len(out), step):
             ub, wb = (x if x.ndim < out.ndim or len(x) == 1 else x[i:i + step]
                       for x in (u, w))
-            uf = (ub @ forms).reshape(ub.shape[:-1] + (m, n))
+            uf = (ub.astype(np.float64) @ forms).astype(np.int64)
+            uf = reduce_mod(uf, p).reshape(ub.shape[:-1] + (m, n))
             out[i:i + step] = (uf @ wb[..., None])[..., 0]
-        out %= p
-        return out
+        return reduce_mod(out, p)
 
 
 def law(spec: GroupSpec, u1, v1, u2, v2) -> tuple[Array, Array]:
     """(u1, v1) * (u2, v2) on coordinate arrays, with broadcast leading axes."""
-    u = (u1 + u2) % spec.p
-    v = (v1 + v2 + spec.half * spec.gamma_of(u1, u2)) % spec.p
-    return u, v
+    v = spec.gamma_of(u1, u2)
+    v *= spec.half
+    v += v1
+    v += v2
+    return reduce_mod(u1 + u2, spec.p), reduce_mod(v, spec.p)
 
 
 # -- structure ---------------------------------------------------------------

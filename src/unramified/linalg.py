@@ -4,10 +4,10 @@ Matrices are numpy ``int64`` arrays holding reduced residues; a subspace of
 F_p^N is always stored as the reduced row-echelon basis of its row space, so
 two equal subspaces have byte-identical basis tables and ``==`` / ``hash``
 are exact.  Only odd primes are accepted: 1/2 = (p+1)/2 is needed everywhere
-downstream.  ``check_odd_prime`` also refuses p >= 2^16, so that every sum
-of products the pipeline forms stays exact in int64: gamma(u ^ w) adds n^2
-terms below p^3 (exact for n <= 181), and a membership test adds dim terms
-below p^2.
+downstream.  ``check_odd_prime`` also refuses p >= 2^16, so that a product
+of two residues is below 2^32: a sum of them is exact in int64 up to 2^31
+terms and in float64 (below 2^53) up to 2^21.  A membership test adds dim
+terms; gamma(u ^ w) adds n in float64, then n in int64 (groups).
 
 One elimination, ``rref_stack``, serves every modulus q = p^k (only units
 pivot; F_p is k = 1).  ``subspaces`` gives the canonical subspaces of many

@@ -95,8 +95,9 @@ incidence is smaller.
 
 K^2 is the row space of gamma that validate_spec takes, so gamma is
 eliminated once.  K^3, S^2 = ker K^2 and S^3 = ker K^3 then come from one
-stacked elimination (compute_k3, linalg.subspaces), and each batch of the
-sweep folds both degrees' new elements into their spans with one more.
+stacked elimination (compute_k3, linalg.subspaces) unless S^2 = 0 (below),
+and each batch of the sweep folds both degrees' new elements into their
+spans with one more.
 Right after validate_spec, before K^3 or the sweep, analyze makes two
 checks (errors.check_bound):
 - the line guard refuses a spec with S^2 = ker gamma nonzero and more
@@ -106,10 +107,11 @@ checks (errors.check_bound):
   (S^3 is known only after K^3) nor whether a sweep will exit early is
   known at that point.  If S^2 = 0 then K^2 = Lambda^2 U*, so
   K^3 = Lambda^3 U* and S^3 = 0 as well: there is nothing to sweep, and
-  the line guard does not apply;
+  the line guard does not apply.  Nor is compute_k3 run: K^3's basis is
+  the identity;
 - the K^3 guard bounds the cells of compute_k3's generator matrix by
-  MAX_K3_CELLS, which bounds the one elimination that the line guard
-  leaves open when S^2 = 0.
+  MAX_K3_CELLS.  When S^2 = 0 that figure, C(n, 2) n C(n, 3), bounds the
+  C(n, 3)^2 cells of Lambda^3 U*'s identity basis instead.
 dec_subgroup_bruteforce checks its own work bound before any array.
 """
 
@@ -404,12 +406,18 @@ def analyze(spec: GroupSpec, strict: bool = True) -> ObstructionReport:
     p, n = spec.p, spec.n
     validation = validate_spec(spec, strict=strict)
     k2 = validation.k2             # image of gamma*: the row space of gamma
-    if k2.dim < comb(n, 2):        # else S^2 = S^3 = 0: no line is swept
+    full = k2.dim == comb(n, 2)    # S^2 = S^3 = 0: no line is swept
+    if not full:
         check_bound("analyze: projective lines", (p ** n - 1) // (p - 1),
                     MAX_LINES)
     check_bound("analyze: K^3 generator cells", k2.dim * n * comb(n, 3),
                 MAX_K3_CELLS)
-    k3, s2, s3 = compute_k3(spec, k2)
+    if full:                       # K^3 = Lambda^3 U*: no elimination
+        c3 = comb(n, 3)
+        k3, s2, s3 = (Subspace(p, c3, np.eye(c3, dtype=np.int64)),
+                      Subspace.zero(p, comb(n, 2)), Subspace.zero(p, c3))
+    else:
+        k3, s2, s3 = compute_k3(spec, k2)
     kis, sis = (k2, k3), (s2, s3)
     degrees = []
     for i, ki, si, si_dec in zip((2, 3), kis, sis, dec_subgroups(spec, *sis)):

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, JSON shape, determinism."""
 
 import argparse
+import hashlib
 import json
 import shutil
 import time
@@ -558,6 +559,30 @@ def _free_class2_spec(p, n):
             "gamma": [{"i": i, "j": j, "v": [int(t == s) for t in
                                              range(len(pairs))]}
                       for s, (i, j) in enumerate(pairs)]}
+
+
+# SHA-256 of `analyze --spec spec.json --json` on the free class-2 group at
+# p = 3, as printed when compute_k3 still eliminated K^3 for it
+_FREE_CLASS2_JSON_SHA256 = {
+    4: "b246d0d4251ee1be600bb336cf1aebd261ceb782fd025e4d6d5e6aeac71b37bd",
+    5: "11aef158769968c6181bbdc8f3502782a6f4068f7914a46148c9b223bbc67a3a",
+    6: "b211dc7b2dc70cf87d8db34df9f497d404e5e1427c32ddc0a356c3e081ef1cc3"}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_analyze_eliminates_no_k3_when_s2_is_zero(monkeypatch, tmp_path,
+                                                  capsys, n):
+    """dim K^2 = C(n, 2) gives K^3 = Lambda^3 U* and S^2 = S^3 = 0 from
+    the rank alone: no elimination runs after validate_spec's, and the
+    report is byte for byte the one the elimination gave."""
+    monkeypatch.setattr(obstruction, "subspaces", lambda *a, **k: pytest.fail(
+        "analyze eliminated K^3"))
+    (tmp_path / "spec.json").write_text(json.dumps(_free_class2_spec(3, n)))
+    code, out, _ = run(capsys, "analyze", "--spec",
+                       str(tmp_path / "spec.json"), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        _FREE_CLASS2_JSON_SHA256[n]
 
 
 _LINE_SPEC = {"p": 65521, "dimU": 3, "dimV": 2,

@@ -22,6 +22,7 @@ from unramified.groups import (
     table_bytes,
     validate_spec,
 )
+from unramified.linalg import is_prime
 from unramified.structure import verify_group_structure
 
 from conftest import change_basis, moved, random_invertible, random_strict_spec
@@ -206,6 +207,40 @@ def test_gamma_of_is_its_definition(monkeypatch, p, n, m, block):
         got = spec.gamma_of(u, w)
         assert got.shape == np.broadcast_shapes(u.shape, w.shape)[:-1] + (m,)
         assert np.array_equal(got, _gamma_by_definition(spec, u, w))
+
+
+def test_gamma_of_and_law_are_exact_on_a_wide_spec():
+    """At p = 65521 and dim U = 600, u . forms sums 600 terms near p^2,
+    and its unreduced product with w would sum 600 terms near 600 p^3,
+    past int64; gamma_of and law agree with the definition in Python ints."""
+    p, n = 65521, 600
+    rng = np.random.default_rng(26)
+    spec = GroupSpec(p, n, 1, rng.integers(0, p, (1, n * (n - 1) // 2)))
+    u1, u2 = rng.integers(0, p, (2, 3, n))
+    v1, v2 = rng.integers(0, p, (2, 3, 1))
+    gamma = _gamma_by_definition(spec, u1, u2)
+    assert np.array_equal(spec.gamma_of(u1, u2), gamma)
+    u, v = law(spec, u1, v1, u2, v2)
+    assert np.array_equal(u, (u1 + u2) % p)
+    assert np.array_equal(v, (v1 + v2 + spec.half * gamma) % p)
+
+
+def test_spec_arrays_guard_keeps_gamma_of_exact(monkeypatch):
+    """gamma_of's float64 product sums n terms below (p - 1)^2, exact
+    while n (p - 1)^2 < 2^53: for every n < 2^21 at the largest prime
+    below 2^16.  The spec-arrays figure grows with n and m and refuses
+    n = 2^21 at m = 0, before numpy builds any array."""
+    p = max(q for q in range(2 ** 16 - 64, 2 ** 16) if is_prime(q))
+    assert p == 65521 and (2 ** 21 - 1) * (p - 1) ** 2 < 2 ** 53
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            pytest.fail(f"np.{name} was used before the guard refused")
+
+    monkeypatch.setattr(groups, "np", NoNumpy())
+    with pytest.raises(GuardExceededError,
+                       match=f"spec arrays at dimU = {2 ** 21}, dimV = 0"):
+        spec_from_json_dict({"p": p, "dimU": 2 ** 21, "dimV": 0})
 
 
 def test_enumeration_counts_and_order():
@@ -399,6 +434,24 @@ def test_sampled_checks_drop_their_products():
         tracemalloc.stop()
     assert all(r.passed for r in results)
     assert peak <= 90 * 10 ** 6
+
+
+def test_derived_check_folds_values_past_its_head():
+    """_derived eliminates the first _DERIVED_HEAD commutator values and
+    then only the later ones outside their span: a direction of im gamma
+    first seen after the head still counts, and without that one value
+    the check fails."""
+    spec = GroupSpec(3, 3, 2, [[1, 0, 0], [0, 1, 0]])
+    at = structure._DERIVED_HEAD + 200
+    values = np.zeros((at + 300, 2), dtype=np.int64)
+    values[::2, 0] = 1
+    values[1::3, 0] = 2
+    values[at] = [2, 1]
+    assert structure._derived(spec, values, len(values)).passed
+    values = np.delete(values, at, axis=0)
+    result = structure._derived(spec, values, len(values))
+    assert not result.passed
+    assert result.counterexample == "span dim 1 != rank gamma 2"
 
 
 # gamma(u1 ^ u2) = v1 on U = F_3^3: the radical is spanned by e3
