@@ -120,8 +120,8 @@ def cmd_verify_group(args) -> int:
     if args.seed < 0:
         raise UnramifiedError(f"--seed must be >= 0, got {args.seed}")
     spec = _resolve_spec(args)
-    validate_spec(spec, strict=args.strict)
-    results = structure.verify_group_structure(spec, seed=args.seed,
+    radical = validate_spec(spec, strict=args.strict).radical
+    results = structure.verify_group_structure(spec, radical, seed=args.seed,
                                                samples=args.samples)
     _emit_results(args, results, seed=args.seed)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED

@@ -18,6 +18,8 @@ The section s(u) = (u, 0) satisfies g * s(pi(g))^-1 = (0, v-part of g).
 ``law`` evaluates this product on coordinate arrays; the multiplication
 table and the sampled structure checks go through it.  ``build_tables`` is
 the one source of group tables, and each command builds and owns its own.
+``validate_spec`` eliminates gamma's row space and radical once a spec:
+analyze reads K^2, and verify-group the radical, from its report.
 
 Element enumeration is lexicographic on the concatenated (u, v) digit
 string, so the identity has index 0 and all derived tables are
@@ -35,8 +37,7 @@ import numpy as np
 
 from .errors import SpecError, check_bound
 from .exterior import form_matrices, subsets
-from .linalg import Subspace, check_odd_prime, half_mod, kernel, \
-    kernel_basis, reduce_mod
+from .linalg import Subspace, check_odd_prime, half_mod, kernel, reduce_mod
 
 Array = np.ndarray
 MAX_SPEC_BYTES = 1 << 26
@@ -125,39 +126,36 @@ def law(spec: GroupSpec, u1, v1, u2, v2) -> tuple[Array, Array]:
 
 # -- structure ---------------------------------------------------------------
 
-def radical_subspace(spec: GroupSpec) -> Subspace:
-    """{u in U : gamma(u ^ w) = 0 for all w}; trivial iff Z(G) = [G, G]."""
-    return kernel(spec.forms.reshape(spec.m * spec.n, spec.n), spec.p)
-
-
 @dataclass(frozen=True)
 class ValidationReport:
-    """gamma's row space, of dim rank gamma = dim [G, G], and
-    dim radical(gamma) = dim Z(G) - m."""
+    """gamma's row space, of dim rank gamma = dim [G, G], and its radical
+    {u in U : gamma(u ^ w) = 0 for all w}, with Z(G) = radical + V."""
 
     k2: Subspace        # row space of gamma: K^2 of the obstruction pipeline
-    radical_dim: int
+    radical: Subspace   # trivial iff Z(G) = [G, G]
 
     @property
     def gamma_rank(self) -> int:
         return self.k2.dim
 
+    @property
+    def radical_dim(self) -> int:
+        return self.radical.dim
+
 
 def validate_spec(spec: GroupSpec, strict: bool = True) -> ValidationReport:
-    """Row space and radical of gamma; strict mode raises unless
-    V = [G,G] = Z(G).  This is the one elimination of gamma itself; the
-    radical's dim needs only a kernel basis, not its canonical form."""
+    """Row space of gamma and kernel of its (m n) x n forms, its radical;
+    strict mode raises unless V = [G,G] = Z(G)."""
     k2 = Subspace.from_generators(spec.gamma, spec.p, comb(spec.n, 2))
-    rank, rad = k2.dim, len(kernel_basis(
-        spec.forms.reshape(spec.m * spec.n, spec.n), spec.p))
+    radical = kernel(spec.forms.reshape(spec.m * spec.n, spec.n), spec.p)
     if strict:
-        if rank < spec.m:
+        if k2.dim < spec.m:
             raise SpecError(
-                f"gamma has rank {rank} < m = {spec.m}: V != [G, G]")
-        if rad:
-            raise SpecError(
-                f"gamma has radical of dim {rad} > 0: Z(G) != [G, G]")
-    return ValidationReport(k2, rad)
+                f"gamma has rank {k2.dim} < m = {spec.m}: V != [G, G]")
+        if radical.dim:
+            raise SpecError(f"gamma has radical of dim {radical.dim} > 0: "
+                            "Z(G) != [G, G]")
+    return ValidationReport(k2, radical)
 
 
 # -- index tables ------------------------------------------------------------

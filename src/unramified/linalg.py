@@ -12,7 +12,8 @@ terms; gamma(u ^ w) adds n in float64, then n in int64 (groups).
 One elimination, ``rref_stack``, serves every modulus q = p^k (only units
 pivot; F_p is k = 1).  ``subspaces`` gives the canonical subspaces of many
 row spaces and kernels from one stacked elimination; ``from_generators`` and
-``kernel`` are its one-matrix cases.
+``kernel`` are its one-matrix cases (groups.validate_spec takes gamma's row
+space and radical with them, once a spec).
 
 Large arrays are reduced in place by ``reduce_mod``, A - (A // p) * p: numpy
 vectorizes integer floor division by a scalar but not the remainder, so on
@@ -172,11 +173,8 @@ def rref_stack(A: Array, p: int, q: int | None = None
 
 
 def rref_mod(A: Array, p: int) -> tuple[Array, list[int]]:
-    """Reduced row echelon form over F_p.
-
-    Returns (R, pivot_columns) where R keeps only the nonzero rows, pivots
-    are 1 and their columns are cleared, and pivot columns increase.
-    """
+    """(nonzero rref rows, pivot columns) over F_p.  No module of src/ calls
+    it: it stays because bench/layers.py wraps it by name."""
     (R,), (r,), (pivots,) = rref_stack(np.asarray(A)[None], p)
     return R[:r], pivots[:r].tolist()
 
@@ -202,7 +200,8 @@ def kernel_stack(A: Array, p: int) -> Array:
 
 
 def kernel_basis(A: Array, p: int) -> Array:
-    """Basis (as rows) of {x : A x = 0} over F_p."""
+    """Basis (as rows) of {x : A x = 0} over F_p.  No module of src/ calls
+    it: it stays because bench/layers.py wraps it by name."""
     K = kernel_stack(np.asarray(A, dtype=np.int64)[None], p)[0]
     return K[K.any(axis=1)]
 

@@ -127,8 +127,8 @@ from .errors import InternalInconsistencyError, SpecError, check_bound
 from .exterior import render_basis, wedge_basis_tensor
 from .groups import GroupSpec, ValidationReport, spec_to_json_dict, \
     validate_spec
-from .linalg import Subspace, kernel_stack, projective_lines, rref_mod, \
-    rref_stack, subspaces
+from .linalg import Subspace, kernel_stack, projective_lines, rref_stack, \
+    subspaces
 
 Array = np.ndarray
 
@@ -299,12 +299,12 @@ def _flags_in_subspace(S: Subspace, k: int, n: int) -> Subspace:
     p = S.p
     grid = np.array(list(itertools.product(
         range(p), repeat=comb(n - 1, k - 1))), dtype=np.int64)
-    acc = np.zeros((0, S.ambient), dtype=np.int64)
+    acc = Subspace.zero(p, S.ambient)
     for R, _ in _flag_bases(p, n, k, len(grid)):
         X = (grid @ R).reshape(-1, S.ambient) % p
-        hits = X[S.contains(X)]
-        acc, _ = rref_mod(np.vstack([acc, hits]), p)
-    return Subspace(p, S.ambient, acc)
+        acc = Subspace.from_generators(
+            np.vstack([acc.basis, X[S.contains(X)]]), p, S.ambient)
+    return acc
 
 
 def _points_in_flags(S: Subspace, k: int, n: int) -> Subspace:

@@ -6,6 +6,8 @@ run is reproducible from its output line).
 
 Both tiers take commutation from the law: the commutator, derived-group and
 center checks read one x y (y x)^-1 result; gamma only forms expected values.
+The center check holds the central elements to the radical it is given,
+groups.validate_spec's, since Z(G) = radical + V.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import check_bound
-from .groups import GroupSpec, build_tables, law, radical_subspace
+from .groups import GroupSpec, build_tables, law
 from .linalg import Subspace, reduce_mod
 from .results import VerificationResult
 
@@ -41,7 +43,8 @@ def _derived(spec: GroupSpec, values, checked, note="") -> VerificationResult:
         f"span dim {span.dim} != rank gamma {image.dim}")
 
 
-def _verify_exhaustive(spec: GroupSpec) -> list[VerificationResult]:
+def _verify_exhaustive(spec: GroupSpec,
+                       radical: Subspace) -> list[VerificationResult]:
     t = build_tables(spec)
     N = t.size
     mul, inv = t.mul, t.inv
@@ -93,14 +96,14 @@ def _verify_exhaustive(spec: GroupSpec) -> list[VerificationResult]:
 
     # center = {(u, v) : u in radical}
     central = (comm == 0).all(axis=1)
-    bad = np.flatnonzero(central != radical_subspace(spec).contains(t.udigits))
+    bad = np.flatnonzero(central != radical.contains(t.udigits))
     out.append(VerificationResult(
         "center_is_radical_plus_V", not len(bad), N,
         counterexample=f"index {bad[0]}" if len(bad) else None))
     return out
 
 
-def _verify_sampled(spec: GroupSpec, seed: int,
+def _verify_sampled(spec: GroupSpec, radical: Subspace, seed: int,
                     samples: int) -> list[VerificationResult]:
     p, n, m = spec.p, spec.n, spec.m
     B, k = samples, min(samples, 1000)
@@ -153,7 +156,7 @@ def _verify_sampled(spec: GroupSpec, seed: int,
     e = np.eye(n, dtype=np.int64), np.zeros((n, m), dtype=np.int64)
     zu, zv = commutator((a[0][:k, None], a[1][:k, None]), e)
     central = ~zu.any(axis=(1, 2)) & ~zv.any(axis=(1, 2))
-    bad = np.flatnonzero(central != radical_subspace(spec).contains(a[0][:k]))
+    bad = np.flatnonzero(central != radical.contains(a[0][:k]))
     out.append(VerificationResult(
         "center_is_radical_plus_V", not len(bad), k, note=note,
         counterexample=f"u={a[0][bad[0]].tolist()} is "
@@ -163,8 +166,8 @@ def _verify_sampled(spec: GroupSpec, seed: int,
     return out
 
 
-def verify_group_structure(spec: GroupSpec, seed: int = 0,
+def verify_group_structure(spec: GroupSpec, radical: Subspace, seed: int = 0,
                            samples: int = 100_000) -> list[VerificationResult]:
     if spec.order <= EXHAUSTIVE_BOUND:
-        return _verify_exhaustive(spec)
-    return _verify_sampled(spec, seed, samples)
+        return _verify_exhaustive(spec, radical)
+    return _verify_sampled(spec, radical, seed, samples)

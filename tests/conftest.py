@@ -1,7 +1,8 @@
 """Helpers shared by the test modules.
 
 They live on the test side because no command runs them: the rank over
-F_p, seeded random strict specs, GL(U) x GL(V) changes of basis for the
+F_p, seeded random strict specs, the group checks on validate_spec's
+radical as verify-group runs them, GL(U) x GL(V) changes of basis for the
 invariance tests, the sum and the Zassenhaus intersection of two
 subspaces, the p-annihilation check of the bar oracle, the full-table coboundary that the
 slices of ``cochains.coboundary_slice`` are checked against, the
@@ -19,6 +20,7 @@ from unramified.bar import mod_exps
 from unramified.cochains import coboundary_slice
 from unramified.groups import GroupSpec, build_tables, validate_spec
 from unramified.linalg import Subspace, rref_mod
+from unramified.structure import verify_group_structure
 
 
 def rank_mod(A, p: int) -> int:
@@ -40,6 +42,13 @@ def random_strict_spec(rng: np.random.Generator, p: int,
         if (rep.radical_dim, rep.gamma_rank) == (0, m):
             return spec
     raise RuntimeError("could not find a strict spec; widen the search")
+
+
+def verify_group(spec: GroupSpec, **kwargs):
+    """verify_group_structure on validate_spec's radical, as verify-group
+    runs it."""
+    return verify_group_structure(
+        spec, validate_spec(spec, strict=False).radical, **kwargs)
 
 
 def wedge2(g: np.ndarray, p: int) -> np.ndarray:

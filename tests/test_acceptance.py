@@ -29,10 +29,9 @@ from unramified.exterior import (
 from unramified.groups import GroupSpec
 from unramified.linalg import Subspace
 from unramified.obstruction import analyze, dec_subgroup, dec_subgroup_bruteforce
-from unramified.structure import verify_group_structure
 
 from conftest import (change_basis, intersect, p_annihilated,
-                      random_strict_spec, span_sum)
+                      random_strict_spec, span_sum, verify_group)
 from test_exterior import wedge
 
 
@@ -168,11 +167,11 @@ def test_criterion_4_group_structure():
     order243 = GroupSpec(3, 4, 1, symplectic4, name="symplectic4")
     for spec in (builtin("heisenberg3"), builtin("heisenberg5"),
                  builtin("elem27"), order243):
-        for r in verify_group_structure(spec):
+        for r in verify_group(spec):
             if not r.passed:
                 bad.append((spec.name, r.identity))
     # sampled tier for the order-3^12 example
-    for r in verify_group_structure(builtin("peyre6"), seed=0, samples=100_000):
+    for r in verify_group(builtin("peyre6"), seed=0, samples=100_000):
         if not r.passed:
             bad.append(("peyre6", r.identity))
     elapsed = time.monotonic() - t0

@@ -10,7 +10,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from unramified import bar, cochains, exterior, groups, obstruction, structure
+from unramified import bar, cochains, exterior, groups, linalg, obstruction, \
+    structure
 from unramified.catalog import builtin
 from unramified.cli import main
 from unramified.errors import GuardExceededError
@@ -681,6 +682,40 @@ def test_verify_group_runs_on_a_wide_spec(tmp_path, capsys):
                        str(tmp_path / "wide.json"), "--no-strict",
                        "--samples", "100")
     assert code == 0 and out.count("PASS ") == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ("--builtin", "heisenberg5"),
+    ("--builtin", "peyre6", "--samples", "200"),
+], ids=["heisenberg5", "peyre6"])
+def test_verify_group_eliminates_the_forms_once(monkeypatch, capsys, argv):
+    """The radical is the kernel of the (m n) x n stack of gamma's forms:
+    validate_spec eliminates it, and both tiers' center checks read it from
+    the report, so a run sees that stack once, on the tables (heisenberg5)
+    and on samples (peyre6)."""
+    spec = builtin(argv[1])
+    seen = []
+    real = linalg.rref_stack
+    monkeypatch.setattr(linalg, "rref_stack",
+                        lambda A, *a: seen.append(np.shape(A)) or real(A, *a))
+    code, out, _ = run(capsys, "verify-group", *argv)
+    assert code == 0 and "FAIL" not in out
+    assert seen.count((1, spec.m * spec.n, spec.n)) == 1
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("--builtin", "heisenberg5"),
+     "fb762c32f2f8f750e5168042673ace639ad6f78df806c7437d339a775e50169c"),
+    (("--builtin", "peyre6", "--seed", "7", "--samples", "2000"),
+     "2e7722d9f7f0ea9fa0a137d33ff9e7cb397255c3a3ec47a47953f3ddd2400595"),
+], ids=["heisenberg5", "peyre6"])
+def test_verify_group_json_bytes_are_pinned(capsys, argv, digest):
+    """SHA-256 of `verify-group --json` stdout on the exhaustive tier
+    (heisenberg5) and on the sampled one (peyre6): a change of where a
+    check takes its inputs from must not move a byte."""
+    code, out, _ = run(capsys, "verify-group", *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_k3_guard_admits_what_the_line_guard_admits():

@@ -16,16 +16,16 @@ from unramified.groups import (
     GroupSpec,
     build_tables,
     law,
-    radical_subspace,
     spec_from_json_dict,
     spec_to_json_dict,
     table_bytes,
     validate_spec,
 )
-from unramified.linalg import is_prime
+from unramified.linalg import Subspace, is_prime
 from unramified.structure import verify_group_structure
 
-from conftest import change_basis, moved, random_invertible, random_strict_spec
+from conftest import (change_basis, moved, random_invertible,
+                      random_strict_spec, verify_group)
 
 
 def _inverse(spec, u, v):
@@ -77,7 +77,7 @@ def test_primes_beyond_exact_int64_arithmetic_rejected_at_once(p):
 
 def test_peyre6_radical_confirmed_by_exhaustive_enumeration():
     spec = builtin("peyre6")
-    rad = radical_subspace(spec)
+    rad = validate_spec(spec).radical
     assert rad.dim == 0
     # oracle: try all 3^6 candidates u and test gamma(u ^ e_j) = 0 for all j
     basis = np.eye(6, dtype=np.int64)
@@ -338,12 +338,12 @@ def test_change_basis_transforms_gamma_covariantly():
 
 @pytest.mark.parametrize("name", ["heisenberg3", "heisenberg5", "elem27"])
 def test_exhaustive_group_structure(name):
-    for r in verify_group_structure(builtin(name)):
+    for r in verify_group(builtin(name)):
         assert r.passed, r.line()
 
 
 def test_sampled_group_structure_peyre6():
-    for r in verify_group_structure(builtin("peyre6"), seed=1, samples=20_000):
+    for r in verify_group(builtin("peyre6"), seed=1, samples=20_000):
         assert r.passed, r.line()
 
 
@@ -355,13 +355,14 @@ def test_sample_bytes_bound_the_traced_peak(monkeypatch, p, n, m, samples):
     the center check's commutators at small ones."""
     gamma = np.random.default_rng(0).integers(0, p, (m, n * (n - 1) // 2))
     spec = GroupSpec(p, n, m, gamma)
+    radical = validate_spec(spec, strict=False).radical
     monkeypatch.setattr(structure, "MAX_SAMPLE_BYTES", 0)
     with pytest.raises(GuardExceededError) as info:
-        verify_group_structure(spec, samples=samples)
+        verify_group_structure(spec, radical, samples=samples)
     monkeypatch.undo()
     tracemalloc.start()
     try:
-        verify_group_structure(spec, samples=samples)
+        verify_group_structure(spec, radical, samples=samples)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -414,7 +415,7 @@ def test_sampled_exponent_check_powers_by_squaring(monkeypatch):
     real_law = structure.law
     monkeypatch.setattr(structure, "law",
                         lambda *a: calls.append(1) or real_law(*a))
-    results = verify_group_structure(spec, seed=3, samples=50)
+    results = verify_group(spec, seed=3, samples=50)
     assert all(r.passed for r in results)
     # associativity 4, identity 1, inverses 1, two commutators 3 each
     others = 4 + 1 + 1 + 2 * 3
@@ -425,9 +426,11 @@ def test_sampled_checks_drop_their_products():
     # each sampled check forms its own products and drops them before the
     # next, so the peak is the six sample arrays plus one check's products,
     # not every intermediate at once (about 150 MB here)
+    spec = builtin("peyre6")
+    radical = validate_spec(spec).radical
     tracemalloc.start()
     try:
-        results = verify_group_structure(builtin("peyre6"), seed=1773293560,
+        results = verify_group_structure(spec, radical, seed=1773293560,
                                          samples=100_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -464,9 +467,9 @@ _RADICAL_SPEC = GroupSpec(3, 3, 1, [[1, 0, 0]], name="radical3")
 def test_sampled_tier_passes_on_enumerable_groups(monkeypatch, spec):
     # the sampled checks, forced below the exhaustive bound, pass wherever
     # the exhaustive ones do, a nontrivial radical included
-    assert all(r.passed for r in verify_group_structure(spec))
+    assert all(r.passed for r in verify_group(spec))
     monkeypatch.setattr(structure, "EXHAUSTIVE_BOUND", 0)
-    results = verify_group_structure(spec, seed=2, samples=3000)
+    results = verify_group(spec, seed=2, samples=3000)
     assert "sampled" in results[0].note
     for r in results:
         assert r.passed, r.line()
@@ -482,10 +485,23 @@ def test_center_check_reads_the_law(monkeypatch, bound):
     monkeypatch.setattr(groups, "law", lambda s, *a: real_law(twisted, *a))
     monkeypatch.setattr(structure, "law", groups.law)
     monkeypatch.setattr(structure, "EXHAUSTIVE_BOUND", bound)
-    results = verify_group_structure(_RADICAL_SPEC, samples=2000)
+    results = verify_group(_RADICAL_SPEC, samples=2000)
     failed = [r.identity for r in results if not r.passed]
     assert failed == ["commutator_is_gamma", "center_is_radical_plus_V"]
     assert all(r.counterexample for r in results if not r.passed)
+
+
+@pytest.mark.parametrize("bound", [structure.EXHAUSTIVE_BOUND, 0])
+def test_center_check_reads_the_radical_it_is_given(monkeypatch, bound):
+    """Mutation control for both tiers: given 0 in place of the radical
+    <e3>, the center check fails, and no other check does."""
+    monkeypatch.setattr(structure, "EXHAUSTIVE_BOUND", bound)
+    results = verify_group_structure(_RADICAL_SPEC, Subspace.zero(3, 3),
+                                     samples=2000)
+    assert ("sampled" in results[0].note) == (bound == 0)
+    failed = [r for r in results if not r.passed]
+    assert [r.identity for r in failed] == ["center_is_radical_plus_V"]
+    assert failed[0].counterexample
 
 
 @pytest.mark.parametrize("seed,p", [(0, 3), (1, 3), (2, 5)])

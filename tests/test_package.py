@@ -120,6 +120,16 @@ def test_only_check_bound_raises_the_guard_error():
     assert raisers == ["errors.py"]
 
 
+def test_only_linalg_calls_rref_mod_and_kernel_basis():
+    # every elimination in the package goes through subspaces or
+    # kernel_stack; the two stay only for bench/layers.py to wrap by name
+    root = Path(__file__).resolve().parents[1] / "src" / "unramified"
+    callers = [f.name for f in sorted(root.glob("*.py"))
+               if re.search(r"\b(rref_mod|kernel_basis)\(",
+                            f.read_text(encoding="utf-8"))]
+    assert callers == ["linalg.py"]
+
+
 def test_only_groups_constructs_a_spec():
     # builtins and the m = 0 projection go through spec_from_json_dict, so
     # every spec meets the validation a spec file meets
