@@ -1,9 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 invalid input (a usage error included) or a
-broken internal invariant, 2 verification failure (a counterexample was
-found), 3 resource guard exceeded; codes 1 and 3 come with one line on
-stderr.
+Exit codes: 0 success, 1 invalid input (a usage error included), a
+broken internal invariant or a stdout closed before the output was
+written, 2 verification failure (a counterexample was found), 3 resource
+guard exceeded; codes 1 and 3 come with one line on stderr.
 
 Every resource guard is one errors.check_bound, made once, from the
 input, before the work it bounds starts; a refusal prints
@@ -117,8 +117,6 @@ def cmd_analyze(args) -> int:
 def cmd_verify_group(args) -> int:
     if args.samples < 1:
         raise UnramifiedError(f"--samples must be >= 1, got {args.samples}")
-    if args.seed < 0:
-        raise UnramifiedError(f"--seed must be >= 0, got {args.seed}")
     spec = _resolve_spec(args)
     radical = validate_spec(spec, strict=args.strict).radical
     results = structure.verify_group_structure(spec, radical, seed=args.seed,
@@ -261,7 +259,15 @@ _PARSER = build_parser()
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:    # analyze and verify-group
+            raise UnramifiedError(f"--seed must be >= 0, got {args.seed}")
         code = args.func(args)
+        sys.stdout.flush()          # a closed stdout fails here, not at exit
+    except BrokenPipeError:
+        sys.stdout = open(os.devnull, "w")  # so the flush at exit is silent
+        print("error: stdout closed before the output was written",
+              file=sys.stderr)
+        code = EXIT_INVALID_SPEC
     except GuardExceededError as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         code = EXIT_GUARD

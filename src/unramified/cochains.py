@@ -188,7 +188,7 @@ def verify_dh(spec: GroupSpec) -> VerificationResult:
 
     def cases():
         for rindex, rho in enumerate(np.eye(spec.m, dtype=np.int64)):
-            form = -half_mod(p) * np.tensordot(rho, spec.forms, 1) % p
+            form = -half_mod(p) * form_matrices(rho @ spec.gamma, spec.n) % p
             W = form @ t.udigits.T % p
             yield (f"rho=e{rindex + 1}*, ", h_rho(t, rho),
                    lambda g1: t.udigits[g1] @ W % p)
@@ -207,7 +207,7 @@ def verify_df(spec: GroupSpec) -> VerificationResult:
 
     def cases():
         for rindex, rho in enumerate(np.eye(spec.m, dtype=np.int64)):
-            G = t.biform(np.tensordot(rho, spec.forms, 1))
+            G = t.biform(form_matrices(rho @ spec.gamma, spec.n))
             for lindex, lam in enumerate(np.eye(comb(spec.n, 2), dtype=np.int64)):
                 L = t.biform(form_matrices(lam, spec.n))
                 cL = _outer_mod(np.arange(p), -pow(4, -1, p) * L % p, p)

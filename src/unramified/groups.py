@@ -10,10 +10,10 @@ whose defining property is the commutator identity
 [ (u1, *), (u2, *) ] = (0, gamma(u1 ^ u2)); it forces exponent p and fixes
 the extension up to isomorphism.  A spec stores gamma with its stack of
 alternating forms: forms[k] is the n x n matrix of (u, w) -> gamma(u ^ w)_k,
-scattered once from gamma's columns; every evaluation of gamma contracts it,
-with u in one float64 product and then with w in int64.  Each sum has n
-terms below p^2: exact in float64 while n < 2^21, which the spec-arrays
-guard of spec_from_json_dict keeps for every p < 2^16.
+scattered once from gamma's columns; gamma_of contracts it, exact in
+float64 by the spec-arrays guard.  The stack and the element numbering
+below are private to this module: other modules read gamma's
+coefficients and an element's digits.
 The section s(u) = (u, 0) satisfies g * s(pi(g))^-1 = (0, v-part of g).
 ``law`` evaluates this product on coordinate arrays; the multiplication
 table and the sampled structure checks go through it.  ``build_tables`` is

@@ -75,9 +75,9 @@ dec_subgroups sweeps the lines in batches: first H0's lines (0, w), for w
 in projective_lines(p, n - 1), then the lines outside H0, which are the
 lead-0 lines, the first p^(n-1) of projective_lines(p, n).  Per batch,
 one stacked elimination (linalg.kernel_stack) gives every D(v): the
-kernel of the m x n matrix w -> gamma(v ^ w), a contraction of the spec's
-forms, with the row e_l appended.  Degree 2 folds the wedges v ^ D(v)
-into a span, on H0's lines only.  Degree 3 takes a second kernel, of
+kernel of the m x n matrix w -> gamma(v ^ w), gamma of the batch's wedges
+v ^ e_j, with e_l appended.  Degree 2 folds D(v) times those wedges at
+S^2's pivots, on H0's lines only.  Degree 3 takes a second kernel, of
 y -> gamma(y) on Lambda^2 D(v), for the lines of H0 with d >= 2 and the
 lead-0 lines with d >= 4, grouped by d; the first kernel still runs on
 every lead-0 line, to find d.  Each degree stops at the first batch at
@@ -207,12 +207,11 @@ def dec_subgroups(spec: GroupSpec, s2: Subspace, s3: Subspace
     todo = [S.dim > 0 for S in targets]
     if not any(todo):
         return targets
-    pairs = wedge_basis_tensor(n, 1).transpose(1, 0, 2)   # [i, j]: e_i ^ e_j
-    by_v2 = pairs[:, :, s2.pivots].reshape(n, -1)         # v @ it: w -> v ^ w
+    # [i, j]: e_i ^ e_j; d @ it: w -> d ^ w
+    pairs = wedge_basis_tensor(n, 1).transpose(1, 0, 2).reshape(n, -1)
     by_v3 = wedge_basis_tensor(n, 2)[:, :, s3.pivots].reshape(n, -1)
-    pairs = pairs.reshape(n, -1)                          # d @ it: w -> d ^ w
-    # per line: its (m + 1) x n matrix, n x n kernel and n x dim S^2 wedges
-    cap = max(1, _BATCH_CELLS // (n * (m + 1 + n + s2.dim)))
+    # per line: its (m + 1) x n matrix, n x n kernel and n x C(n, 2) wedges
+    cap = max(1, _BATCH_CELLS // (n * (m + 1 + n + comb(n, 2))))
     size = min(_FIRST_BATCH, cap)
     # (lines, zeros to prepend, least d for degree 3): H0's lines (0, w),
     # then the lead-0 lines, the first p^(n-1) of projective_lines(p, n)
@@ -221,12 +220,13 @@ def dec_subgroups(spec: GroupSpec, s2: Subspace, s3: Subspace
     for lines, pad, min_d in sweeps:
         while any(todo) and (batch := list(itertools.islice(lines, size))):
             V = np.pad(np.array(batch), ((0, 0), (pad, 0)))
-            M = np.einsum("li,kij->lkj", V, spec.forms)  # w -> gamma(v ^ w)
+            W = (V @ pairs).reshape(len(V), n, -1)       # [l, j]: v_l ^ e_j
+            M = (W @ spec.gamma.T).transpose(0, 2, 1)    # w -> gamma(v ^ w)
             lead = np.eye(n, dtype=np.int64)[(V != 0).argmax(axis=1), None]
             D = kernel_stack(np.concatenate([M, lead], axis=1), p)
             new = []
             if todo[0]:
-                new.append((0, D @ (V @ by_v2).reshape(len(V), n, -1)))
+                new.append((0, D @ W[:, :, s2.pivots]))
             if todo[1]:
                 new.append((1, _cycles_by_line(spec, V, D, pairs, by_v3,
                                                min_d)))

@@ -2,14 +2,20 @@
 
 import argparse
 import hashlib
+import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import unramified
 from unramified import bar, cochains, exterior, groups, linalg, obstruction, \
     structure
 from unramified.catalog import builtin
@@ -89,6 +95,7 @@ _HEIS = {"p": 3, "dimU": 2, "dimV": 1, "gamma": [{"i": 1, "j": 2, "v": [1]}]}
     (["verify-group", "--builtin", "peyre6", "--samples", "0"], None),
     (["verify-group", "--builtin", "peyre6", "--seed", "-1", "--samples",
       "10"], None),
+    (["analyze", "--builtin", "peyre6", "--seed", "-1"], None),
     (["verify-lemmas", "--builtin", "elem3", "--guard", "-5"], None),
     (["oracle", "decomposables", "--builtin", "peyre6", "--max-work", "-1"],
      None),
@@ -104,7 +111,8 @@ _HEIS = {"p": 3, "dimU": 2, "dimV": 1, "gamma": [{"i": 1, "j": 2, "v": [1]}]}
         "negative-dimV", "usage-error", "guard-not-taken",
         "guard-not-taken-cohomology", "guard-seconds", "seed-not-taken-lemmas",
         "seed-not-taken-cohomology", "seed-not-taken-decomposables",
-        "samples-negative", "samples-zero", "seed-negative", "guard-negative",
+        "samples-negative", "samples-zero", "seed-negative",
+        "seed-negative-analyze", "guard-negative",
         "max-work-negative", "float-p", "float-dimU",
         "float-coefficient", "bool-dimV", "string-p", "gamma-not-a-list",
         "nested-too-deep"])
@@ -718,6 +726,65 @@ def test_verify_group_json_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name,exit_code,digest", [
+    ("heisenberg3", 2,
+     "b2b423cab0e6d570de09c681881a687cf119a880cd8896fa942d5e3a2f81744b"),
+    ("heisenberg5", 0,
+     "539f38164561eba08df03142cd063244c76532509feb797c304ae8a35c2683b2"),
+])
+def test_verify_lemmas_json_bytes_are_pinned(capsys, name, exit_code, digest):
+    """SHA-256 of `verify-lemmas --json` stdout at p = 3, with the recorded
+    tau_agree FAIL, and at p = 5: a change of how dh and df read gamma
+    must not move a byte."""
+    code, out, _ = run(capsys, "verify-lemmas", "--builtin", name, "--json")
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--builtin", "heisenberg3", "--json"),
+    ("analyze", "--builtin", "heisenberg3"),
+    ("verify-group", "--builtin", "heisenberg3"),
+], ids=["json", "text", "lines"])
+def test_closed_stdout_exits_1_with_one_stderr_line(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = main(list(argv))
+    # what is left to flush at exit goes to devnull
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: stdout closed before the output was written"]
+
+
+def test_closed_stdout_pipe_leaves_no_error_at_exit():
+    """In a fresh interpreter, on a pipe with no reader: exit 1 and one
+    stderr line, and the flush at interpreter exit adds nothing."""
+    src = Path(unramified.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "unramified.cli",
+                               "analyze", "--builtin", "heisenberg3", "--json"],
+                              stdout=w, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: stdout closed before the output was written"]
+
+
 def test_k3_guard_admits_what_the_line_guard_admits():
     """The line guard admits dim U = n while (p^n - 1)/(p - 1) <= MAX_LINES,
     with dim K^2 <= C(n, 2) - 1 as S^2 != 0: at most 77 * 13 * 286 cells,
@@ -762,13 +829,6 @@ def test_oracle_cohomology_text_output(capsys):
 def test_console_script_entry_point():
     # Run, in a fresh interpreter, what the console-script wrapper generated
     # from pyproject.toml's [project.scripts] runs: no installation needed.
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import unramified
-
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10
@@ -793,7 +853,6 @@ def test_console_script_entry_point():
 @pytest.mark.skipif(shutil.which("unramified") is None,
                     reason="unramified console script not installed")
 def test_installed_console_script():
-    import subprocess
     proc = subprocess.run(["unramified", "analyze", "--builtin",
                            "heisenberg3", "--json"],
                           capture_output=True, text=True)

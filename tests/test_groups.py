@@ -504,6 +504,29 @@ def test_center_check_reads_the_radical_it_is_given(monkeypatch, bound):
     assert failed[0].counterexample
 
 
+@pytest.mark.parametrize("spec", [builtin("heisenberg3"),
+                                  builtin("heisenberg5"), _RADICAL_SPEC],
+                         ids=lambda s: s.name)
+def test_exhaustive_tier_reads_element_digits(monkeypatch, spec):
+    """The exhaustive checks hold on any numbering of the elements that
+    keeps the identity at index 0: on tables relabelled by a permutation,
+    a commutator is recognised by its U- and V-digits, not by an index
+    predicted from them."""
+    t = build_tables(spec)
+    rng = np.random.default_rng(0)
+    old = np.concatenate([[0], 1 + rng.permutation(t.size - 1)])  # new -> old
+    new = np.argsort(old)                                         # old -> new
+    assert (old != np.arange(t.size)).any()
+    relabelled = groups.GroupTables(
+        spec, t.size, new[t.mul[np.ix_(old, old)]], new[t.inv[old]],
+        t.udigits[old], t.vdigits[old])
+    monkeypatch.setattr(structure, "build_tables", lambda s: relabelled)
+    results = verify_group(spec)
+    assert len(results) == 8 and "sampled" not in results[0].note
+    for r in results:
+        assert r.passed, r.line()
+
+
 @pytest.mark.parametrize("seed,p", [(0, 3), (1, 3), (2, 5)])
 def test_random_strict_specs_are_strict_seed(seed, p):
     rng = np.random.default_rng(seed)

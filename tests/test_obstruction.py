@@ -10,7 +10,8 @@ import pytest
 
 from unramified.catalog import builtin
 from unramified.cli import main
-from unramified.errors import GuardExceededError, InternalInconsistencyError
+from unramified.errors import (GuardExceededError, InternalInconsistencyError,
+                               SpecError)
 from unramified.exterior import subset_index
 from unramified.groups import GroupSpec, spec_to_json_dict, validate_spec
 from unramified.linalg import Subspace
@@ -148,6 +149,17 @@ def test_dec_zero_space():
     S = Subspace.zero(3, comb(4, 3))
     assert dec_subgroup(S, 3, 4).dim == 0
     assert dec_subgroup_bruteforce(S, 3, 4).dim == 0
+
+
+@pytest.mark.parametrize("route", [dec_subgroup, dec_subgroup_bruteforce])
+@pytest.mark.parametrize("k,ambient,error", [
+    (1, 4, ValueError), (4, 1, ValueError),
+    (2, comb(4, 3), SpecError), (3, comb(4, 2), SpecError),
+], ids=["degree-1", "degree-4", "degree-2-ambient", "degree-3-ambient"])
+def test_decomposable_routes_refuse_bad_input(route, k, ambient, error):
+    # a degree outside {2, 3}, and an ambient other than C(n, k), at n = 4
+    with pytest.raises(error):
+        route(Subspace.zero(3, ambient), k, 4)
 
 
 def test_dec_peyre6_degree3_is_u135():

@@ -139,6 +139,15 @@ def test_only_groups_constructs_a_spec():
     assert builders == ["groups.py"]
 
 
+def test_only_groups_reads_the_form_stack():
+    # gamma's stack of forms is how groups stores gamma for gamma_of and
+    # the radical; every other module reads gamma's coefficients
+    root = Path(__file__).resolve().parents[1] / "src" / "unramified"
+    readers = [f.name for f in sorted(root.glob("*.py"))
+               if re.search(r"\.forms\b", f.read_text(encoding="utf-8"))]
+    assert readers == ["groups.py"]
+
+
 def test_every_lru_cache_is_keyed_by_ints():
     # a cache keyed by an input would hold arrays whose size no guard has
     # seen, past the command that built them; group tables are built and
