@@ -59,7 +59,7 @@ def bar_matrix(spec: GroupSpec, n: int, modulus: int) -> tuple[int, int, Array]:
     rows = (N-1)^{n+1}, cols = (N-1)^n in the normalized complex.
     """
     t = build_tables(spec)
-    N = t.size
+    N = len(t.mul)
     M = N - 1
     rows, cols = M ** (n + 1), M ** n
     # decode all row tuples; digits in 0..M-1 stand for elements 1..M

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 invalid input (a usage error included), a
 broken internal invariant or a stdout closed before the output was
 written, 2 verification failure (a counterexample was found), 3 resource
-guard exceeded; codes 1 and 3 come with one line on stderr.
+guard exceeded.  Codes 1 and 3 come with one stderr line "<label>:
+<message>"; errors.py's exception types own both codes and their labels.
 
 Every resource guard is one errors.check_bound, made once, from the
 input, before the work it bounds starts; a refusal prints
@@ -31,6 +32,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from decimal import Decimal, InvalidOperation
 
 from . import bar, cochains, obstruction, structure
 from .catalog import BUILTINS, builtin
@@ -40,9 +42,7 @@ from .exterior import render_basis
 from .groups import GroupSpec, load_spec, validate_spec
 
 EXIT_OK = 0
-EXIT_INVALID_SPEC = 1
 EXIT_VERIFY_FAILED = 2
-EXIT_GUARD = 3
 
 
 def _emit_json(data: dict) -> None:
@@ -58,17 +58,21 @@ def _emit_results(args, results, **extra) -> None:
 
 
 def parse_guard(text: str | None) -> int:
-    """--guard's BYTES; without it, UNRAMIFIED_GUARD's, read at call time."""
+    """--guard's BYTES; without it, UNRAMIFIED_GUARD's, read at call time.
+    BYTES is read exactly: a whole number below 10^309, as integer text or
+    in an exponent form such as 2e8; fractions, nan and inf are refused."""
     if text is None:
         text = os.environ.get("UNRAMIFIED_GUARD")
     if not text:
         return cochains.DEFAULT_GUARD_BYTES
     try:
-        if (guard := int(float(text))) < 0:
-            raise ValueError("negative")
-    except (ValueError, OverflowError) as exc:
+        exact = Decimal(text)
+        if not (exact.is_finite() and exact == exact.to_integral_value()
+                and 0 <= exact < 10 ** 309):
+            raise ValueError("not whole BYTES >= 0")
+    except (InvalidOperation, ValueError) as exc:
         raise UnramifiedError(f"--guard must be BYTES >= 0, got {text!r}") from exc
-    return guard
+    return int(exact)
 
 
 def _resolve_spec(args) -> GroupSpec:
@@ -108,7 +112,7 @@ def cmd_analyze(args) -> int:
     spec = _resolve_spec(args)
     rep = obstruction.analyze(spec, strict=args.strict)
     if args.json:
-        _emit_json(obstruction.report_to_json_dict(rep, seed=args.seed))
+        _emit_json({**obstruction.report_to_json_dict(rep), "seed": args.seed})
     else:
         print(obstruction.report_text(rep))
     return EXIT_OK
@@ -263,24 +267,16 @@ def main(argv: list[str] | None = None) -> int:
             raise UnramifiedError(f"--seed must be >= 0, got {args.seed}")
         code = args.func(args)
         sys.stdout.flush()          # a closed stdout fails here, not at exit
+        return code
     except BrokenPipeError:
         sys.stdout = open(os.devnull, "w")  # so the flush at exit is silent
-        print("error: stdout closed before the output was written",
-              file=sys.stderr)
-        code = EXIT_INVALID_SPEC
-    except GuardExceededError as exc:
-        print(f"guard exceeded: {exc}", file=sys.stderr)
-        code = EXIT_GUARD
+        err = UnramifiedError("stdout closed before the output was written")
     except MemoryError:
-        print("guard exceeded: out of memory", file=sys.stderr)
-        code = EXIT_GUARD
-    except SpecError as exc:
-        print(f"invalid spec: {exc}", file=sys.stderr)
-        code = EXIT_INVALID_SPEC
+        err = GuardExceededError("out of memory")
     except UnramifiedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_INVALID_SPEC
-    return code
+        err = exc
+    print(f"{err.label}: {err}", file=sys.stderr)
+    return err.exit_code
 
 
 if __name__ == "__main__":

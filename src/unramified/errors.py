@@ -1,16 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with the exit code and
+the stderr label cli.main reports it with."""
 
 from __future__ import annotations
 
 
 class UnramifiedError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors: CLI exit code 1, label "error"."""
+
+    exit_code = 1
+    label = "error"
 
 
 class SpecError(UnramifiedError):
-    """A group specification is invalid (CLI exit code 1): malformed, p not
-    an odd prime below 2^16, or, in strict mode, gamma not surjective or
-    with a nonzero radical."""
+    """A group specification is invalid (CLI exit code 1, label "invalid
+    spec"): malformed, p not an odd prime below 2^16, or, in strict mode,
+    gamma not surjective or with a nonzero radical."""
+
+    label = "invalid spec"
 
 
 class DimensionMismatchError(UnramifiedError):
@@ -18,10 +24,13 @@ class DimensionMismatchError(UnramifiedError):
 
 
 class GuardExceededError(UnramifiedError):
-    """A resource guard was hit (CLI exit code 3).
+    """A resource guard was hit (CLI exit code 3, label "guard exceeded").
 
     ``required`` carries the bound that would have admitted the request.
     """
+
+    exit_code = 3
+    label = "guard exceeded"
 
     def __init__(self, message: str, required: int | None = None):
         super().__init__(message)

@@ -165,7 +165,6 @@ class GroupTables:
     """Dense index tables for an enumerable group (identity has index 0)."""
 
     spec: GroupSpec
-    size: int
     mul: Array          # (N, N) product indices
     inv: Array          # (N,)
     udigits: Array      # (N, n)
@@ -213,7 +212,7 @@ def build_tables(spec: GroupSpec) -> GroupTables:
                    ud[None], vd[None])
         multab[r:r + step] = u @ weights[:n] + v @ weights[n:]
     invtab = (-digits) % p @ weights
-    return GroupTables(spec, N, multab, invtab, ud, vd)
+    return GroupTables(spec, multab, invtab, ud, vd)
 
 
 # -- spec JSON ---------------------------------------------------------------

@@ -450,7 +450,7 @@ def _degree_json(d: DegreeReport, n: int) -> dict:
     }
 
 
-def report_to_json_dict(rep: ObstructionReport, seed: int | None = None) -> dict:
+def report_to_json_dict(rep: ObstructionReport) -> dict:
     spec = rep.spec
     out = {
         "spec": spec_to_json_dict(spec),
@@ -466,8 +466,6 @@ def report_to_json_dict(rep: ObstructionReport, seed: int | None = None) -> dict
     }
     out.update(_degree_json(rep.deg2, spec.n))
     out.update(_degree_json(rep.deg3, spec.n))
-    if seed is not None:
-        out["seed"] = seed
     return out
 
 

@@ -46,7 +46,7 @@ def _derived(spec: GroupSpec, values, checked, note="") -> VerificationResult:
 def _verify_exhaustive(spec: GroupSpec,
                        radical: Subspace) -> list[VerificationResult]:
     t = build_tables(spec)
-    N = t.size
+    N = len(t.mul)
     mul, inv = t.mul, t.inv
     idx = np.arange(N)
     out = []
@@ -77,9 +77,12 @@ def _verify_exhaustive(spec: GroupSpec,
         counterexample=None if (acc == 0).all() else
         f"index {int(np.nonzero(acc)[0][0])}"))
 
+    # the elements the tables name: their distinct (u, v) digit rows
+    named = len(np.unique(np.hstack([t.udigits, t.vdigits]), axis=0))
     out.append(VerificationResult(
-        "order", spec.order == N, 1,
-        counterexample=None if spec.order == N else f"{N} != {spec.order}"))
+        "order", spec.order == named, 1,
+        counterexample=None if spec.order == named else
+        f"{named} != {spec.order}"))
 
     # comm[a, b] = a b (b a)^-1; expected: (0, gamma(u_a ^ u_b))
     comm = mul[mul, inv[mul.T]]

@@ -153,6 +153,25 @@ def test_broken_invariant_is_typed_and_reported(monkeypatch, capsys):
     assert err.splitlines() == ["error: K^2 not inside K^2_max"]
 
 
+def test_error_types_own_their_exit_code_and_label(monkeypatch, capsys):
+    """main reports a package error by the code and label its type
+    declares, not by a table of its own."""
+    from unramified import cli
+    from unramified.errors import UnramifiedError
+
+    class Refusal(UnramifiedError):
+        exit_code = 3
+        label = "x"
+
+    def refuse(args):
+        raise Refusal("no")
+    monkeypatch.setattr(cli, "cmd_builtins", refuse)
+    monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+    code, out, err = run(capsys, "builtins")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["x: no"]
+
+
 def test_incomplete_pivot_set_is_typed_and_reported(monkeypatch, capsys):
     from unramified import divisors
     from unramified.bar import bar_matrix
@@ -442,8 +461,12 @@ def test_parse_guard_formats():
     from unramified.cli import parse_guard
     from unramified.errors import UnramifiedError
     assert parse_guard("2e8") == 200_000_000
+    assert parse_guard("1e30") == 10 ** 30
     assert parse_guard("1000") == 1000
-    for text in ("2e8/600", "/9", "1000/"):
+    # read exactly: no float rounds a long integer or truncates a fraction
+    assert parse_guard("12345678901234567891") == 12345678901234567891
+    for text in ("2e8/600", "/9", "1000/", "0.9", "1.5", "2.5e-1", "nan",
+                 "inf", "-inf", "1e999999999"):
         with pytest.raises(UnramifiedError):
             parse_guard(text)
 

@@ -1,8 +1,10 @@
 """Group construction: validation, the group law and its tables, spec JSON."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
+import re
 import time
 import tracemalloc
 
@@ -249,7 +251,7 @@ def test_enumeration_counts_and_order():
         spec = builtin(name)
         t = build_tables(spec)
         digits = itertools.product(range(spec.p), repeat=spec.n + spec.m)
-        assert t.size == spec.order
+        assert len(t.mul) == spec.order
         assert np.hstack([t.udigits, t.vdigits]).tolist() == \
             [list(d) for d in digits]
 
@@ -504,6 +506,38 @@ def test_center_check_reads_the_radical_it_is_given(monkeypatch, bound):
     assert failed[0].counterexample
 
 
+def test_order_check_counts_the_elements_the_tables_name(monkeypatch):
+    """Mutation control: with the last element's digits copied onto the
+    element before it, the tables name 124 of heisenberg5's 125 elements;
+    the order check fails, and no other check does."""
+    spec = builtin("heisenberg5")
+    t = build_tables(spec)
+    ud, vd = t.udigits.copy(), t.vdigits.copy()
+    ud[-2], vd[-2] = ud[-1], vd[-1]
+    bad = dataclasses.replace(t, udigits=ud, vdigits=vd)
+    monkeypatch.setattr(structure, "build_tables", lambda s: bad)
+    failed = [r for r in verify_group(spec) if not r.passed]
+    assert [r.identity for r in failed] == ["order"]
+    assert failed[0].counterexample == "124 != 125"
+
+
+def test_associativity_check_names_a_failing_triple(monkeypatch):
+    """Mutation control: two products of one row swapped break
+    associativity, and the counterexample names indices (a, b, c) at which
+    (a b) c and a (b c) differ in the corrupted table."""
+    spec = builtin("heisenberg5")
+    t = build_tables(spec)
+    mul = t.mul.copy()
+    mul[6, [7, 11]] = mul[6, [11, 7]]
+    bad = dataclasses.replace(t, mul=mul)
+    monkeypatch.setattr(structure, "build_tables", lambda s: bad)
+    result = verify_group(spec)[0]
+    assert result.identity == "associativity" and not result.passed
+    a, b, c = map(int, re.fullmatch(r"indices \((\d+), (\d+), (\d+)\)",
+                                    result.counterexample).groups())
+    assert mul[mul[a, b], c] != mul[a, mul[b, c]]
+
+
 @pytest.mark.parametrize("spec", [builtin("heisenberg3"),
                                   builtin("heisenberg5"), _RADICAL_SPEC],
                          ids=lambda s: s.name)
@@ -514,11 +548,11 @@ def test_exhaustive_tier_reads_element_digits(monkeypatch, spec):
     predicted from them."""
     t = build_tables(spec)
     rng = np.random.default_rng(0)
-    old = np.concatenate([[0], 1 + rng.permutation(t.size - 1)])  # new -> old
-    new = np.argsort(old)                                         # old -> new
-    assert (old != np.arange(t.size)).any()
+    old = np.concatenate([[0], 1 + rng.permutation(spec.order - 1)])  # new -> old
+    new = np.argsort(old)                                             # old -> new
+    assert (old != np.arange(spec.order)).any()
     relabelled = groups.GroupTables(
-        spec, t.size, new[t.mul[np.ix_(old, old)]], new[t.inv[old]],
+        spec, new[t.mul[np.ix_(old, old)]], new[t.inv[old]],
         t.udigits[old], t.vdigits[old])
     monkeypatch.setattr(structure, "build_tables", lambda s: relabelled)
     results = verify_group(spec)
@@ -562,7 +596,7 @@ def test_table_products_equal_element_products(which):
     ud, vd = t.udigits, t.vdigits
     # index encoding: g is the base-p number of its (u, v) digits
     digits = np.hstack([ud, vd])
-    assert ((digits @ p ** np.arange(k - 1, -1, -1)) == np.arange(t.size)).all()
+    assert ((digits @ p ** np.arange(k - 1, -1, -1)) == np.arange(spec.order)).all()
     assert np.array_equal(digits[t.inv], -digits % p)
     u, v = _law_reference(spec, ud[:, None], vd[:, None], ud[None], vd[None])
     assert np.array_equal(ud[t.mul], u) and np.array_equal(vd[t.mul], v)

@@ -660,6 +660,33 @@ def test_obstruction_dims_are_basis_change_invariant_seed(seed):
             dec_subgroup_bruteforce(deg.si, deg.i, spec.n)
 
 
+def _census_spec(p, seed):
+    """The first strict draw of a (p, 6, 3) gamma from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    while True:
+        spec = GroupSpec(p, 6, 3, rng.integers(0, p, (3, 15)))
+        rep = validate_spec(spec, strict=False)
+        if (rep.radical_dim, rep.gamma_rank) == (0, 3):
+            return spec
+
+
+@pytest.mark.parametrize("p,seed,dims", [(3, 1, (0, 2)), (3, 2, (0, 1)),
+                                         (3, 3, (0, 1)), (5, 2, (0, 2))])
+def test_census_at_order_p9_seed(p, seed, dims):
+    """What the calculator reports at |G| = p^9, below peyre6's 3^12: a
+    trivial b0 and a nonzero h3.  The sweep, dec_subgroup and the brute
+    force agree in degree 3, and at p = 3 in degree 2; the degree-2 brute
+    force at p = 5 takes seconds, so there the first two routes agree."""
+    spec = _census_spec(p, seed)
+    rep = analyze(spec)
+    assert (rep.b0_dim, rep.h3_dim) == dims
+    for deg in (rep.deg2, rep.deg3):
+        assert dec_subgroup(deg.si, deg.i, spec.n) == deg.si_dec
+        if p == 3 or deg.i == 3:
+            assert dec_subgroup_bruteforce(deg.si, deg.i, spec.n) == \
+                deg.si_dec
+
+
 def test_nonstrict_analysis_is_stamped():
     rep = analyze(builtin("elem9"), strict=False)
     assert not rep.hypotheses_ok

@@ -148,6 +148,13 @@ def test_only_groups_reads_the_form_stack():
     assert readers == ["groups.py"]
 
 
+def test_obstruction_knows_no_seed():
+    # analyze samples nothing: the CLI echoes --seed into analyze's JSON,
+    # and the report knows nothing of it
+    root = Path(__file__).resolve().parents[1] / "src" / "unramified"
+    assert "seed" not in (root / "obstruction.py").read_text(encoding="utf-8")
+
+
 def test_every_lru_cache_is_keyed_by_ints():
     # a cache keyed by an input would hold arrays whose size no guard has
     # seen, past the command that built them; group tables are built and
