@@ -33,11 +33,18 @@ and both factors are nondecreasing in j, strictly until p^j reaches the
 exponent.  Hence the integral cohomology through degree d is killed by p
 iff |H^i(G, Z/p)| = |H^i(G, Z/|G|)| for all i <= d.  The tests run this
 check on elementary abelian groups from the divisor data of ``mod_exps``.
+
+Reading off other moduli.  The orders at every power p^j of p come from
+the divisors over Z/p^k, p^k = |G|: a Smith form over Z/p^k reduces to
+one over Z/p^j, where a divisor p^e with e >= j becomes 0, so im delta^i
+has p-exponent sum_{e < j} (j - e) and the orders follow as in
+``mod_exps``.  For j >= k the orders are those at p^k: |G| kills
+H^i(G, Z) for i >= 1, so both factors above stop growing at p^j = |G|.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,16 +100,26 @@ def bar_matrix(spec: GroupSpec, n: int, modulus: int) -> tuple[int, int, Array]:
 
 @dataclass(frozen=True)
 class CohomologyOrders:
-    """Per-degree |H^n(G, Z/p^k)| and derived |H^n(G, Q/Z)| (as p-exponents)."""
+    """Derived |H^n(G, Q/Z)| (p-exponents), delta^n's divisors over Z/|G|."""
 
     spec_name: str
     group_order: int
     p: int
     k: int
     degmax: int
-    mod_exps: tuple[int, ...]       # |H^n(G, Z/p^k)| = p ** mod_exps[n-1]
     qz_exps: tuple[int, ...]        # |H^n(G, Q/Z)|  = p ** qz_exps[n-1]
-    divisors: tuple[tuple[int, ...], ...] = field(default=())  # of delta^n
+    divisors: tuple[tuple[int, ...], ...]   # of delta^n
+
+    def mod_orders(self, j: int) -> dict[str, int]:
+        """|H^i(G, Z/p^j)| for i = 1..degmax, read off the divisors: mod p^j
+        a divisor p^e with e >= j is 0, and j >= k gives the orders at p^k."""
+        j, lower_im, orders = min(j, self.k), 0, {}
+        for i, d in enumerate(self.divisors, 1):
+            im = sum(j - e for e in d if e < j)
+            orders[str(i)] = self.p ** (
+                j * (self.group_order - 1) ** i - im - lower_im)
+            lower_im = im
+        return orders
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,8 +128,7 @@ class CohomologyOrders:
             "p": self.p,
             "modulus": self.p ** self.k,
             "degmax": self.degmax,
-            "mod_orders": {str(i + 1): self.p ** e
-                           for i, e in enumerate(self.mod_exps)},
+            "mod_orders": self.mod_orders(self.k),
             "qz_orders": {str(i + 1): self.p ** e
                           for i, e in enumerate(self.qz_exps)},
             "divisor_exponents": {str(i): list(d)
@@ -166,5 +182,5 @@ def qz_orders(spec: GroupSpec, degmax: int = 3,
         qz_exps.append(e)          # |H^i(Q/Z)| = |H^{i+1}(Z)|
         z_exp = e
     return CohomologyOrders(spec.name or "custom", spec.order, p, k, degmax,
-                            hk, tuple(qz_exps),
+                            tuple(qz_exps),
                             tuple(d.exponents for d in divs))

@@ -1,6 +1,9 @@
 """Bar-resolution oracle: matrix shapes, d o d = 0, cohomology orders."""
 
+import inspect
+import textwrap
 from collections import Counter
+from functools import lru_cache
 from math import log
 
 import numpy as np
@@ -13,7 +16,8 @@ from unramified.cli import main
 from unramified.divisors import elementary_divisors
 from unramified.errors import GuardExceededError
 
-from conftest import p_annihilated, random_strict_spec, rank_mod
+from conftest import (p_annihilated, random_invertible, random_strict_spec,
+                      rank_mod)
 
 
 def order_mod(spec, n, modulus):
@@ -194,6 +198,101 @@ def test_each_differential_eliminated_once_per_modulus(monkeypatch, capsys,
     monkeypatch.setattr(bar, "elementary_divisors", counting)
     run()
     assert len(seen) == len(set(seen)) == calls
+
+
+@pytest.mark.parametrize("modulus", [None, 3, 9, 27, 81, 3 ** 15])
+def test_oracle_cohomology_eliminates_each_differential_once(
+        monkeypatch, capsys, modulus):
+    # the orders at any --modulus are read off the eliminations over Z/|G|
+    seen = []
+    real = bar.elementary_divisors
+
+    def counting(rows, cols, entries, p, k):
+        seen.append(k)
+        return real(rows, cols, entries, p, k)
+
+    monkeypatch.setattr(bar, "elementary_divisors", counting)
+    argv = ["oracle", "cohomology", "--builtin", "heisenberg3", "--degree",
+            "2", "--json"]
+    assert main(argv + ([] if modulus is None else
+                        ["--modulus", str(modulus)])) == 0
+    assert seen == [3, 3]
+
+
+def test_float64_bound_refuses_before_any_matrix(monkeypatch):
+    monkeypatch.setattr(bar, "bar_matrix", lambda *a: pytest.fail(
+        "a bar matrix was built before the guard refused"))
+    with pytest.raises(GuardExceededError, match="modulus 3\\^15: float64"):
+        mod_exps(builtin("elem9"), 2, 15)
+
+
+# every guaranteed-tier builtin at its largest admitted degree
+GUARANTEED = {"elem3": 3, "elem9": 3, "elem27": 2, "heisenberg3": 2,
+              "elem25": 2, "heisenberg5": 1}
+
+
+@lru_cache(maxsize=None)
+def _read_off_cases(name):
+    """((orders of degree d, j, |H^i(G, Z/p^j)| for i <= d by a direct
+    elimination over Z/p^j), ...) for every degree d and j = 1..k+2."""
+    spec = builtin(name)
+    dmax, k = GUARANTEED[name], spec.n + spec.m
+    orders = [qz_orders(spec, d) for d in range(1, dmax + 1)]
+    cases = []
+    for j in range(1, k + 3):
+        exps = mod_exps(spec, dmax, j)[0]
+        cases += [(o, j, {str(i): spec.p ** e
+                          for i, e in enumerate(exps[:o.degmax], 1)})
+                  for o in orders]
+    return tuple(cases)
+
+
+@lru_cache(maxsize=None)
+def _higher_divisor_cases():
+    """The bar differentials above have divisor exponents e <= 1, where the
+    e < j filter changes nothing.  So also read off a 6 x 5 map over Z/3^4
+    with divisors 1, 3, 9, 27 and 0 as the degree-1 differential of a
+    complex, against its direct elimination over each Z/3^j, j <= 4."""
+    p, k = 3, 4
+    rng = np.random.default_rng(0)
+    D = np.zeros((6, 5), dtype=np.int64)
+    D[range(4), range(4)] = [1, 3, 9, 27]
+    A = random_invertible(rng, 6, p) @ D @ random_invertible(rng, 5, p)
+
+    def divisors(j):
+        M = A % p ** j
+        r, c = np.nonzero(M)
+        return elementary_divisors(6, 5, np.stack([r, c, M[r, c]], axis=1),
+                                   p, j)
+
+    assert divisors(k).exponents == (0, 1, 2, 3)
+    orders = bar.CohomologyOrders("higher", 6, p, k, 1, (),
+                                  (divisors(k).exponents,))
+    return tuple((orders, j, {"1": p ** divisors(j).kernel_exp})
+                 for j in range(1, k + 1))
+
+
+def _read_off_mismatches(read):
+    cases = [c for name in GUARANTEED for c in _read_off_cases(name)]
+    return [(o.spec_name, o.degmax, j)
+            for o, j, direct in cases + list(_higher_divisor_cases())
+            if read(o, j) != direct]
+
+
+def test_mod_orders_read_off_matches_direct_elimination():
+    assert _read_off_mismatches(bar.CohomologyOrders.mod_orders) == []
+
+
+@pytest.mark.parametrize("old,new", [(" if e < j", ""),
+                                     ("min(j, self.k)", "j")],
+                         ids=["no-e<j-filter", "no-clamp-to-k"])
+def test_mod_orders_mutants_are_caught(old, new):
+    # the real method with one step left out must disagree somewhere
+    src = textwrap.dedent(inspect.getsource(bar.CohomologyOrders.mod_orders))
+    assert old in src
+    scope = {}
+    exec(src.replace(old, new), vars(bar), scope)
+    assert _read_off_mismatches(scope["mod_orders"]) != []
 
 
 def test_divisors_reported_per_degree():

@@ -349,6 +349,18 @@ def test_sampled_group_structure_peyre6():
         assert r.passed, r.line()
 
 
+@pytest.mark.parametrize("seed", [0, 98, 145])
+def test_few_samples_complete_the_derived_group(seed):
+    # peyre6's gamma has rank 6: fewer samples cannot span im gamma, and
+    # the commutators of the basis sections complete the span
+    spec = builtin("peyre6")
+    for samples in range(1, 10):
+        for r in verify_group(spec, seed=seed, samples=samples):
+            assert r.passed, r.line()
+            if r.identity == "derived_equals_im_gamma":
+                assert r.checked in (samples, samples + 36)
+
+
 @pytest.mark.parametrize("p,n,m,samples", [
     (3, 6, 6, 20_000), (65521, 3, 2, 10_000), (3, 14, 14, 1_000)])
 def test_sample_bytes_bound_the_traced_peak(monkeypatch, p, n, m, samples):
