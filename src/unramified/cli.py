@@ -9,10 +9,10 @@ guard exceeded.  Codes 1 and 3 come with one stderr line "<label>:
 Every resource guard is one errors.check_bound, made once, from the
 input, before the work it bounds starts; a refusal prints
 "guard exceeded: <what> needs <required> > <bound>".
-- analyze (and oracle decomposables, which runs it) bounds the projective
-  lines it sweeps and the cells of the K^3 generator matrix.
-- oracle decomposables checks the brute-force work (--max-work) before
-  dec_subgroup or the brute force runs.
+- analyze and oracle decomposables bound the projective lines they sweep
+  and the cells of the K^3 generator matrix, in obstruction.spaces.
+- oracle decomposables checks the brute-force work (--max-work) right
+  after spaces, before any sweep, dec_subgroup or the brute force runs.
 - verify-lemmas takes --guard BYTES (or the UNRAMIFIED_GUARD environment
   variable), which bounds the dense cochain tables of every identity;
   every identity is checked before the first runs.
@@ -39,6 +39,7 @@ from .catalog import BUILTINS, builtin
 from .errors import GuardExceededError, SpecError, UnramifiedError
 from .exterior import render_basis
 from .groups import GroupSpec, load_spec, validate_spec
+from .linalg import Subspace
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 2
@@ -173,14 +174,14 @@ def cmd_oracle_decomposables(args) -> int:
     if args.max_work < 0:
         raise UnramifiedError(f"--max-work must be >= 0, got {args.max_work}")
     spec = _resolve_spec(args)
-    rep = obstruction.analyze(spec, strict=args.strict)
     deg = args.degree
-    d = rep.deg2 if deg == 2 else rep.deg3
-    fast = d.si_dec                 # analyze's centralizer sweep
-    # the brute force first: its work guard refuses before either route runs
-    brute = obstruction.dec_subgroup_bruteforce(d.si, deg, spec.n,
+    sis = [S if i == deg else Subspace.zero(S.p, S.ambient) for i, S in
+           zip((2, 3), obstruction.spaces(spec, strict=args.strict)[2])]
+    # the brute force first: its work guard refuses before any route runs
+    brute = obstruction.dec_subgroup_bruteforce(sis[deg - 2], deg, spec.n,
                                                 max_work=args.max_work)
-    second = obstruction.dec_subgroup(d.si, deg, spec.n)
+    second = obstruction.dec_subgroup(sis[deg - 2], deg, spec.n)
+    fast = obstruction.dec_subgroups(spec, *sis)[deg - 2]  # skips S^j = 0
     agree = fast == second == brute
     text = render_basis(fast.basis, spec.n, deg, spec.p)
     if args.json:

@@ -98,8 +98,8 @@ eliminated once.  K^3, S^2 = ker K^2 and S^3 = ker K^3 then come from one
 stacked elimination (compute_k3, linalg.subspaces) unless S^2 = 0 (below),
 and each batch of the sweep folds both degrees' new elements into their
 spans with one more.
-Right after validate_spec, before K^3 or the sweep, analyze makes two
-checks (errors.check_bound):
+spaces, every stage of analyze before the sweep, makes two checks right
+after validate_spec, before K^3 (errors.check_bound):
 - the line guard refuses a spec with S^2 = ker gamma nonzero and more
   than MAX_LINES projective lines.  It counts all (p^n - 1)/(p - 1) lines:
   a degree-3 sweep that does not exit early visits every line (H0's, then
@@ -112,7 +112,7 @@ checks (errors.check_bound):
 - the K^3 guard bounds the cells of compute_k3's generator matrix by
   MAX_K3_CELLS.  When S^2 = 0 that figure, C(n, 2) n C(n, 3), bounds the
   C(n, 3)^2 cells of Lambda^3 U*'s identity basis instead.
-dec_subgroup_bruteforce checks its own work bound before any array.
+oracle decomposables runs the brute force's work check before any sweep.
 """
 
 from __future__ import annotations
@@ -401,8 +401,9 @@ class ObstructionReport:
         return line
 
 
-def analyze(spec: GroupSpec, strict: bool = True) -> ObstructionReport:
-    """Run the full degree-2 and degree-3 pipeline."""
+def spaces(spec: GroupSpec, strict: bool = True) -> tuple[
+        ValidationReport, tuple[Subspace, ...], tuple[Subspace, ...]]:
+    """validate_spec's report, (K^2, K^3) and (S^2, S^3), with the guards."""
     p, n = spec.p, spec.n
     validation = validate_spec(spec, strict=strict)
     k2 = validation.k2             # image of gamma*: the row space of gamma
@@ -418,7 +419,12 @@ def analyze(spec: GroupSpec, strict: bool = True) -> ObstructionReport:
                       Subspace.zero(p, comb(n, 2)), Subspace.zero(p, c3))
     else:
         k3, s2, s3 = compute_k3(spec, k2)
-    kis, sis = (k2, k3), (s2, s3)
+    return validation, (k2, k3), (s2, s3)
+
+
+def analyze(spec: GroupSpec, strict: bool = True) -> ObstructionReport:
+    """Run the full degree-2 and degree-3 pipeline: spaces, then the sweep."""
+    validation, kis, sis = spaces(spec, strict)
     degrees = []
     for i, ki, si, si_dec in zip((2, 3), kis, sis, dec_subgroups(spec, *sis)):
         ki_max = ki if si_dec == si else si_dec.orthogonal()

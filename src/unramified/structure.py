@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import check_bound
-from .groups import GroupSpec, build_tables, law
+from .groups import _GAMMA_BLOCK, GroupSpec, build_tables, law
 from .linalg import Subspace, reduce_mod
 from .results import VerificationResult
 
@@ -112,10 +112,11 @@ def _verify_sampled(spec: GroupSpec, radical: Subspace, seed: int,
                     samples: int) -> list[VerificationResult]:
     p, n, m = spec.p, spec.n, spec.m
     B, k = samples, min(samples, 1000)
-    # traced peak: 8 int64 (n + m)-vectors a sample, whatever p, and the
-    # center check's k x n commutators or the derived check's n x n
+    # traced peak: 8 int64 (n + m)-vectors a sample, whatever p, the center
+    # or derived check's k x n or n x n commutators, 5 gamma_of block arrays
     check_bound("verify-group: sample bytes",
-                8 * (n + m) * (8 * B + 5 * max(k, n) * n), MAX_SAMPLE_BYTES)
+                8 * (n + m) * (8 * B + 5 * max(k, n) * n)
+                + 40 * max(_GAMMA_BLOCK, m * n * n), MAX_SAMPLE_BYTES)
     rng = np.random.default_rng(seed)
     # three elements (u, v); every U is drawn before any V
     a, b, c = zip([rng.integers(0, p, size=(B, n)) for _ in range(3)],

@@ -521,20 +521,30 @@ def test_oracle_decomposables_peyre6_degree3_headline(capsys):
     assert out.strip() == "fast = brute = span{u[1,3,5]}"
 
 
-def test_oracle_decomposables_takes_the_fast_route_from_analyze(monkeypatch,
-                                                                capsys):
-    # analyze sweeps the lines once for both degrees; the oracle reuses its
-    # S^3_dec and runs dec_subgroup only as the second route, in degree 3
+def test_oracle_decomposables_sweeps_only_its_degree(monkeypatch, capsys):
+    # the oracle runs analyze's sweep with S^2 = 0 at degree 3, so only the
+    # asked degree is swept, and dec_subgroup once as the second route
     sweeps, second = [], []
     real_sweep, real_second = obstruction.dec_subgroups, obstruction.dec_subgroup
     monkeypatch.setattr(obstruction, "dec_subgroups",
-                        lambda *a: sweeps.append(a[0].n) or real_sweep(*a))
+                        lambda *a: sweeps.append((a[0].n, a[1].dim))
+                        or real_sweep(*a))
     monkeypatch.setattr(obstruction, "dec_subgroup",
                         lambda *a: second.append(a[1]) or real_second(*a))
     code, out, _ = run(capsys, "oracle", "decomposables", "--builtin",
                        "peyre6", "--degree", "3")
     assert code == 0 and out.strip() == "fast = brute = span{u[1,3,5]}"
-    assert sweeps == [6] and second == [3]
+    assert sweeps == [(6, 0)] and second == [3]
+
+
+def test_oracle_decomposables_degree2_sweeps_no_degree3(monkeypatch, capsys):
+    # peyre6 has S^3 != 0, so a sweep of both degrees would call
+    # _cycles_by_line
+    monkeypatch.setattr(obstruction, "_cycles_by_line",
+                        lambda *a: pytest.fail("degree 3 was swept"))
+    code, out, _ = run(capsys, "oracle", "decomposables", "--builtin",
+                       "peyre6", "--degree", "2", "--json")
+    assert code == 0 and json.loads(out)["agree"] is True
 
 
 @pytest.mark.parametrize("route", ["dec_subgroups", "dec_subgroup"])
@@ -635,7 +645,8 @@ GUARDS = {
         ["oracle", "decomposables", "--builtin", "peyre6", "--degree", "3",
          "--max-work", "1000"], None,
         [(obstruction, "dec_subgroup"), (obstruction, "_points_in_flags"),
-         (obstruction, "_flags_in_subspace")],
+         (obstruction, "_flags_in_subspace"), (obstruction, "dec_subgroups"),
+         (obstruction, "kernel_stack")],
         "brute force: membership tests", 364 * 4, 1000),
     "verify-lemmas identity bytes": (
         ["verify-lemmas", "--builtin", "heisenberg3", "--guard", "1000"], None,
@@ -668,7 +679,8 @@ GUARDS = {
     "verify-group sample bytes": (
         ["verify-group", "--builtin", "peyre6", "--samples", "10000000"], None,
         [(np.random, "default_rng")], "verify-group: sample bytes",
-        8 * 12 * (8 * 10 ** 7 + 5 * 1000 * 6), structure.MAX_SAMPLE_BYTES),
+        8 * 12 * (8 * 10 ** 7 + 5 * 1000 * 6) + 40 * 2 ** 16,
+        structure.MAX_SAMPLE_BYTES),
 }
 
 

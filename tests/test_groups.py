@@ -362,11 +362,13 @@ def test_few_samples_complete_the_derived_group(seed):
 
 
 @pytest.mark.parametrize("p,n,m,samples", [
-    (3, 6, 6, 20_000), (65521, 3, 2, 10_000), (3, 14, 14, 1_000)])
+    (p, n, m, samples) for p, n, m, large in
+    [(3, 6, 6, 20_000), (65521, 3, 2, 10_000), (3, 14, 14, 1_000)]
+    for samples in (1, n, 100, large)])
 def test_sample_bytes_bound_the_traced_peak(monkeypatch, p, n, m, samples):
     """The sample-bytes figure, read off its refusal, bounds the sampled
     tier's traced peak: per sample at large counts and at a large p, and
-    the center check's commutators at small ones."""
+    the center check's commutators and gamma_of's blocks at small ones."""
     gamma = np.random.default_rng(0).integers(0, p, (m, n * (n - 1) // 2))
     spec = GroupSpec(p, n, m, gamma)
     radical = validate_spec(spec, strict=False).radical
