@@ -55,15 +55,15 @@ d[g1|g2|g3] = [g2|g3] - [g1 g2|g3] + [g1|g2 g3] - [g1|g2] under the pairing
     nonzero at p = 3 and zero for p >= 5.
   neither: an internal inconsistency, never a verdict.
 
-A cochain is a plain int16 array of residues with one axis per argument
-(tau13 sums its three terms, within 3(p - 1), before it reduces them).
-Every identity is checked one g1-slice at a time:
+A cochain is a plain array of residues in residue_dtype(p) with one axis
+per argument (tau13 sums its three terms, within 3(p - 1), before it
+reduces them).  Every identity is checked one g1-slice at a time:
 coboundary_slice forms (delta F)(g1, .) for a table F of degree d <= 3 in
-one int16 |G|^d table, the slice of the right-hand side is subtracted, and
-the slice is reduced once.  Its cells stay within 3(p - 1) in absolute
-value before the subtraction and 4(p - 1) after it (tau_squares subtracts
-two mu slices), which fits int16 for p <= 8192; every group table has
-p <= |G| <= 2^13.
+one |G|^d table of F's dtype, the slice of the right-hand side is
+subtracted, and the slice is reduced once.  Its cells stay within 3(p - 1)
+in absolute value before the subtraction and 4(p - 1) after it
+(tau_squares subtracts two mu slices), which fits int8 for p <= 31 and
+int16 for p <= 8192; every group table has p <= |G| <= 2^13.
 """
 
 from __future__ import annotations
@@ -91,11 +91,15 @@ def u_projection(spec: GroupSpec) -> GroupSpec:
     return elementary(spec.p, spec.n, (spec.name or "spec") + "-U")
 
 
+def residue_dtype(p: int) -> type:
+    """The narrowest signed dtype holding a slice cell, |cell| <= 4(p - 1)."""
+    return np.int8 if 4 * (p - 1) <= np.iinfo(np.int8).max else np.int16
+
+
 def coboundary_slice(F: Array, mul: Array, g1: int, out: Array) -> Array:
-    """(delta F)(g1, .) for an int16 table F of degree 1 to 3, with trivial
-    action, unreduced, written to out: an int16 table of F's shape."""
-    s = np.take(F, mul[g1], axis=0, out=out)     # f(g1 g2, ...)
-    np.subtract(F, s, out=s)
+    """(delta F)(g1, .) for a residue table F of degree 1 to 3, with trivial
+    action, unreduced, written to out: a table of F's shape and dtype."""
+    s = np.subtract(F, F[mul[g1]], out=out)   # f(g2, ...) - f(g1 g2, ...)
     for i in range(2, F.ndim + 2):      # f(g1, .., g_i g_i+1, ..), f(g1, .., g_d)
         op = np.add if i % 2 == 0 else np.subtract
         op(s, np.take(F[g1], mul, axis=i - 2) if i <= F.ndim else F[g1, ..., None],
@@ -104,16 +108,16 @@ def coboundary_slice(F: Array, mul: Array, g1: int, out: Array) -> Array:
 
 
 def _outer_mod(a: Array, B: Array, p: int) -> Array:
-    """(a (x) B) mod p in int16, gathered from the p rows c*B mod p, so that
-    no full-size int64 table is built; a holds residues."""
-    return reduce_mod(np.multiply.outer(np.arange(p), B), p).astype(np.int16)[a]
+    """(a (x) B) mod p in residue_dtype(p), gathered from the p rows c*B mod
+    p, so that no full-size int64 table is built; a holds residues."""
+    return reduce_mod(np.multiply.outer(np.arange(p), B), p).astype(residue_dtype(p))[a]
 
 
 # -- named cochains -----------------------------------------------------------
 
 def h_rho(t: GroupTables, rho) -> Array:
     """h(g) = rho(vpart(g)); equals rho(g s(ubar g)^{-1}) for s(u) = (u, 0)."""
-    return t.v_eval(rho).astype(np.int16)
+    return t.v_eval(rho).astype(residue_dtype(t.spec.p))
 
 
 def f_rho_lambda(t: GroupTables, rho, lam) -> Array:
@@ -138,8 +142,8 @@ def tau13(t: GroupTables, u, v, w, x) -> Array:
 
 
 def mu_slices(t: GroupTables, u, v, w, x):
-    """g1 -> mu[u,v,w,x](g1, .) = u(g1) v(g2) w(g3) x(g4), an int16 |U|^3
-    table gathered from the p rows c w (x) x."""
+    """g1 -> mu[u,v,w,x](g1, .) = u(g1) v(g2) w(g3) x(g4), a |U|^3 table in
+    residue_dtype(p) gathered from the p rows c w (x) x."""
     p = t.spec.p
     U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
     rows = _outer_mod(np.arange(p), np.multiply.outer(W, X), p)
@@ -166,7 +170,7 @@ def _check(name: str, t: GroupTables, cases) -> VerificationResult:
     the first nonzero cell stops the check and is rendered after label."""
     checked = 0
     for label, F, rhs in cases:
-        s = np.empty(F.shape, dtype=np.int16)   # reused by every slice
+        s = np.empty_like(F)            # reused by every slice
         for g1 in range(len(F)):
             coboundary_slice(F, t.mul, g1, s)
             s -= rhs(g1)
@@ -257,7 +261,7 @@ def tau_agree_certified(t: GroupTables, u, v) -> bool:
     if p > 3:
         k = np.multiply.outer(-pow(6, -1, p) * t.u_eval(u) ** 3 % p,
                               t.u_eval(v)) % p
-        if _check("tau_agree", t, [("", k.astype(np.int16),
+        if _check("tau_agree", t, [("", k.astype(residue_dtype(p)),
                                     diff.__getitem__)]).passed:
             return True
     faces, pairing = Counter(), 0
@@ -308,13 +312,13 @@ def verify_ssquare_kernel(spec: GroupSpec) -> VerificationResult:
         f"span dim {span.dim} != kernel dim {ker.dim}")
 
 
-# name -> (bytes the identity allocates at its peak, verifier), counted with
-# the group tables already built, plus _SMALL_BYTES for Python objects.  A
-# check holds F, its slice and one more table of the slice's shape at a
-# time: a gathered term, the right-hand side or the slice's quotient.
+# name -> (bytes the identity allocates at its peak, verifier), with the
+# group tables built, plus _SMALL_BYTES for Python objects; residue tables
+# take at most 2 bytes a cell.  A check holds F, its slice and one more table
+# of the slice's shape at a time: a gathered term, the rhs or the quotient.
 #   dh: degree-1 slices, the n x |G| form and int64 rows ((8n + 24) bytes
 #     an element).
-#   df: three int16 |G|^3 tables (6 bytes a cell), plus cL and two int64
+#   df: three |G|^3 tables (6 bytes a cell), plus cL and two int64
 #     biforms ((2p + 16) bytes a cell of |G|^2).
 #   tau_squares, on U: tau, the slice, two mu slices and their sum (10 bytes
 #     a cell of |U|^3), plus the rows the mu slices gather from and the int64

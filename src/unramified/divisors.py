@@ -102,7 +102,8 @@ def _unit_pivots(r, c, v, cols: int, p: int, q: int):
         pos[free[new]] = np.arange(t, t + rank)
         keep = np.flatnonzero(pos[free] < 0)
         grown = np.zeros((t + rank, keep.size), dtype=np.int64)
-        np.take(reduce_mod(Tf, q), keep, axis=1, out=grown[:t])
+        # keep indexes Tf's columns: "clip" clips nothing, and drops raise's out buffer
+        np.take(reduce_mod(Tf, q), keep, axis=1, out=grown[:t], mode="clip")
         kept = pos[free[live]] < 0
         grown[t:, np.searchsorted(keep, live[kept])] = R[:, kept]
         Tf = grown

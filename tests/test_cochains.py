@@ -21,9 +21,11 @@ from unramified.cli import main
 from unramified.cochains import (
     DEFAULT_GUARD_BYTES,
     IDENTITIES,
+    coboundary_slice,
     f_rho_lambda,
     h_rho,
     mu_slices,
+    residue_dtype,
     tau13,
     tau23,
     u_projection,
@@ -92,6 +94,31 @@ def test_coboundary_slices_match_the_reference(name, degree):
                                         some(N ** (degree + 2))).any()
 
 
+@pytest.mark.parametrize("p", [31, 37])
+def test_slice_cells_at_the_bound_fit_the_residue_dtype(p):
+    """p = 31 is the last prime of int8 residues and 37 the first of int16:
+    a planted slice cell at -4(p - 1) and one at 3(p - 1), minus the
+    right-hand side, come out of coboundary_slice as the int64 sum does."""
+    t = build_tables(elementary(p, 1, "cyclic"))
+    mul, g1, top = t.mul, 1, p - 1
+    F = np.zeros((p,) * 3, dtype=residue_dtype(p))
+    rhs = np.zeros_like(F)
+    for (g2, g3, g4), sign in (((2, 3, 4), -1), ((5, 6, 7), 1)):
+        plus = [(g2, g3, g4), (g1, mul[g2, g3], g4), (g1, g2, g3)]
+        minus = [(mul[g1, g2], g3, g4), (g1, g2, mul[g3, g4])]
+        for cell in plus if sign > 0 else minus:
+            F[cell] = top
+        if sign < 0:
+            rhs[g2, g3, g4] = 2 * top       # two mu slices at their largest
+    F64 = F.astype(np.int64)
+    want = (F64 - F64[mul[g1]] + F64[g1][mul] - F64[g1][:, mul]
+            + F64[g1][..., None] - rhs)
+    assert (want.min(), want.max()) == (-4 * top, 3 * top)
+    got = coboundary_slice(F, mul, g1, np.empty_like(F))
+    got -= rhs
+    assert got.dtype == F.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("name,which,guard", [
     ("heisenberg3", "dh", 1000), ("heisenberg3", "df", 10 ** 5),
     ("elem9", "tau_squares", 10 ** 4), ("elem9", "tau_agree", 20000),
@@ -117,7 +144,7 @@ def test_h_rho_values():
     spec = builtin("heisenberg3")
     t = build_tables(spec)
     h = h_rho(t, [1])
-    assert h.shape == (27,) and h.dtype == np.int16
+    assert h.shape == (27,) and h.dtype == residue_dtype(spec.p)
     for v in range(3):
         assert h[_index(t, (0, 0), (v,))] == v
     # h is blind to the U part: h(g) = rho(g s(ubar g)^{-1})
@@ -129,7 +156,7 @@ def test_f_rho_lambda_spot_value():
     spec = builtin("heisenberg3")
     t = build_tables(spec)
     f = f_rho_lambda(t, [1], [1])
-    assert f.shape == (27,) * 3 and f.dtype == np.int16
+    assert f.shape == (27,) * 3 and f.dtype == residue_dtype(spec.p)
     g1 = t.mul[_index(t, (1, 0), (0,)), _index(t, (0, 0), (1,))]
     assert g1 == _index(t, (1, 0), (1,))
     val = f[g1, _index(t, (1, 0), (0,)), _index(t, (0, 1), (0,))]
@@ -141,7 +168,7 @@ def test_tau23_spot_values():
     spec = builtin("elem9")
     t = build_tables(spec)
     c = tau23(t, [1, 0], [1, 0], [1, 0], [0, 1])
-    assert c.shape == (9,) * 3 and c.dtype == np.int16
+    assert c.shape == (9,) * 3 and c.dtype == residue_dtype(spec.p)
     for g1 in range(9):
         for g2 in range(9):
             for g3 in range(9):
@@ -209,7 +236,7 @@ def test_tau13_printed_minus_variant_fails_its_square():
     u, v, w, x = [1, 0], [0, 1], [1, 0], [0, 1]
     t = build_tables(spec)
     plus = tau13(t, u, v, w, x)
-    assert plus.shape == (9,) * 3 and plus.dtype == np.int16
+    assert plus.shape == (9,) * 3 and plus.dtype == residue_dtype(p)
     assert plus.min() >= 0 and plus.max() < p   # the sum is reduced
     U, V, W, X = (t.u_eval(c) for c in (u, v, w, x))
     # the middle term u(g1) w(g1) v(g2) x(g3) of the lifting

@@ -111,6 +111,25 @@ def test_every_function_in_src_is_used_outside_the_tests():
     assert unused == []
 
 
+def test_every_np_take_into_out_names_its_mode():
+    # under the default mode="raise", np.take copies the whole result
+    # through a buffer before it writes out; an in-range index takes
+    # mode="clip", and any other gather an indexing expression
+    root = Path(__file__).resolve().parents[1] / "src" / "unramified"
+    bare = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "take"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "np"):
+                words = {k.arg for k in node.keywords}
+                if "out" in words and "mode" not in words:
+                    bare.append(f"{path.name}:{node.lineno}")
+    assert bare == []
+
+
 def test_only_check_bound_raises_the_guard_error():
     # every resource guard goes through errors.check_bound, so that each
     # refusal has one message format and sets required
