@@ -78,7 +78,8 @@ from .catalog import elementary
 from .errors import InternalInconsistencyError, check_bound
 from .exterior import form_matrices, mult_map_kernel, square_kernel_generators
 from .groups import GroupSpec, GroupTables, build_tables
-from .linalg import Subspace, half_mod, projective_lines, reduce_mod
+from .linalg import (Subspace, half_mod, projective_lines, reduce_mod,
+                     signed_dtype)
 from .results import VerificationResult
 
 Array = np.ndarray
@@ -93,7 +94,7 @@ def u_projection(spec: GroupSpec) -> GroupSpec:
 
 def residue_dtype(p: int) -> type:
     """The narrowest signed dtype holding a slice cell, |cell| <= 4(p - 1)."""
-    return np.int8 if 4 * (p - 1) <= np.iinfo(np.int8).max else np.int16
+    return signed_dtype(4 * (p - 1))
 
 
 def coboundary_slice(F: Array, mul: Array, g1: int, out: Array) -> Array:

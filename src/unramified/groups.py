@@ -10,8 +10,8 @@ whose defining property is the commutator identity
 [ (u1, *), (u2, *) ] = (0, gamma(u1 ^ u2)); it forces exponent p and fixes
 the extension up to isomorphism.  A spec stores gamma with its stack of
 alternating forms: forms[k] is the n x n matrix of (u, w) -> gamma(u ^ w)_k,
-scattered once from gamma's columns; gamma_of contracts it, exact in
-float64 by the spec-arrays guard.  The stack and the element numbering
+scattered once from gamma's columns; law and gamma_of contract it in one
+blocked kernel on narrow dtypes.  The stack and the element numbering
 below are private to this module: other modules read gamma's
 coefficients and an element's digits.
 The section s(u) = (u, 0) satisfies g * s(pi(g))^-1 = (0, v-part of g).
@@ -31,13 +31,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
 from .errors import SpecError, check_bound
 from .exterior import form_matrices, subsets
-from .linalg import Subspace, check_odd_prime, half_mod, kernel, reduce_mod
+from .linalg import (Subspace, check_odd_prime, half_mod, kernel, reduce_mod,
+                     signed_dtype)
 
 Array = np.ndarray
 MAX_SPEC_BYTES = 1 << 26
@@ -88,40 +89,44 @@ class GroupSpec:
         return half_mod(self.p)
 
     def gamma_of(self, u, w) -> Array:
-        """gamma(u ^ w) in V; u, w may be batched with broadcast leading axes.
-
-        A block of u meets the forms in one float64 matmul, (..., n) x
-        (n, m n): each sum has n terms below p^2, exact while n (p - 1)^2 <
-        2^53, which the spec-arrays guard keeps (it refuses n >= 2^21).
-        Reduced in int64, the product then meets w: n terms below p^2.
-        Blocks run along the first leading axis, so that u's product holds
-        about _GAMMA_BLOCK cells at a time."""
-        p, n, m = self.p, self.n, self.m
-        u = reduce_mod(np.array(u, dtype=np.int64), p)
-        w = reduce_mod(np.array(w, dtype=np.int64), p)
-        if u.ndim == w.ndim == 1:
-            return self.gamma_of(u[None], w)[0]
-        forms = self.forms.transpose(1, 0, 2).reshape(n, m * n)
-        forms = forms.astype(np.float64)
-        out = np.empty(np.broadcast_shapes(u.shape, w.shape)[:-1] + (m,),
-                       dtype=np.int64)
-        step = max(1, _GAMMA_BLOCK // (out[:1].size * n or 1))
-        for i in range(0, len(out), step):
-            ub, wb = (x if x.ndim < out.ndim or len(x) == 1 else x[i:i + step]
-                      for x in (u, w))
-            uf = (ub.astype(np.float64) @ forms).astype(np.int64)
-            uf = reduce_mod(uf, p).reshape(ub.shape[:-1] + (m, n))
-            out[i:i + step] = (uf @ wb[..., None])[..., 0]
-        return reduce_mod(out, p)
+        """gamma(u ^ w) in V; u, w may be batched with broadcast leading axes."""
+        return _blocked_law(self, u, w)[1]
 
 
 def law(spec: GroupSpec, u1, v1, u2, v2) -> tuple[Array, Array]:
     """(u1, v1) * (u2, v2) on coordinate arrays, with broadcast leading axes."""
-    v = spec.gamma_of(u1, u2)
-    v *= spec.half
-    v += v1
-    v += v2
-    return reduce_mod(u1 + u2, spec.p), reduce_mod(v, spec.p)
+    return _blocked_law(spec, u1, u2, v1, v2)
+
+
+def _blocked_law(spec: GroupSpec, u1, u2, *vs) -> tuple[Array, Array]:
+    """(u1 + u2, gamma(u1 ^ u2) / 2 + v1 + v2) for vs = (v1, v2), else
+    (u1 + u2, gamma(u1 ^ u2)), as residues in the inputs' result type.
+    Blocks run along the first leading axis, about _GAMMA_BLOCK cells of
+    u1 . forms each.  An input block is reduced in its own dtype, then
+    narrowed to one that holds n (p - 1)^2, for the n terms below p^2 of
+    u1 . forms (exact in float64 by the spec-arrays guard) and of its
+    product with u2, and (p^2 - 1)/2 + 2 (p - 1), for gamma / 2 + v1 + v2."""
+    p, n, m = spec.p, spec.n, spec.m
+    ins = [np.asarray(x) for x in (u1, u2, *vs)]
+    shape = np.broadcast_shapes(*(x.shape[:-1] for x in ins))
+    lead = shape or (1,)
+    out = [np.empty(lead + (k,), np.result_type(*ins)) for k in (n, m)]
+    block = signed_dtype(max(n * (p - 1) ** 2, (p * p - 1) // 2 + 2 * (p - 1)))
+    forms = spec.forms.transpose(1, 0, 2).reshape(n, m * n).astype(np.float64)
+    step = max(1, _GAMMA_BLOCK // (prod(lead[1:]) * max(m, 1) * n or 1))
+    for i in range(0, lead[0], step):
+        ub, wb, *vb = (
+            reduce_mod(np.array(x if x.ndim <= len(lead) or len(x) == 1
+                                else x[i:i + step]), p).astype(block, copy=False)
+            for x in ins)
+        uf = (ub.astype(np.float64) @ forms).astype(block)
+        uf = reduce_mod(uf, p).reshape(ub.shape[:-1] + (m, n))
+        v = (uf @ wb[..., None])[..., 0]
+        if vb:
+            v = reduce_mod(v, p) * spec.half + vb[0] + vb[1]
+        out[0][i:i + step] = reduce_mod(ub + wb, p)
+        out[1][i:i + step] = reduce_mod(v, p)
+    return tuple(o.reshape(shape + o.shape[-1:]) for o in out)
 
 
 # -- structure ---------------------------------------------------------------

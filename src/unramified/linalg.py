@@ -7,7 +7,7 @@ are exact.  Only odd primes are accepted: 1/2 = (p+1)/2 is needed everywhere
 downstream.  ``check_odd_prime`` also refuses p >= 2^16, so that a product
 of two residues is below 2^32: a sum of them is exact in int64 up to 2^31
 terms and in float64 (below 2^53) up to 2^21.  A membership test adds dim
-terms; gamma(u ^ w) adds n in float64, then n in int64 (groups).
+terms; gamma(u ^ w) adds n in float64, then n in a narrow dtype (groups).
 
 One elimination, ``rref_stack``, serves every modulus q = p^k (only units
 pivot; F_p is k = 1).  ``subspaces`` gives the canonical subspaces of many
@@ -66,6 +66,12 @@ def reduce_mod(A: Array, p: int) -> Array:
     q *= p
     A -= q
     return A
+
+
+def signed_dtype(bound: int) -> type:
+    """The narrowest signed integer dtype holding every |x| <= bound."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if bound <= np.iinfo(t).max)
 
 
 def half_mod(p: int) -> int:

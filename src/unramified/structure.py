@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import check_bound
 from .groups import _GAMMA_BLOCK, GroupSpec, build_tables, law
-from .linalg import Subspace, reduce_mod
+from .linalg import Subspace, reduce_mod, signed_dtype
 from .results import VerificationResult
 
 EXHAUSTIVE_BOUND = 3 ** 5
@@ -112,15 +112,16 @@ def _verify_sampled(spec: GroupSpec, radical: Subspace, seed: int,
                     samples: int) -> list[VerificationResult]:
     p, n, m = spec.p, spec.n, spec.m
     B, k = samples, min(samples, 1000)
-    # traced peak: 8 int64 (n + m)-vectors a sample, whatever p, the center
-    # or derived check's k x n or n x n commutators, 5 gamma_of block arrays
+    # traced peak at 8 bytes a cell, fewer at small p: 8 (n + m)-vectors a
+    # sample, k x n or n x n center or derived commutators, 5 law blocks
     check_bound("verify-group: sample bytes",
                 8 * (n + m) * (8 * B + 5 * max(k, n) * n)
                 + 40 * max(_GAMMA_BLOCK, m * n * n), MAX_SAMPLE_BYTES)
     rng = np.random.default_rng(seed)
-    # three elements (u, v); every U is drawn before any V
-    a, b, c = zip([rng.integers(0, p, size=(B, n)) for _ in range(3)],
-                  [rng.integers(0, p, size=(B, m)) for _ in range(3)])
+    residue = signed_dtype(p - 1)
+    # three elements (u, v), narrowed as drawn; every U is drawn before any V
+    a, b, c = zip(*[[rng.integers(0, p, size=(B, d)).astype(residue)
+                     for _ in range(3)] for d in (n, m)])
     out = []
     note = f"sampled, seed={seed}, samples={samples}"
 
@@ -144,7 +145,7 @@ def _verify_sampled(spec: GroupSpec, radical: Subspace, seed: int,
     ok = all(map(np.array_equal, prod(a, [np.zeros_like(t) for t in a]), a))
     out.append(VerificationResult("identity", ok, B, note=note))
 
-    ok = not any(x.any() for x in prod(a, [-t % p for t in a]))
+    ok = not any(x.any() for x in prod(a, [reduce_mod(-t, p) for t in a]))
     out.append(VerificationResult("inverses", ok, B, note=note))
 
     ok = not any(x.any() for x in power(a, p))
@@ -159,7 +160,7 @@ def _verify_sampled(spec: GroupSpec, radical: Subspace, seed: int,
         f"{b[0][bad[0]].tolist()})" if len(bad) else None))
 
     # the first k samples against the sections (e_j, 0): central iff u in rad
-    e = np.eye(n, dtype=np.int64), np.zeros((n, m), dtype=np.int64)
+    e = np.eye(n, dtype=residue), np.zeros((n, m), dtype=residue)
     zu, zv = commutator((a[0][:k, None], a[1][:k, None]), e)
     central = ~zu.any(axis=(1, 2)) & ~zv.any(axis=(1, 2))
     bad = np.flatnonzero(central != radical.contains(a[0][:k]))

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from unramified import exterior, groups, structure
+from unramified import exterior, groups, linalg, structure
 from unramified.catalog import builtin
 from unramified.errors import GuardExceededError, SpecError
 from unramified.groups import (
@@ -223,6 +223,54 @@ def test_gamma_of_and_law_are_exact_on_a_wide_spec():
     gamma = _gamma_by_definition(spec, u1, u2)
     assert np.array_equal(spec.gamma_of(u1, u2), gamma)
     u, v = law(spec, u1, v1, u2, v2)
+    assert np.array_equal(u, (u1 + u2) % p)
+    assert np.array_equal(v, (v1 + v2 + spec.half * gamma) % p)
+
+
+@pytest.mark.parametrize("p,n,block", [
+    (7, 3, np.int8), (7, 4, np.int16), (127, 2, np.int16), (127, 3, np.int32)])
+def test_law_blocks_hold_their_bound_at_each_dtype_switch(monkeypatch, p, n,
+                                                          block):
+    """The block dtype holds n (p - 1)^2, which u1 . forms . u2 reaches
+    when the reduced u1 . forms and u2 are all p - 1, on either side of
+    the int8 -> int16 and int16 -> int32 switches.  The forms are
+    e_1 ^ x for x = (0, -1, ..., -1), which u1 = (1, -1, 0, ..., 0) maps
+    to all -1; the other inputs are all p - 1."""
+    gamma = [[p - 1 if i == 0 else 0
+              for i, _ in itertools.combinations(range(n), 2)]] * 2
+    spec = GroupSpec(p, n, 2, gamma)
+    residue = linalg.signed_dtype(p - 1)
+    u1 = np.array([[1, p - 1] + [0] * (n - 2), [p - 1] * n], dtype=residue)
+    u2, v1, v2 = (np.full((2, k), p - 1, dtype=residue) for k in (n, 2, 2))
+    seen = set()
+    real = groups.reduce_mod
+    monkeypatch.setattr(groups, "reduce_mod",
+                        lambda A, q: seen.add(A.dtype) or real(A, q))
+    gamma = _gamma_by_definition(spec, u1, u2)
+    assert gamma[0].tolist() == [n * (p - 1) ** 2 % p] * 2
+    got = spec.gamma_of(u1, u2)
+    u, v = law(spec, u1, v1, u2, v2)
+    assert np.array_equal(got, gamma)
+    assert np.array_equal(u, (u1.astype(int) + u2) % p)
+    assert np.array_equal(v, (v1.astype(int) + v2 + spec.half * gamma) % p)
+    assert got.dtype == u.dtype == v.dtype == residue
+    assert max(seen, key=lambda d: d.itemsize) == block
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_law_reduces_each_input_before_it_narrows_it(sign):
+    """int64 inputs near +-2^40 at p = 7, whose blocks are int8: a cast
+    before the reduction would keep their low bits, not their residues."""
+    p, n, m = 7, 4, 3
+    rng = np.random.default_rng(40)
+    spec = GroupSpec(p, n, m, rng.integers(0, p, (m, n * (n - 1) // 2)))
+    u1, u2 = sign * 2 ** 40 + rng.integers(-50, 50, (2, 9, n))
+    v1, v2 = sign * 2 ** 40 + rng.integers(-50, 50, (2, 9, m))
+    gamma = _gamma_by_definition(spec, u1, u2)
+    got = spec.gamma_of(u1, u2)
+    u, v = law(spec, u1, v1, u2, v2)
+    assert got.dtype == u.dtype == v.dtype == np.int64
+    assert np.array_equal(got, gamma)
     assert np.array_equal(u, (u1 + u2) % p)
     assert np.array_equal(v, (v1 + v2 + spec.half * gamma) % p)
 
@@ -453,6 +501,33 @@ def test_sampled_checks_drop_their_products():
         tracemalloc.stop()
     assert all(r.passed for r in results)
     assert peak <= 90 * 10 ** 6
+
+
+def test_sampled_checks_run_on_residue_dtype_samples(monkeypatch):
+    # the samples and every law product stay in the narrowest dtype that
+    # holds a residue, int8 at p = 3, and law's blocks are int8 too: the
+    # peak is about 20 MB (68.5 MB with int64 samples and blocks)
+    spec = builtin("peyre6")
+    radical = validate_spec(spec).radical
+    dtypes = set()
+    real_law = structure.law
+
+    def spy(*args):
+        u, v = real_law(*args)
+        dtypes.update(np.asarray(x).dtype for x in args[1:] + (u, v))
+        return u, v
+
+    monkeypatch.setattr(structure, "law", spy)
+    tracemalloc.start()
+    try:
+        results = verify_group_structure(spec, radical, seed=1773293560,
+                                         samples=100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert dtypes == {np.dtype(np.int8)}
+    assert peak <= 32 * 10 ** 6
 
 
 def test_derived_check_folds_values_past_its_head():

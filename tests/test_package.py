@@ -198,3 +198,22 @@ def test_every_lru_cache_is_keyed_by_ints():
                     and x.annotation.id == "int" for x in params):
                 bad.append(f"{path.name}:{fn.lineno} {fn.name}")
     assert cached and bad == []
+
+
+def test_only_signed_dtype_names_a_narrow_integer_dtype():
+    # linalg.signed_dtype is the one owner of narrow dtypes: every other
+    # module asks it for the dtype that holds its bound
+    root = Path(__file__).resolve().parents[1] / "src" / "unramified"
+    narrow = {"int8", "int16", "int32"}
+    named = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = [range(fn.lineno, fn.end_lineno + 1) for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef)
+                 and (path.name, fn.name) == ("linalg.py", "signed_dtype")]
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.value if isinstance(node, ast.Constant) else None)
+            if name in narrow and not any(node.lineno in r for r in owner):
+                named.append(f"{path.name}:{node.lineno}")
+    assert named == []
