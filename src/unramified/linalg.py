@@ -17,9 +17,11 @@ space and radical with them, once a spec).
 
 Large arrays are reduced in place by ``reduce_mod``, A - (A // p) * p: numpy
 vectorizes integer floor division by a scalar but not the remainder, so on
-thousands of cells it is several times faster than ``%``.  Plain ``%`` stays
-for scalars and arrays of a few hundred cells, where it is faster, and where
-a full-size quotient would raise peak memory: rref_stack's entry reduction.
+thousands of cells it is several times faster than ``%``.  Its quotient is as
+large as A, so rref_stack's row updates and Subspace.contains reduce int64
+blocks of about _UPDATE_CELLS cells.  Plain ``%`` stays for scalars and arrays
+of a few hundred cells, where it is faster, and for rref_stack's entry
+reduction, where a full-size quotient would raise peak memory.
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ def as_matrix(rows, cols: int | None = None) -> Array:
     return A
 
 
-# One pivot updates at most this many cells at a time, so that a wide
-# elimination never holds a dense copy of all the rows it touches.
+# One pivot update, or one block of a membership test, holds at most this many
+# cells: no wide elimination or long stack is ever copied to int64 whole.
 _UPDATE_CELLS = 1 << 14
 
 
@@ -263,13 +265,21 @@ class Subspace:
         return hash((self.p, self.ambient, self.basis.tobytes()))
 
     def contains(self, vecs) -> Array:
-        """Membership of each vector of a stack (..., N): one bool per
-        vector, a 0-d bool for one vector."""
-        v = np.asarray(vecs, dtype=np.int64) % self.p
+        """Membership of each vector of a stack (..., N) of any integer dtype:
+        one bool per vector, a 0-d bool for one vector.  v = v[pivots] @
+        basis mod p is tested on int64 copies of _UPDATE_CELLS-cell blocks."""
+        v = np.asarray(vecs)
         if v.shape[-1:] != (self.ambient,):
             raise DimensionMismatchError(
                 f"vectors of shape {v.shape} in F^{self.ambient}")
-        return ((v - v[..., self.pivots] @ self.basis) % self.p == 0).all(axis=-1)
+        out = np.empty(v.shape[:-1], dtype=bool)
+        rows, hits = v.reshape(out.size, self.ambient), out.reshape(-1)
+        step = max(1, _UPDATE_CELLS // max(self.ambient, 1))
+        for i in range(0, len(rows), step):
+            b = reduce_mod(rows[i:i + step].astype(np.int64), self.p)
+            b -= b[:, self.pivots] @ self.basis
+            hits[i:i + step] = ~reduce_mod(b, self.p).any(axis=1)
+        return out[()]
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if self.p != other.p or self.ambient != other.ambient:

@@ -112,13 +112,13 @@ def _verify_sampled(spec: GroupSpec, radical: Subspace, seed: int,
                     samples: int) -> list[VerificationResult]:
     p, n, m = spec.p, spec.n, spec.m
     B, k = samples, min(samples, 1000)
-    # traced peak at 8 bytes a cell, fewer at small p: 8 (n + m)-vectors a
-    # sample, k x n or n x n center or derived commutators, 5 law blocks
-    check_bound("verify-group: sample bytes",
-                8 * (n + m) * (8 * B + 5 * max(k, n) * n)
+    residue = signed_dtype(p - 1)
+    # traced peak: 6 (n + m)-vectors a sample and k x n or n x n center or
+    # derived commutators in residues, an int64 draw of one part, 5 law blocks
+    check_bound("verify-group: sample bytes", 8 * max(n, m) * B + (n + m)
+                * np.dtype(residue).itemsize * (6 * B + 5 * max(k, n) * n)
                 + 40 * max(_GAMMA_BLOCK, m * n * n), MAX_SAMPLE_BYTES)
     rng = np.random.default_rng(seed)
-    residue = signed_dtype(p - 1)
     # three elements (u, v), narrowed as drawn; every U is drawn before any V
     a, b, c = zip(*[[rng.integers(0, p, size=(B, d)).astype(residue)
                      for _ in range(3)] for d in (n, m)])

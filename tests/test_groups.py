@@ -530,6 +530,24 @@ def test_sampled_checks_run_on_residue_dtype_samples(monkeypatch):
     assert peak <= 32 * 10 ** 6
 
 
+def test_sampled_membership_tests_hold_blocks():
+    # the derived check tests 99,000 int8 commutator values against the
+    # span of the first 1,000 in int64 blocks, not in full-size int64
+    # copies: peyre6's sampled tier peaks near 8 MiB traced, 18 MiB with
+    # the copies
+    spec = builtin("peyre6")
+    radical = validate_spec(spec).radical
+    tracemalloc.start()
+    try:
+        results = verify_group_structure(spec, radical, seed=1773293560,
+                                         samples=100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak <= 12 * 2 ** 20
+
+
 def test_derived_check_folds_values_past_its_head():
     """_derived eliminates the first _DERIVED_HEAD commutator values and
     then only the later ones outside their span: a direction of im gamma

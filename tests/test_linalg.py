@@ -6,6 +6,7 @@ the tests; random instances are seeded and the seed appears in the test id.
 
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +325,78 @@ def test_ambient_mismatch_rejected():
         S.contains([1, 0, 0])
     with pytest.raises(DimensionMismatchError):
         S.contains(np.zeros((4, 3), dtype=np.int64))
+
+
+def contains_one_shot(S, vecs):
+    """Membership by its definition, v = v[pivots] @ basis mod p, on the
+    whole stack at once in int64."""
+    v = np.asarray(vecs, dtype=np.int64) % S.p
+    return ((v - v[..., S.pivots] @ S.basis) % S.p == 0).all(axis=-1)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_contains_blocks_answer_as_the_one_shot_definition(extra):
+    """Stacks of one row short of a block, one block, and one row into a
+    second: every other row is in S, and every row is lifted off its
+    residues by multiples of p out to about 2^40, negative too.  The int8
+    residues of the same rows, pushed below 0 and to p and above, give the
+    same answers; neither stack is written."""
+    p, N = 5, 6
+    rng = np.random.default_rng(extra + 1)
+    S = Subspace.from_generators(rng.integers(0, p, (3, N)), p, N)
+    rows = linalg._UPDATE_CELLS // N + extra
+    v = rng.integers(0, p, (rows, N))
+    v[::2] = rng.integers(0, p, ((rows + 1) // 2, S.dim)) @ S.basis
+    v += p * rng.integers(-2 ** 40 // p, 2 ** 40 // p, (rows, N))
+    v8 = (v % p + p * rng.integers(-3, 3, (rows, N))).astype(np.int8)
+    for stack in (v, v8):
+        before = stack.copy()
+        got = S.contains(stack)
+        assert got.dtype == bool and got.shape == (rows,)
+        assert np.array_equal(got, contains_one_shot(S, stack))
+        assert got[::2].all() and not got.all()
+        assert np.array_equal(stack, before)
+
+
+def test_contains_edge_shapes():
+    """Ambient 0, an empty stack, one vector (a 0-d bool) and a 3-d
+    stack, each as the one-shot definition answers."""
+    p = 3
+    rng = np.random.default_rng(7)
+    S = Subspace.from_generators(rng.integers(0, p, (2, 4)), p, 4)
+    cases = [(Subspace.zero(p, 0), np.zeros((5, 0), dtype=np.int64)),
+             (Subspace.zero(p, 0), np.zeros(0, dtype=np.int64)),
+             (Subspace.zero(p, 4), p * rng.integers(-4, 4, (6, 4))),
+             (S, np.zeros((0, 4), dtype=np.int8)),
+             (S, S.basis[0] + 2 * S.basis[1] - p),
+             (S, rng.integers(0, p, 4)),
+             (S, rng.integers(-9, 9, (3, 5, 4)))]
+    for T, vecs in cases:
+        got, want = T.contains(vecs), contains_one_shot(T, vecs)
+        assert np.shape(got) == np.shape(want) == vecs.shape[:-1]
+        assert np.array_equal(got, want)
+    assert Subspace.zero(p, 0).contains(np.zeros((5, 0))).all()
+    assert bool(S.contains(S.basis[0] + 2 * S.basis[1] - p))
+    assert not Subspace.zero(p, 4).contains([0, 1, 0, 0])
+
+
+def test_contains_traces_blocks_not_an_int64_copy():
+    """A (100000, 6) int8 stack is 600 kB, and an int64 copy of it 4.8 MB:
+    the test holds int64 blocks of about _UPDATE_CELLS cells, so it traces
+    at most 1 MiB beyond its bool answers."""
+    p = 3
+    rng = np.random.default_rng(0)
+    S = Subspace.from_generators(rng.integers(0, p, (3, 6)), p, 6)
+    v = rng.integers(-p, 2 * p, (100_000, 6)).astype(np.int8)
+    S.pivots                    # cached before the trace starts
+    tracemalloc.start()
+    try:
+        got = S.contains(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, contains_one_shot(S, v))
+    assert peak <= got.nbytes + 2 ** 20
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
