@@ -42,7 +42,7 @@ from .linalg import (Subspace, check_odd_prime, half_mod, kernel, reduce_mod,
 
 Array = np.ndarray
 MAX_SPEC_BYTES = 1 << 26
-_GAMMA_BLOCK = 1 << 16
+GAMMA_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def law(spec: GroupSpec, u1, v1, u2, v2) -> tuple[Array, Array]:
 def _blocked_law(spec: GroupSpec, u1, u2, *vs) -> tuple[Array, Array]:
     """(u1 + u2, gamma(u1 ^ u2) / 2 + v1 + v2) for vs = (v1, v2), else
     (u1 + u2, gamma(u1 ^ u2)), as residues in the inputs' result type.
-    Blocks run along the first leading axis, about _GAMMA_BLOCK cells of
+    Blocks run along the first leading axis, about GAMMA_BLOCK cells of
     u1 . forms each.  An input block is reduced in its own dtype, then
     narrowed to one that holds n (p - 1)^2, for the n terms below p^2 of
     u1 . forms (exact in float64 by the spec-arrays guard) and of its
@@ -113,7 +113,7 @@ def _blocked_law(spec: GroupSpec, u1, u2, *vs) -> tuple[Array, Array]:
     out = [np.empty(lead + (k,), np.result_type(*ins)) for k in (n, m)]
     block = signed_dtype(max(n * (p - 1) ** 2, (p * p - 1) // 2 + 2 * (p - 1)))
     forms = spec.forms.transpose(1, 0, 2).reshape(n, m * n).astype(np.float64)
-    step = max(1, _GAMMA_BLOCK // (prod(lead[1:]) * max(m, 1) * n or 1))
+    step = max(1, GAMMA_BLOCK // (prod(lead[1:]) * max(m, 1) * n or 1))
     for i in range(0, lead[0], step):
         ub, wb, *vb = (
             reduce_mod(np.array(x if x.ndim <= len(lead) or len(x) == 1

@@ -13,7 +13,8 @@ One elimination, ``rref_stack``, serves every modulus q = p^k (only units
 pivot; F_p is k = 1).  ``subspaces`` gives the canonical subspaces of many
 row spaces and kernels from one stacked elimination; ``from_generators`` and
 ``kernel`` are its one-matrix cases (groups.validate_spec takes gamma's row
-space and radical with them, once a spec).
+space and radical with them, once a spec).  All three take 2-D arrays, (0, N)
+for no rows, and refuse any other shape with DimensionMismatchError.
 
 Large arrays are reduced in place by ``reduce_mod``, A - (A // p) * p: numpy
 vectorizes integer floor division by a scalar but not the remainder, so on
@@ -81,25 +82,16 @@ def half_mod(p: int) -> int:
     return (p + 1) // 2
 
 
-def as_matrix(rows, cols: int | None = None) -> Array:
-    """Coerce nested lists / arrays to a 2-d matrix, keeping an array's dtype:
-    rref_stack's int64 conversion is the only copy."""
-    A = np.asarray(rows)
-    if A.ndim == 1:
-        A = A.reshape(1, -1) if A.size else A.reshape(0, cols or 0)
-    if A.size == 0 and cols is not None:
-        A = np.zeros((0, cols), dtype=np.int64)
-    return A
-
-
 # One pivot update, or one block of a membership test, holds at most this many
 # cells: no wide elimination or long stack is ever copied to int64 whole.
 _UPDATE_CELLS = 1 << 14
 
 
-def projective_lines(p: int, n: int):
-    """Canonical line representatives: first nonzero coordinate equals 1."""
-    for lead in range(n):
+def projective_lines(p: int, n: int, leads=None):
+    """Canonical line representatives, first nonzero coordinate 1, whose lead
+    is in leads (default all): range(j, n) gives the lines of
+    {x_0 = ... = x_(j-1) = 0}, in the order of the full enumeration."""
+    for lead in range(n) if leads is None else leads:
         for rest in itertools.product(range(p), repeat=n - lead - 1):
             v = np.zeros(n, dtype=np.int64)
             v[lead] = 1
@@ -231,10 +223,10 @@ class Subspace:
 
     @classmethod
     def from_generators(cls, gens, p: int, ambient: int) -> "Subspace":
-        M = as_matrix(gens, ambient)
-        if M.shape[1] != ambient:
+        M = np.asarray(gens)
+        if M.shape[1:] != (ambient,):
             raise DimensionMismatchError(
-                f"generators live in dim {M.shape[1]}, expected {ambient}")
+                f"generators of shape {M.shape}, expected (rows, {ambient})")
         return subspaces(p, spans=(M,))[0]
 
     @classmethod
@@ -311,8 +303,11 @@ def subspaces(p: int, spans=(), kernels=()) -> tuple[Subspace, ...]:
     basis of ker M.  The padding columns, right of the c, are free, and
     their vectors e_f are cut."""
     s = len(spans)
-    mats = [as_matrix(M) for M in spans] \
-        + [as_matrix(M)[:, ::-1] for M in kernels]
+    mats = [np.asarray(M) for M in (*spans, *kernels)]
+    if any(M.ndim != 2 for M in mats):
+        raise DimensionMismatchError(
+            f"matrices of shapes {[M.shape for M in mats]}, expected 2-D")
+    mats[s:] = [M[:, ::-1] for M in mats[s:]]
     if not mats:
         return ()
     rows = max(M.shape[0] for M in mats)

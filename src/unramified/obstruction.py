@@ -71,9 +71,9 @@ argument: the set must meet every plane of U, and by the Bose-Burton
 theorem (Bose and Burton, J. Combin. Theory 1, 1966) the smallest set of
 points of PG(n - 1, p) that meets every line is a hyperplane.
 
-dec_subgroups sweeps the lines in batches: first H0's lines (0, w), for w
-in projective_lines(p, n - 1), then the lines outside H0, which are the
-lead-0 lines, the first p^(n-1) of projective_lines(p, n).  Per batch,
+dec_subgroups sweeps the lines in batches: first H0's lines,
+projective_lines(p, n, range(1, n)), then the lines outside H0, the lead-0
+lines projective_lines(p, n, range(1)).  Per batch,
 one stacked elimination (linalg.kernel_stack) gives every D(v): the
 kernel of the m x n matrix w -> gamma(v ^ w), gamma of the batch's wedges
 v ^ e_j, with e_l appended.  Degree 2 folds D(v) times those wedges at
@@ -156,6 +156,16 @@ def compute_k3(spec: GroupSpec, k2: Subspace
     return subspaces(spec.p, spans=(gens,), kernels=(k2.basis, gens))
 
 
+def _route_args(S: Subspace, k: int, n: int) -> bool:
+    """The argument check of both reference routes: k in {2, 3} and S in
+    Lambda^k U.  False when S = 0 (always so at n = 0), its own span."""
+    if k not in (2, 3):
+        raise ValueError(f"degree {k}: decomposable spans need degree 2 or 3")
+    if S.ambient != comb(n, k):
+        raise SpecError(f"subspace ambient {S.ambient} != C({n},{k})")
+    return S.dim > 0
+
+
 def dec_subgroup(S: Subspace, k: int, n: int) -> Subspace:
     """Span of the partially decomposable elements of any S in Lambda^k U.
 
@@ -167,13 +177,9 @@ def dec_subgroup(S: Subspace, k: int, n: int) -> Subspace:
     The span acc (rref, pivots q_j) times S.basis (rref, pivots P_i) is in
     rref: its row j leads with 1 at P_{q_j}, where every other row is 0.
     """
-    if k not in (2, 3):
-        raise ValueError("dec_subgroup is defined for degrees 2 and 3")
+    if not _route_args(S, k, n):
+        return S
     p = S.p
-    if S.ambient != comb(n, k):
-        raise SpecError(f"subspace ambient {S.ambient} != C({n},{k})")
-    if S.dim == 0 or n == 0:
-        return Subspace.zero(p, S.ambient)
     # SE[j]: images of the S basis under (^ e_{j+1}), rows = S basis
     SE = np.einsum("is,jst->jit", S.basis, wedge_basis_tensor(n, k)) % p
     cap = max(1, _BATCH_CELLS // max(1, SE[0].size))
@@ -213,13 +219,11 @@ def dec_subgroups(spec: GroupSpec, s2: Subspace, s3: Subspace
     # per line: its (m + 1) x n matrix, n x n kernel and n x C(n, 2) wedges
     cap = max(1, _BATCH_CELLS // (n * (m + 1 + n + comb(n, 2))))
     size = min(_FIRST_BATCH, cap)
-    # (lines, zeros to prepend, least d for degree 3): H0's lines (0, w),
-    # then the lead-0 lines, the first p^(n-1) of projective_lines(p, n)
-    sweeps = ((projective_lines(p, n - 1), 1, 2),
-              (itertools.islice(projective_lines(p, n), p ** (n - 1)), 0, 4))
-    for lines, pad, min_d in sweeps:
+    # (leads, least d for degree 3): H0's lines, then the lead-0 lines
+    for leads, min_d in ((range(1, n), 2), (range(1), 4)):
+        lines = projective_lines(p, n, leads)
         while any(todo) and (batch := list(itertools.islice(lines, size))):
-            V = np.pad(np.array(batch), ((0, 0), (pad, 0)))
+            V = np.array(batch)
             W = (V @ pairs).reshape(len(V), n, -1)       # [l, j]: v_l ^ e_j
             M = (W @ spec.gamma.T).transpose(0, 2, 1)    # w -> gamma(v ^ w)
             lead = np.eye(n, dtype=np.int64)[(V != 0).argmax(axis=1), None]
@@ -328,13 +332,9 @@ def dec_subgroup_bruteforce(S: Subspace, k: int, n: int,
     is lines times that count, guarded by max_work before any array is
     built; neither side uses the identity im(^v) = ker(^v).
     """
-    if k not in (2, 3):
-        raise ValueError("dec_subgroup_bruteforce is defined for degrees 2 and 3")
+    if not _route_args(S, k, n):
+        return S
     p = S.p
-    if S.ambient != comb(n, k):
-        raise SpecError(f"subspace ambient {S.ambient} != C({n},{k})")
-    if S.dim == 0 or n == 0:
-        return Subspace.zero(p, S.ambient)
     flags, points = p ** comb(n - 1, k - 1), (p ** S.dim - 1) // (p - 1)
     check_bound("brute force: membership tests",
                 (p ** n - 1) // (p - 1) * min(flags, points), max_work)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import check_bound
-from .groups import _GAMMA_BLOCK, GroupSpec, build_tables, law
+from .groups import GAMMA_BLOCK, GroupSpec, build_tables, law
 from .linalg import Subspace, reduce_mod, signed_dtype
 from .results import VerificationResult
 
@@ -117,7 +117,7 @@ def _verify_sampled(spec: GroupSpec, radical: Subspace, seed: int,
     # derived commutators in residues, an int64 draw of one part, 5 law blocks
     check_bound("verify-group: sample bytes", 8 * max(n, m) * B + (n + m)
                 * np.dtype(residue).itemsize * (6 * B + 5 * max(k, n) * n)
-                + 40 * max(_GAMMA_BLOCK, m * n * n), MAX_SAMPLE_BYTES)
+                + 40 * max(GAMMA_BLOCK, m * n * n), MAX_SAMPLE_BYTES)
     rng = np.random.default_rng(seed)
     # three elements (u, v), narrowed as drawn; every U is drawn before any V
     a, b, c = zip(*[[rng.integers(0, p, size=(B, d)).astype(residue)

@@ -98,7 +98,8 @@ def intersect(S: Subspace, T: Subspace) -> Subspace:
     bot = np.hstack([T.basis, np.zeros_like(T.basis)])
     R, _ = rref_mod(np.vstack([top, bot]), S.p)
     rows = [R[i, N:] for i in range(R.shape[0]) if not R[i, :N].any()]
-    return Subspace.from_generators(rows, S.p, N)
+    return Subspace.from_generators(
+        np.array(rows, dtype=np.int64).reshape(-1, N), S.p, N)
 
 
 def p_annihilated(spec: GroupSpec, degmax: int) -> bool:

@@ -199,7 +199,7 @@ def test_gamma_of_is_its_definition(monkeypatch, p, n, m, block):
     """On single vectors, batches and broadcast pairs, unreduced inputs
     included, and with blocks so small that a call runs many of them."""
     if block is not None:
-        monkeypatch.setattr(groups, "_GAMMA_BLOCK", block)
+        monkeypatch.setattr(groups, "GAMMA_BLOCK", block)
     rng = np.random.default_rng(p + n)
     spec = GroupSpec(p, n, m, rng.integers(0, p, (m, n * (n - 1) // 2)))
     x = lambda *shape: rng.integers(-p, 2 * p, shape + (n,))

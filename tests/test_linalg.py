@@ -327,6 +327,27 @@ def test_ambient_mismatch_rejected():
         S.contains(np.zeros((4, 3), dtype=np.int64))
 
 
+def test_empty_generators_of_the_wrong_width_are_refused():
+    """An empty (0, 3) block spans nothing in F^3, not the zero subspace of
+    F^7; a (0, 7) block does."""
+    with pytest.raises(DimensionMismatchError):
+        Subspace.from_generators(np.zeros((0, 3), dtype=np.int64), 3, 7)
+    assert Subspace.from_generators(np.zeros((0, 7), dtype=np.int64), 3, 7) \
+        == Subspace.zero(3, 7)
+
+
+@pytest.mark.parametrize("bad", [[], [1, 0, 2], np.zeros(3, dtype=np.int64),
+                                 np.zeros((1, 1, 3), dtype=np.int64), 0],
+                         ids=["empty-list", "list", "1-d", "3-d", "scalar"])
+@pytest.mark.parametrize("entry", [
+    lambda M: Subspace.from_generators(M, 3, 3), lambda M: kernel(M, 3),
+    lambda M: subspaces(3, spans=(M,)), lambda M: subspaces(3, kernels=(M,))],
+    ids=["from_generators", "kernel", "spans", "kernels"])
+def test_entry_points_take_only_2d_arrays(bad, entry):
+    with pytest.raises(DimensionMismatchError):
+        entry(bad)
+
+
 def contains_one_shot(S, vecs):
     """Membership by its definition, v = v[pivots] @ basis mod p, on the
     whole stack at once in int64."""

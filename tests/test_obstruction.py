@@ -162,6 +162,27 @@ def test_decomposable_routes_refuse_bad_input(route, k, ambient, error):
         route(Subspace.zero(3, ambient), k, 4)
 
 
+@pytest.mark.parametrize("route", [dec_subgroup, dec_subgroup_bruteforce])
+def test_decomposable_routes_share_one_argument_check(monkeypatch, route):
+    """Both routes run obstruction._route_args: a degree outside {2, 3}
+    raises ValueError, an ambient other than C(n, k) SpecError, and S = 0,
+    as always at n = 0, is returned as its own span with no line swept."""
+    seen = []
+    real = obstruction._route_args
+    monkeypatch.setattr(obstruction, "_route_args",
+                        lambda S, k, n: seen.append((k, n)) or real(S, k, n))
+    monkeypatch.setattr(obstruction, "projective_lines",
+                        lambda *a: pytest.fail("swept"))
+    with pytest.raises(ValueError):
+        route(Subspace.zero(3, comb(6, 4)), 4, 6)
+    with pytest.raises(SpecError):
+        route(Subspace.zero(3, comb(6, 2)), 3, 6)
+    for k, n in ((2, 6), (3, 6), (2, 0), (3, 0)):
+        assert route(Subspace.zero(3, comb(n, k)), k, n) == \
+            Subspace.zero(3, comb(n, k))
+    assert seen == [(4, 6), (3, 6), (2, 6), (3, 6), (2, 0), (3, 0)]
+
+
 def test_dec_peyre6_degree3_is_u135():
     rep = analyze(builtin("peyre6"))
     assert rep.deg3.si_dec == Subspace.from_generators(
@@ -315,11 +336,11 @@ def test_centralizer_sweep_equals_both_other_routes_seed(monkeypatch, seed,
 
 
 def _h0_span(monkeypatch, S: Subspace, k: int, n: int) -> Subspace:
-    """dec_subgroup's span over the lines (0, w) of H0 only."""
+    """dec_subgroup's span over H0's lines only, those whose lead is not 0."""
     real_lines = obstruction.projective_lines
     with monkeypatch.context() as m:
         m.setattr(obstruction, "projective_lines",
-                  lambda p, n: (np.r_[0, w] for w in real_lines(p, n - 1)))
+                  lambda p, n: real_lines(p, n, range(1, n)))
         return dec_subgroup(S, k, n)
 
 
@@ -413,8 +434,7 @@ def test_analyze_stacks_its_independent_eliminations(monkeypatch):
     monkeypatch.undo()
     assert all(d.si_dec == d.si and d.si.dim for d in (rep.deg2, rep.deg3))
     dims = []                       # d = dim D(v) on H0's first 32 lines
-    for w in itertools.islice(projective_lines(p, n - 1), 32):
-        v = np.r_[0, w]
+    for v in itertools.islice(projective_lines(p, n, range(1, n)), 32):
         M = spec.gamma_of(v, np.eye(n, dtype=np.int64)).T
         lead = np.eye(n, dtype=np.int64)[[int(np.flatnonzero(v)[0])]]
         dims.append(n - rank_mod(np.vstack([M, lead]), p))
@@ -575,6 +595,25 @@ def test_brute_force_checks_each_flag_dimension(monkeypatch):
 def test_projective_line_count():
     assert len(list(projective_lines(3, 6))) == (3 ** 6 - 1) // 2
     assert len(list(projective_lines(5, 3))) == (5 ** 3 - 1) // 4
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_projective_lines_by_lead(p, n):
+    """leads = range(j, n) gives the lines of {x_0 = ... = x_(j-1) = 0} in
+    the full enumeration's order, range(j, j + 1) the p^(n-j-1) lines with
+    lead j, and range(1, n), H0's lines, what (0, w) over the lines w of
+    F_p^(n-1) gave."""
+    lines = lambda *leads: [tuple(v.tolist())
+                            for v in projective_lines(p, *leads)]
+    every = lines(n)
+    for j in range(n + 1):
+        tail = lines(n, range(j, n))
+        assert tail == [v for v in every if not any(v[:j])]
+        assert len(tail) == (p ** (n - j) - 1) // (p - 1)
+        if j < n:
+            assert len(lines(n, range(j, j + 1))) == p ** (n - j - 1)
+    assert lines(n, range(1, n)) == [(0,) + w for w in lines(n - 1)]
 
 
 # -- analyze ------------------------------------------------------------------

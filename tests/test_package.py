@@ -130,6 +130,32 @@ def test_every_np_take_into_out_names_its_mode():
     assert bare == []
 
 
+def test_no_module_imports_another_modules_private_name():
+    # an underscore name belongs to its module: another module that needs
+    # it, as structure's sample-bytes figure needs the law's block size,
+    # takes a public name, so a private name can change in one place
+    root = Path(__file__).resolve().parents[1] / "src" / "unramified"
+    modules = {f.stem for f in root.glob("*.py")}
+    leaks = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [a.name for a in node.names]
+                if node.module is None:
+                    imported |= set(names) & modules
+                leaks += [f"{path.name}:{node.lineno} {name}"
+                          for name in names if name.startswith("_")]
+        leaks += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in imported
+                  and node.attr.startswith("_")]
+    assert leaks == []
+
+
 def test_only_check_bound_raises_the_guard_error():
     # every resource guard goes through errors.check_bound, so that each
     # refusal has one message format and sets required
